@@ -30,13 +30,14 @@ from .tlcf import Tlcf, tlcf_configure
 from .tlcr import ConfigError, Tlcr, tlcr_configure
 from .tlcw import Tlcw, tlcw_configure
 from .tsb import ProposalInfo, RunTrace, TsbParams
-from .wire import StepMessage, encode_step_message
+from .wire import StepMessage, frame_size
 
 LAYERS = ("tlcr", "tlcb", "tlcb-full", "tlcw", "tlcf", "qsc-tlcb", "qsc-tlcf")
 DELAY_POLICIES = ("fixed", "random", "adversarial")
 TRACE_LEVELS = ("full", "steps", "light")
 
 _M64 = (1 << 64) - 1
+_MIX_IV = 0x6A09E667F3BCC909
 
 # stream labels keeping the seed-derived substreams apart
 _S_DELAY, _S_TAIL, _S_ADV, _S_PRIORITY, _S_MESSAGE, _S_PAYLOAD = range(1, 7)
@@ -46,7 +47,12 @@ def mix64(*parts: int) -> int:
     """Keyed 64-bit mixer (splitmix finalization over folded inputs).
     Deterministic across processes and platforms; used for every random-ish
     decision in a run so seeds replay exactly."""
-    h = 0x6A09E667F3BCC909
+    return _fold(_MIX_IV, *parts)
+
+
+def _fold(h: int, *parts: int) -> int:
+    """Continue a mix64 state over more parts: ``mix64(*a, *b)`` equals
+    ``_fold(_fold(_MIX_IV, *a), *b)``, so a fixed key prefix is folded once."""
     for p in parts:
         p &= _M64
         h = (h ^ p) & _M64
@@ -60,6 +66,13 @@ def mix64(*parts: int) -> int:
 
 
 # --- delay policies -------------------------------------------------------
+
+
+def _channel_keys(seed: int, stream: int, n: int) -> list[int]:
+    """mix64 state after ``(seed, stream, sender, dest)`` for every channel,
+    indexed ``sender * n + dest``: a hop then folds in only its index."""
+    prefix = _fold(_MIX_IV, seed, stream)
+    return [_fold(prefix, sender, dest) for sender in range(n) for dest in range(n)]
 
 
 class FixedDelay:
@@ -81,17 +94,20 @@ class RandomDelay:
     name = "random"
 
     def __init__(self, seed: int, n: int, scale: int = 4):
-        self.seed = seed
+        self.n = n
         self.scale = max(1, scale)
+        self._delay_keys = _channel_keys(seed, _S_DELAY, n)
+        self._tail_keys = _channel_keys(seed, _S_TAIL, n)
 
     def delay(self, sender: int, dest: int, index: int) -> int:
-        u = mix64(self.seed, _S_DELAY, sender, dest, index)
+        chan = sender * self.n + dest
+        u = _fold(self._delay_keys[chan], index)
         run = 0
         while u & 1:  # trailing ones: P(run = k) = 2**-(k+1)
             run += 1
             u >>= 1
         d = 1 + run * self.scale
-        if mix64(self.seed, _S_TAIL, sender, dest, index) % 64 == 0:
+        if _fold(self._tail_keys[chan], index) % 64 == 0:
             d += self.scale * (8 + (u >> 3) % 56)
         return d
 
@@ -111,6 +127,7 @@ class AdversarialDelay:
         self.period = max(1, period)
         self.victims = max(1, n // 3)
         self._windows: dict[int, frozenset[int]] = {}
+        self._jitter_keys = _channel_keys(seed, _S_DELAY, n)
 
     def _victim_set(self, window: int) -> frozenset[int]:
         got = self._windows.get(window)
@@ -125,7 +142,7 @@ class AdversarialDelay:
     def delay(self, sender: int, dest: int, index: int) -> int:
         victims = self._victim_set(index // self.period)
         if sender in victims or dest in victims:
-            jitter = mix64(self.seed, _S_DELAY, sender, dest, index) % self.scale
+            jitter = _fold(self._jitter_keys[sender * self.n + dest], index) % self.scale
             return self.scale * 40 + jitter
         return 1
 
@@ -285,14 +302,14 @@ class _NodeCtx:
             self.armed = True
 
     def broadcast(self, msg: StepMessage) -> None:
-        frame = encode_step_message(msg)
+        size = frame_size(msg)
         for dest in range(self.sim.n):
-            self.sim.xmit(self.node, dest, msg, len(frame))
+            self.sim.xmit(self.node, dest, msg, size)
         if self.armed:
             raise NodeCrashed("after")
 
     def unicast(self, dest: int, msg: StepMessage) -> None:
-        self.sim.xmit(self.node, dest, msg, len(encode_step_message(msg)))
+        self.sim.xmit(self.node, dest, msg, frame_size(msg))
 
     def receive(self, tag: str):
         while True:

@@ -7,6 +7,7 @@ always produce identical bytes and corrupted frames fail loudly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -24,6 +25,19 @@ REQ = "q"
 ACK = "a"
 WIT = "w"
 _KINDS = (PLAIN, REQ, ACK, WIT)
+
+# Fixed frame header: layer, kind, flags u8, sender u32, step u32, and the
+# payload's u32 length prefix.  A piggybacked set adds a u32 count, and each
+# of its entries a sender u32, a payload digest and a u32 length prefix.
+_FRAME_HEAD = 15
+_SET_HEAD = 4
+_SET_ENTRY_HEAD = 4 + DIGEST_SIZE + 4
+
+# Entries kept by the memoized decoders.  A gossiped payload is decoded by
+# every receiver of its step and by every later lookup in the same round, all
+# within a few dozen distinct payloads, so a small memo catches nearly all of
+# it while its memory stays bounded.
+DECODE_MEMO_SIZE = 64
 
 
 class WireError(Exception):
@@ -76,7 +90,10 @@ def decode_entry_set(data: bytes, off: int = 0) -> tuple[EntrySet, int]:
     return frozenset(out), off
 
 
+@functools.lru_cache(maxsize=DECODE_MEMO_SIZE)
 def entry_set_bytes(data: bytes) -> EntrySet:
+    """Decode a whole buffer as one receive set.  Memoized: the result is an
+    immutable function of the bytes, and a failed decode raises every time."""
     entries, off = decode_entry_set(data)
     if off != len(data):
         raise WireError("trailing bytes after set")
@@ -102,9 +119,14 @@ class StepMessage:
     prior_b: Optional[EntrySet] = None
 
 
-def encode_step_message(msg: StepMessage) -> bytes:
-    if len(msg.layer) != 1 or msg.kind not in _KINDS:
+def _check_lane(msg: StepMessage) -> None:
+    if len(msg.layer) != 1 or not msg.layer.isascii() or msg.kind not in _KINDS:
         raise WireError(f"bad layer/kind {msg.layer!r}/{msg.kind!r}")
+
+
+def encode_step_message(msg: StepMessage) -> bytes:
+    """The frame format's reference encoding."""
+    _check_lane(msg)
     flags = (1 if msg.prior_r is not None else 0) | (2 if msg.prior_b is not None else 0)
     parts = [
         msg.layer.encode("ascii"),
@@ -119,11 +141,25 @@ def encode_step_message(msg: StepMessage) -> bytes:
     return b"".join(parts)
 
 
+def frame_size(msg: StepMessage) -> int:
+    """``len(encode_step_message(msg))``, worked out from the format without
+    building the frame."""
+    _check_lane(msg)
+    size = _FRAME_HEAD + len(msg.payload)
+    for entries in (msg.prior_r, msg.prior_b):
+        if entries is not None:
+            size += _SET_HEAD + sum(_SET_ENTRY_HEAD + len(p) for _, p in entries)
+    return size
+
+
 def decode_step_message(data: bytes) -> StepMessage:
     if len(data) < 11:
         raise WireError("frame too short")
-    layer = data[0:1].decode("ascii")
-    kind = data[1:2].decode("ascii")
+    try:
+        layer = data[0:1].decode("ascii")
+        kind = data[1:2].decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise WireError("non-ascii layer/kind") from exc
     if kind not in _KINDS:
         raise WireError(f"unknown kind {kind!r}")
     flags, sender, step = struct.unpack_from(">BII", data, 2)
@@ -166,7 +202,10 @@ def decode_history(data: bytes, off: int = 0) -> tuple[History, int]:
     return History(head=head, length=length), end
 
 
+@functools.lru_cache(maxsize=DECODE_MEMO_SIZE)
 def history_bytes(data: bytes) -> History:
+    """Decode a whole buffer as one history payload.  Memoized like
+    :func:`entry_set_bytes`."""
     history, off = decode_history(data)
     if off != len(data):
         raise WireError("trailing bytes after history")

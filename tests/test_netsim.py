@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quesera.netsim import (
+    _S_DELAY,
+    _S_TAIL,
     AdversarialDelay,
     DeadlockError,
     FixedDelay,
@@ -25,6 +29,12 @@ def test_mix64_is_frozen():
     assert mix64(1, 2, 3) == 0xAC353CECC6B8F974
     assert mix64(2026) == 0x755440D1B7ADABED
     assert mix64(1, 2, 3) != mix64(3, 2, 1)  # order matters
+    # the key shapes of delays, priorities and payloads
+    assert mix64(7, 1, 0, 1, 5) == 0x80633C2F3B4B9E60
+    assert mix64(7, 2, 3, 0, 99) == 0x30D80D8C2BFEB1F1
+    assert mix64(2**64 - 1, 4, 11, 3) == 0x172125BF62E3529B
+    assert mix64(123456789, 5, 2, 40) == 0x7B2D9CD68445DEEB
+    assert mix64(1, 7, 0, 0, 2**63) == 0x77F45276CAE235AD
 
 
 def test_delay_policies():
@@ -48,6 +58,43 @@ def test_delay_policies():
     assert ad.delay(victim, spared, 3) >= 4 * 40  # either endpoint suffices
     assert ad.delay(spared, victim, 3) >= 4 * 40
     assert ad.delay(spared, other, 3) == 1
+
+
+def reference_random_delay(seed, scale, sender, dest, index):
+    u = mix64(seed, _S_DELAY, sender, dest, index)
+    run = 0
+    while u & 1:
+        run += 1
+        u >>= 1
+    d = 1 + run * scale
+    if mix64(seed, _S_TAIL, sender, dest, index) % 64 == 0:
+        d += scale * (8 + (u >> 3) % 56)
+    return d
+
+
+def reference_adversarial_delay(policy, seed, scale, sender, dest, index):
+    victims = policy._victim_set(index // policy.period)
+    if sender in victims or dest in victims:
+        return scale * 40 + mix64(seed, _S_DELAY, sender, dest, index) % scale
+    return 1
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 12),
+    scale=st.integers(1, 8),
+    draws=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), st.integers(0, 10**6)),
+                   min_size=1, max_size=40),
+)
+def test_per_channel_keys_give_the_unfolded_delays(seed, n, scale, draws):
+    rd = RandomDelay(seed, n, scale)
+    ad = AdversarialDelay(seed, n, scale)
+    for sender, dest, index in draws:
+        sender, dest = sender % n, dest % n
+        assert rd.delay(sender, dest, index) == reference_random_delay(
+            seed, scale, sender, dest, index)
+        assert ad.delay(sender, dest, index) == reference_adversarial_delay(
+            ad, seed, scale, sender, dest, index)
 
 
 def test_threshold_defaults():

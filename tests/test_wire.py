@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quesera.chain import GENESIS, GENESIS_DIGEST, Proposal
+from quesera.chain import GENESIS, GENESIS_DIGEST, History, Proposal
 from quesera.wire import (
     ACK,
+    DECODE_MEMO_SIZE,
     PLAIN,
     REQ,
     WIT,
@@ -22,9 +23,12 @@ from quesera.wire import (
     encode_history,
     encode_step_message,
     entry_set_bytes,
+    frame_size,
     histories_of,
     history_bytes,
 )
+
+KINDS = (PLAIN, REQ, ACK, WIT)
 
 
 def test_entry_set_is_canonical_and_frozen():
@@ -80,6 +84,10 @@ def test_step_message_rejects_garbage():
         decode_step_message(b"")
     with pytest.raises(WireError):
         decode_step_message(b"r?" + b"\x00" * 9 + b"\x00\x00\x00\x00")
+    with pytest.raises(WireError):  # lane tags are ASCII
+        decode_step_message(b"\xff" + b"p" + bytes(13))
+    with pytest.raises(WireError):
+        decode_step_message(b"r\xff" + bytes(13))
     good = encode_step_message(StepMessage("r", PLAIN, 0, 1, b"m"))
     with pytest.raises(WireError):
         decode_step_message(good + b"x")
@@ -98,3 +106,95 @@ def test_history_codec():
         history_bytes(encode_history(h)[:-1])
     with pytest.raises(WireError):
         history_bytes(encode_history(h) + b"\x00")
+
+
+entry_sets = st.one_of(
+    st.none(),
+    st.frozensets(st.tuples(st.integers(0, 2**32 - 1), st.binary(max_size=64)), max_size=8),
+)
+step_messages = st.builds(
+    StepMessage,
+    layer=st.characters(max_codepoint=127),
+    kind=st.sampled_from(KINDS),
+    sender=st.integers(0, 2**32 - 1),
+    step=st.integers(0, 2**32 - 1),
+    payload=st.one_of(st.binary(max_size=64), st.binary(min_size=4096, max_size=70000)),
+    prior_r=entry_sets,
+    prior_b=entry_sets,
+)
+
+
+@given(step_messages)
+def test_frame_size_is_the_encoded_length(msg):
+    assert frame_size(msg) == len(encode_step_message(msg))
+
+
+@pytest.mark.parametrize("layer,kind", [("", PLAIN), ("rr", PLAIN), ("\xe9", PLAIN),
+                                        ("r", "x"), ("r", "")])
+def test_frame_size_rejects_what_encoding_rejects(layer, kind):
+    msg = StepMessage(layer, kind, 0, 1, b"m", frozenset({(0, b"m")}))
+    with pytest.raises(WireError) as sized:
+        frame_size(msg)
+    with pytest.raises(WireError) as encoded:
+        encode_step_message(msg)
+    assert str(sized.value) == str(encoded.value)
+
+
+DECODERS = (
+    decode_step_message,
+    lambda data: decode_entry_set(data, 0),
+    entry_set_bytes,
+    history_bytes,
+)
+
+
+def _valid_encodings():
+    h = GENESIS.extend(Proposal(proposer=2, message=b"msg", priority=7, prev=GENESIS_DIGEST))
+    sets = frozenset({(0, encode_history(h)), (3, b"")})
+    return [
+        encode_step_message(StepMessage("w", WIT, 1, 2, b"m", sets, sets)),
+        encode_step_message(StepMessage("r", PLAIN, 4, 9, encode_history(h))),
+        encode_entry_set(sets),
+        encode_history(h),
+        encode_history(GENESIS),
+    ]
+
+
+def _flip(blob: bytes, at: int, mask: int) -> bytes:
+    out = bytearray(blob)
+    out[at % len(out)] ^= mask
+    return bytes(out)
+
+
+valid_encodings = st.sampled_from(_valid_encodings())
+damaged = st.one_of(
+    st.binary(max_size=200),
+    st.builds(lambda blob, cut: blob[:cut], valid_encodings, st.integers(0, 400)),
+    st.builds(_flip, valid_encodings, st.integers(0, 400), st.integers(1, 255)),
+)
+
+
+@given(damaged)
+def test_decoders_fail_only_with_wire_error(data):
+    for decode in DECODERS:
+        try:
+            decode(data)
+        except WireError:
+            pass
+
+
+@given(damaged)
+def test_memoized_decoders_verify_every_miss_and_stay_bounded(data):
+    for cached in (entry_set_bytes, history_bytes):
+        try:
+            fresh = cached.__wrapped__(data)
+        except WireError:
+            for _ in range(2):  # a failure is never remembered
+                with pytest.raises(WireError):
+                    cached(data)
+        else:
+            got = cached(data)
+            assert got == fresh and got is cached(data)
+            if isinstance(fresh, History):  # History equality is by digest only
+                assert (got.head, got.length) == (fresh.head, fresh.length)
+        assert cached.cache_info().currsize <= DECODE_MEMO_SIZE

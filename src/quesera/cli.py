@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import threading
 from typing import Optional
 
 from . import netsim, qscod
@@ -87,25 +86,11 @@ def _run_qscod(args: argparse.Namespace, seed: int) -> tuple[Metrics, list[str]]
     tally = qscod.ByteTally()
     raw = [qscod.MemoryStore() for _ in range(args.n)]
     stores = [qscod.CountingStore(s, tally) for s in raw]
-    clients = [
-        qscod.Client(cid, stores, params, netsim.mix64(seed, cid))
-        for cid in range(args.clients)
+    workloads = [
+        [b"c%d-m%d" % (cid, k) for k in range(args.messages)] for cid in range(args.clients)
     ]
-    reports: list[Optional[qscod.ClientReport]] = [None] * args.clients
-
-    def drive(cid: int) -> None:
-        workload = [b"c%d-m%d" % (cid, k) for k in range(args.messages)]
-        reports[cid] = clients[cid].run(workload, args.rounds)
-
-    threads = [threading.Thread(target=drive, args=(cid,)) for cid in range(args.clients)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for c in clients:
-        c.close()
-    done = [r for r in reports if r is not None]
-    problems = qscod.audit(raw, params, done)
+    done, failed = qscod.run_clients(stores, params, workloads, args.rounds, seed)
+    problems = failed + qscod.audit(raw, params, done)
     metrics = Metrics(
         layer="qscod",
         n=args.n,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import os
 import sys
 import threading
 from typing import Iterable, Optional, TextIO
@@ -133,15 +134,24 @@ class FileStore(_Store):
 
     Opening replays the log, so a store survives restarts; the log is valid
     input for the protocol server, which makes debugging a matter of cat.
+    A final line without its newline is an append torn by a crash, whose
+    write never returned: opening cuts it off.  Any complete line that does
+    not parse still raises.
     """
 
     def __init__(self, path: str):
         super().__init__()
         self.path = path
+        torn_at: Optional[int] = None
         try:
-            with open(path, "r", encoding="ascii") as fh:
-                for line in fh:
-                    line = line.strip()
+            with open(path, "rb") as fh:
+                offset = 0
+                for raw in fh:
+                    if not raw.endswith(b"\n"):
+                        torn_at = offset
+                        break
+                    offset += len(raw)
+                    line = raw.decode("ascii").strip()
                     if not line:
                         continue
                     verb, key, value = parse_request(line)
@@ -150,6 +160,8 @@ class FileStore(_Store):
                     self._data.setdefault(key, value)
         except FileNotFoundError:
             pass
+        if torn_at is not None:
+            os.truncate(path, torn_at)
         self._fh = open(path, "a", encoding="ascii")
 
     def _commit(self, key: bytes, value: bytes) -> None:

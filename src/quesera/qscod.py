@@ -30,6 +30,7 @@ message can land in the chain twice; it can never be lost.
 from __future__ import annotations
 
 import argparse
+import functools
 import queue
 import struct
 import threading
@@ -43,12 +44,14 @@ from .netsim import mix64
 from .tlcb import tlcb_check_config
 from .tlcr import ConfigError
 from .wire import (
+    DECODE_MEMO_SIZE,
     EntrySet,
     WireError,
     decode_entry_set,
     decode_history,
     encode_entry_set,
     encode_history,
+    entry_set_bytes,
     history_bytes,
 )
 
@@ -58,6 +61,8 @@ WAIT_TIMEOUT = 60.0  # seconds; in-process stores answer in microseconds
 
 
 def slot_key(rnd: int, slot: int) -> bytes:
+    """Big-endian ``(round, slot)``, so byte order of keys is the order in
+    which a client uses them."""
     return struct.pack(">IB", rnd, slot)
 
 
@@ -65,7 +70,11 @@ def encode_slot3(r1: EntrySet, b1: EntrySet, best: History) -> bytes:
     return encode_entry_set(r1) + encode_entry_set(b1) + encode_history(best)
 
 
+@functools.lru_cache(maxsize=DECODE_MEMO_SIZE)
 def decode_slot3(data: bytes) -> tuple[EntrySet, EntrySet, History]:
+    """Decode a slot-3 value.  Memoized like :func:`wire.entry_set_bytes`:
+    the result is an immutable function of the bytes, and a failed decode
+    raises every time."""
     r1, off = decode_entry_set(data, 0)
     b1, off = decode_entry_set(data, off)
     best, off = decode_history(data, off)
@@ -134,15 +143,22 @@ class ByteTally:
 
 class WaitCache:
     """Collects (key, column) -> value reports from the driver threads and
-    lets the client block until enough columns answered for a key."""
+    lets the client block until enough columns answered for a key.
+
+    A client waits on its keys in increasing order, so once a key is answered
+    it and every smaller key are done: the answer is handed over and dropped,
+    and late columns for them are ignored."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._got: dict[bytes, dict[int, bytes]] = {}
+        self._answered = b""  # sorts below every slot key
 
     def put(self, key: bytes, column: int, value: bytes) -> None:
         with self._cond:
+            if key <= self._answered:
+                return
             self._got.setdefault(key, {})[column] = value
             self._cond.notify_all()
 
@@ -154,7 +170,8 @@ class WaitCache:
             if not ok:
                 have = len(self._got.get(key, ()))
                 raise TimeoutError(f"{have}/{need} columns answered for {key.hex()}")
-            return dict(self._got[key])
+            self._answered = key
+            return self._got.pop(key)
 
 
 class _Driver(threading.Thread):
@@ -166,7 +183,7 @@ class _Driver(threading.Thread):
         self.column = column
         self.store = store
         self.cache = cache
-        self.commands: queue.Queue = queue.Queue()
+        self.commands: queue.SimpleQueue = queue.SimpleQueue()
 
     def submit(self, key: bytes, value: bytes) -> None:
         self.commands.put((key, value))
@@ -247,7 +264,7 @@ class Client:
         union: set = set()
         hits: Counter = Counter()
         for payload in columns.values():
-            entries, off = decode_entry_set(payload, 0)
+            entries = entry_set_bytes(payload)
             union |= entries
             hits.update(entries)
         return union, {e for e, k in hits.items() if k >= t_s}
@@ -329,6 +346,34 @@ class Client:
         return report
 
 
+def run_clients(
+    stores, params: QscodParams, workloads: list[list[bytes]], max_rounds: int, seed: int
+) -> tuple[list[ClientReport], list[str]]:
+    """Race one client per workload over the shared stores, each on its own
+    thread and seeded ``mix64(seed, client)``, then stop their drivers.
+
+    Returns the reports of the clients that finished, in client order, and
+    one line per client that raised instead, naming it and its exception."""
+    clients = [Client(cid, stores, params, mix64(seed, cid)) for cid in range(len(workloads))]
+    reports: dict[int, ClientReport] = {}
+    failed: dict[int, str] = {}
+
+    def drive(cid: int) -> None:
+        try:
+            reports[cid] = clients[cid].run(workloads[cid], max_rounds)
+        except Exception as exc:  # reported to the caller, never dropped
+            failed[cid] = f"client {cid} raised {exc!r}"
+
+    threads = [threading.Thread(target=drive, args=(cid,)) for cid in range(len(clients))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for c in clients:
+        c.close()
+    return [reports[cid] for cid in sorted(reports)], [failed[cid] for cid in sorted(failed)]
+
+
 # --- audit ------------------------------------------------------------------
 
 
@@ -351,11 +396,10 @@ def audit(stores, params: QscodParams, reports: Iterable[ClientReport]) -> list[
         if h.head is not None:
             bodies[h.digest] = h.head
 
-    canon: dict[tuple[int, int, int], bytes] = {}
-    for col, store in enumerate(stores):
-        for key, value in store.snapshot().items():
-            rnd, slot = struct.unpack(">IB", key)
-            canon[(rnd, slot, col)] = value
+    snapshots = [store.snapshot() for store in stores]
+    for snapshot in snapshots:
+        for key, value in snapshot.items():
+            _, slot = struct.unpack(">IB", key)
             if slot == 1:
                 learn(value)
             elif slot == 3:
@@ -367,8 +411,12 @@ def audit(stores, params: QscodParams, reports: Iterable[ClientReport]) -> list[
             for slot, cols in entry.views.items():
                 if len(cols) < params.t_r:
                     bad.append(f"{tag}: slot {slot} proceeded on {len(cols)} columns")
+                try:
+                    key = slot_key(entry.round, slot)
+                except struct.error:
+                    key = None  # no store holds a key outside the format
                 for col, value in cols.items():
-                    want = canon.get((entry.round, slot, col))
+                    want = snapshots[col].get(key) if 0 <= col < len(snapshots) else None
                     if want != value:
                         bad.append(f"{tag}: slot {slot} column {col} disagrees with store")
             # recompute the decision from the logged views; logs are evidence
@@ -462,29 +510,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.exit(2, f"{parser.prog}: error: {exc}\n")
     stores = [CountingStore(s, tally) for s in raw]
 
-    def workload(cid: int) -> list[bytes]:
-        return [b"c%d-m%d" % (cid, k) for k in range(args.messages)]
-
-    clients = [
-        Client(cid, stores, params, mix64(args.seed, cid)) for cid in range(args.clients)
+    workloads = [
+        [b"c%d-m%d" % (cid, k) for k in range(args.messages)] for cid in range(args.clients)
     ]
-    reports: list[Optional[ClientReport]] = [None] * args.clients
-
-    def drive(cid: int) -> None:
-        reports[cid] = clients[cid].run(workload(cid), args.rounds)
-
-    threads = [threading.Thread(target=drive, args=(cid,)) for cid in range(args.clients)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for c in clients:
-        c.close()
-
-    done: list[ClientReport] = [r for r in reports if r is not None]
-    problems = audit(raw, params, done)
+    done, failed = run_clients(stores, params, workloads, args.rounds, args.seed)
+    problems = failed + audit(raw, params, done)
     delivered_all = 0
-    for report in sorted(done, key=lambda r: r.client):
+    for report in done:
         delivered_all += len(report.delivered)
         print(
             f"client={report.client} rounds={report.rounds} commits={report.commits} "

@@ -71,11 +71,13 @@ def encode_entry_set(entries: Iterable[Entry]) -> bytes:
 
 
 def decode_entry_set(data: bytes, off: int = 0) -> tuple[EntrySet, int]:
+    """Inverse of :func:`encode_entry_set`: entries must come in strictly
+    ascending (sender, payload) order, so each set has one encoding."""
     if off + 4 > len(data):
         raise WireError("truncated set count")
     (count,) = struct.unpack_from(">I", data, off)
     off += 4
-    out = []
+    out: list[Entry] = []
     for _ in range(count):
         if off + 4 + DIGEST_SIZE > len(data):
             raise WireError("truncated set entry")
@@ -86,7 +88,10 @@ def decode_entry_set(data: bytes, off: int = 0) -> tuple[EntrySet, int]:
         payload, off = _unpack_bytes(data, off)
         if hashlib.sha256(payload).digest() != digest:
             raise WireError("set entry digest mismatch")
-        out.append((sender, payload))
+        entry = (sender, payload)
+        if out and entry <= out[-1]:
+            raise WireError("set entries out of order or repeated")
+        out.append(entry)
     return frozenset(out), off
 
 
@@ -163,6 +168,8 @@ def decode_step_message(data: bytes) -> StepMessage:
     if kind not in _KINDS:
         raise WireError(f"unknown kind {kind!r}")
     flags, sender, step = struct.unpack_from(">BII", data, 2)
+    if flags & ~3:
+        raise WireError(f"unknown flag bits {flags:#x}")
     payload, off = _unpack_bytes(data, 11)
     prior_r = prior_b = None
     if flags & 1:

@@ -17,7 +17,7 @@ from itertools import combinations, product
 from quesera.kvstore import FileStore, MemoryStore
 from quesera.netsim import SimConfig, mix64, run
 from quesera.qsc import check_consensus, check_validity
-from quesera.qscod import ByteTally, Client, CountingStore, audit, qscod_params
+from quesera.qscod import ByteTally, Client, CountingStore, audit, qscod_params, run_clients
 from quesera.tlcb import spread_fault_budget, tlcb_check_config
 from quesera.tlcr import ConfigError
 from quesera.tsb import validate_fullspread, validate_layer
@@ -303,22 +303,10 @@ def test_a7_first_writer_wins_for_every_backend(tmp_path):
 def run_contenders(n_clients: int, messages_each: int, budget: int, seed: int):
     params = qscod_params(3)
     stores = [MemoryStore() for _ in range(3)]
-    clients = [Client(cid, stores, params, mix64(seed, cid))
-               for cid in range(n_clients)]
-    reports = [None] * n_clients
-
-    def drive(cid):
-        reports[cid] = clients[cid].run(
-            [b"c%d-m%d" % (cid, k) for k in range(messages_each)], budget)
-
-    threads = [threading.Thread(target=drive, args=(cid,))
-               for cid in range(n_clients)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for c in clients:
-        c.close()
+    workloads = [[b"c%d-m%d" % (cid, k) for k in range(messages_each)]
+                 for cid in range(n_clients)]
+    reports, failed = run_clients(stores, params, workloads, budget, seed)
+    assert failed == [], failed
     return params, stores, reports
 
 

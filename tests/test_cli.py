@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from quesera import qscod
 from quesera.cli import main as sim_main
 from quesera.cli import parse_crash
 
@@ -67,6 +68,33 @@ def test_run_qscod_layer_reports_the_audit(capsys):
     assert metrics["layer"] == "qscod"
     assert int(metrics["bytes"]) > 0
     assert lines[1] == "validate=ok"
+
+
+def test_qscod_tools_fail_when_a_client_raises(capsys, monkeypatch):
+    run = qscod.Client.run
+
+    def flaky(self, messages, max_rounds):
+        if self.id == 1:
+            raise RuntimeError("client lost its stores")
+        return run(self, messages, max_rounds)
+
+    monkeypatch.setattr(qscod.Client, "run", flaky)
+    failure = "client 1 raised RuntimeError('client lost its stores')"
+
+    code = qscod.main(["--stores", "3", "--clients", "2", "--messages", "2",
+                       "--rounds", "40", "--seed", "5"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("client=0 ")
+    assert lines[1].startswith("total ") and lines[1].endswith(" audit=FAIL")
+    assert lines[2:] == [f"audit: {failure}"]
+
+    code = sim_main(["run", "--layer", "qscod", "--n", "3", "--clients", "2",
+                     "--messages", "2", "--rounds", "40", "--seed", "5",
+                     "--validate"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["validate=FAIL", f"violation: {failure}"]
 
 
 def cli(*argv, input_text=None, hashseed=None):

@@ -97,6 +97,41 @@ def test_file_store_survives_restart(tmp_path):
     assert lines == ["W", "W"]
 
 
+def test_file_store_drops_a_torn_final_line(tmp_path):
+    path = tmp_path / "wal"
+    first = FileStore(str(path))
+    first.write_read(b"a", b"1")
+    first.write_read(b"b", b"2")
+    first.close()
+    whole = path.read_bytes()
+    with open(path, "ab") as fh:
+        fh.write(b"W azI dmFsdWUtdH")  # an append cut short before its newline
+
+    again = FileStore(str(path))
+    assert again.snapshot() == {b"a": b"1", b"b": b"2"}
+    assert path.read_bytes() == whole
+    assert again.write_read(b"k2", b"value-three") == b"value-three"
+    again.close()
+    reopened = FileStore(str(path))
+    assert reopened.snapshot() == {b"a": b"1", b"b": b"2", b"k2": b"value-three"}
+    reopened.close()
+    assert path.read_bytes() == whole + encode_request("W", b"k2", b"value-three").encode()
+
+    # a complete line that does not parse is damage, not a torn append
+    with open(path, "ab") as fh:
+        fh.write(b"W azI dmFsdWUtdH\n")
+    with pytest.raises(ProtocolError, match="bad base64"):
+        FileStore(str(path))
+
+
+@given(st.text(max_size=80))
+def test_parse_request_fails_only_with_protocol_error(line):
+    try:
+        parse_request(line)
+    except ProtocolError:
+        pass
+
+
 @given(st.binary(max_size=64), st.binary(max_size=64))
 def test_request_lines_round_trip(key, value):
     for verb in ("W", "WR"):

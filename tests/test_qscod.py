@@ -3,25 +3,26 @@
 from __future__ import annotations
 
 import dataclasses
-import threading
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from quesera.chain import GENESIS, Proposal
+from quesera.chain import GENESIS, History, Proposal
 from quesera.kvstore import MemoryStore
-from quesera.netsim import mix64
 from quesera.qscod import (
-    Client,
     CountingStore,
     ByteTally,
+    WaitCache,
     audit,
     decode_slot3,
     encode_slot3,
     qscod_params,
+    run_clients,
     slot_key,
 )
 from quesera.tlcr import ConfigError
-from quesera.wire import encode_history
+from quesera.wire import DECODE_MEMO_SIZE, WireError, encode_history
 
 
 def test_params_defaults_and_admission():
@@ -43,30 +44,19 @@ def test_slot_keys_and_slot3_codec():
     assert decode_slot3(encode_slot3(r1, b1, h)) == (r1, b1, h)
 
 
-def run_clients(n_stores, n_clients, messages, budget, seed=7, stores=None):
-    params = qscod_params(n_stores)
-    stores = [MemoryStore() for _ in range(n_stores)] if stores is None else stores
-    clients = [Client(cid, stores, params, mix64(seed, cid))
-               for cid in range(n_clients)]
-    reports = [None] * n_clients
-
-    def drive(cid):
-        reports[cid] = clients[cid].run(messages(cid), budget)
-
-    threads = [threading.Thread(target=drive, args=(cid,))
-               for cid in range(n_clients)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for c in clients:
-        c.close()
+def race(workloads, budget, seed=7, stores=None):
+    """Run the workloads to the end, by default on three fresh memory
+    stores; every client must finish."""
+    stores = [MemoryStore() for _ in range(3)] if stores is None else stores
+    params = qscod_params(len(stores))
+    reports, failed = run_clients(stores, params, workloads, budget, seed)
+    assert failed == []
     return params, stores, reports
 
 
 def test_lone_client_commits_every_message_in_order():
     workload = [b"alpha", b"beta", b"gamma", b""]
-    params, stores, (report,) = run_clients(3, 1, lambda cid: list(workload), 20)
+    params, stores, (report,) = race([list(workload)], 20)
     assert report.delivered == workload
     assert report.commits == report.rounds == len(workload)
     assert all(e.committed and e.adopted == e.proposed for e in report.log)
@@ -76,8 +66,7 @@ def test_lone_client_commits_every_message_in_order():
 def test_lone_client_decisions_replay_across_runs():
     """Store scheduling may vary which columns answer first, but a single
     writer's chain and deliveries are a pure function of the seed."""
-    runs = [run_clients(3, 1, lambda cid: [b"a", b"b", b"c"], 20, seed=3)
-            for _ in range(2)]
+    runs = [race([[b"a", b"b", b"c"]], 20, seed=3) for _ in range(2)]
     (_, _, (r1,)), (_, _, (r2,)) = runs
     assert r1.delivered == r2.delivered
     assert r1.commits == r2.commits
@@ -85,8 +74,8 @@ def test_lone_client_decisions_replay_across_runs():
 
 
 def test_contending_clients_stay_consistent():
-    params, stores, reports = run_clients(
-        3, 3, lambda cid: [b"c%d-%d" % (cid, k) for k in range(3)], 200)
+    params, stores, reports = race(
+        [[b"c%d-%d" % (cid, k) for k in range(3)] for cid in range(3)], 200)
     assert audit(stores, params, reports) == []
     for cid, report in enumerate(reports):
         assert report.delivered == [b"c%d-%d" % (cid, k) for k in range(3)]
@@ -107,14 +96,13 @@ def test_dead_column_does_not_stall_the_client():
             raise RuntimeError("disk on fire")
 
     stores = [MemoryStore(), BrokenStore(), MemoryStore(), MemoryStore()]
-    params, _, (report,) = run_clients(4, 1, lambda cid: [b"x", b"y"], 20,
-                                       stores=stores)
+    params, _, (report,) = race([[b"x", b"y"]], 20, stores=stores)
     assert report.delivered == [b"x", b"y"]
     assert audit(stores, params, [report]) == []  # the dead column is just absent
 
 
 def test_audit_rejects_tampered_logs():
-    params, stores, (report,) = run_clients(3, 1, lambda cid: [b"a", b"b"], 20)
+    params, stores, (report,) = race([[b"a", b"b"]], 20)
     assert audit(stores, params, [report]) == []
 
     forged = dataclasses.replace(report.log[0], committed=False)
@@ -133,12 +121,103 @@ def test_audit_rejects_tampered_logs():
         report, log=[report.log[0], dataclasses.replace(report.log[1], views=views)])
     assert any("disagrees with store" in v for v in audit(stores, params, [doctored]))
 
+    # columns outside 0..n-1 hold nothing, not even the proposal every real
+    # column holds for the lone client
+    proposal = next(iter(report.log[1].views[1].values()))
+    for col in (params.n, -1):
+        views = dict(report.log[1].views)
+        views[1] = {**views[1], col: proposal}
+        doctored = dataclasses.replace(
+            report, log=[report.log[0], dataclasses.replace(report.log[1], views=views)])
+        assert any(f"slot 1 column {col} disagrees with store" in v
+                   for v in audit(stores, params, [doctored]))
+
+    # a round number no slot key can spell names nothing in the stores
+    doctored = dataclasses.replace(
+        report, log=[report.log[0], dataclasses.replace(report.log[1], round=2**32)])
+    assert any(v.startswith("client 0 round 4294967296: slot 1 column ")
+               and v.endswith(" disagrees with store")
+               for v in audit(stores, params, [doctored]))
+
+    # a gossiped set with junk after it is not a set
+    views = dict(report.log[1].views)
+    col, value = next(iter(views[2].items()))
+    views[2] = {**views[2], col: value + b"junk"}
+    doctored = dataclasses.replace(
+        report, log=[report.log[0], dataclasses.replace(report.log[1], views=views)])
+    assert any("views do not replay (trailing bytes after set)" in v
+               for v in audit(stores, params, [doctored]))
+
     # a second report claiming a different commit at an existing length
     rogue = dataclasses.replace(report.log[0], adopted=b"\x77" * 32,
                                 proposed=b"\x77" * 32)
     fake = dataclasses.replace(report, client=9, log=[rogue])
     assert any("two committed histories" in v
                for v in audit(stores, params, [report, fake]))
+
+
+def test_run_clients_reports_a_client_that_raises():
+    stores = [MemoryStore() for _ in range(3)]
+    params = qscod_params(3)
+    # client 1's workload holds a message no proposal can carry
+    reports, failed = run_clients(stores, params, [[b"a"], ["not bytes"], [b"c"]], 200, 7)
+    assert [r.client for r in reports] == [0, 2]
+    assert [r.delivered for r in reports] == [[b"a"], [b"c"]]
+    assert len(failed) == 1 and failed[0].startswith("client 1 raised ")
+    assert audit(stores, params, reports) == []
+
+
+def test_wait_cache_drops_answered_keys():
+    cache = WaitCache()
+    first, second = slot_key(1, 4), slot_key(2, 1)
+    assert first < second  # byte order is use order
+    cache.put(second, 0, b"early")  # a driver may run ahead of the client
+    cache.put(first, 0, b"x")
+    cache.put(first, 1, b"y")
+    assert cache.wait(first, 2) == {0: b"x", 1: b"y"}
+    cache.put(first, 2, b"late")  # the third column of an answered key
+    with pytest.raises(TimeoutError, match="0/1 columns"):
+        cache.wait(first, 1, timeout=0.01)
+    assert cache.wait(second, 1) == {0: b"early"}
+
+
+def _slot3_encodings():
+    h = GENESIS.extend(Proposal(proposer=0, message=b"m", priority=9, prev=GENESIS.digest))
+    r1 = frozenset({(0, encode_history(h)), (2, b"")})
+    return [encode_slot3(r1, frozenset({(2, b"")}), h),
+            encode_slot3(frozenset(), frozenset(), GENESIS)]
+
+
+def _flip(blob, at, mask):
+    out = bytearray(blob)
+    out[at % len(out)] ^= mask
+    return bytes(out)
+
+
+slot3_inputs = st.one_of(
+    st.binary(max_size=200),
+    st.builds(lambda blob, cut: blob[:cut], st.sampled_from(_slot3_encodings()),
+              st.integers(0, 400)),
+    st.builds(_flip, st.sampled_from(_slot3_encodings()), st.integers(0, 400),
+              st.integers(1, 255)),
+)
+
+
+@given(slot3_inputs)
+def test_decode_slot3_fails_only_with_wire_error_and_stays_bounded(data):
+    try:
+        fresh = decode_slot3.__wrapped__(data)
+    except WireError:
+        for _ in range(2):  # a failure is never remembered
+            with pytest.raises(WireError):
+                decode_slot3(data)
+    else:
+        got = decode_slot3(data)
+        assert got is decode_slot3(data)
+        r1, b1, best = got
+        assert (r1, b1) == fresh[:2] and isinstance(best, History)
+        assert (best.head, best.length) == (fresh[2].head, fresh[2].length)
+    assert decode_slot3.cache_info().currsize <= DECODE_MEMO_SIZE
 
 
 def test_counting_store_bills_protocol_bytes():

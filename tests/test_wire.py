@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import struct
 
 import pytest
 from hypothesis import given
@@ -79,6 +80,19 @@ def test_step_message_roundtrip_all_shapes():
             assert decode_step_message(encode_step_message(msg)) == msg
 
 
+def _raw_set(entries) -> bytes:
+    """Entry-set bytes holding the entries exactly as listed: in any order,
+    repeats included."""
+    return struct.pack(">I", len(entries)) + b"".join(
+        struct.pack(">I", sender) + hashlib.sha256(p).digest() + struct.pack(">I", len(p)) + p
+        for sender, p in entries)
+
+
+def _raw_frame(flags: int, payload: bytes, *sets: bytes) -> bytes:
+    head = b"rp" + struct.pack(">BIII", flags, 0, 1, len(payload))
+    return head + payload + b"".join(sets)
+
+
 def test_step_message_rejects_garbage():
     with pytest.raises(WireError):
         decode_step_message(b"")
@@ -93,6 +107,15 @@ def test_step_message_rejects_garbage():
         decode_step_message(good + b"x")
     with pytest.raises(WireError):
         encode_step_message(StepMessage("rr", PLAIN, 0, 1, b"m"))
+    # one encoding per value: no unknown flag bits, set entries strictly ascending
+    assert decode_step_message(_raw_frame(0, b"m")) == StepMessage("r", PLAIN, 0, 1, b"m")
+    with pytest.raises(WireError, match="flag"):
+        decode_step_message(_raw_frame(4, b"m"))
+    ordered = [(0, b"b"), (1, b"a")]
+    assert decode_step_message(_raw_frame(1, b"m", _raw_set(ordered))).prior_r == set(ordered)
+    for entries in (ordered[::-1], [(0, b"b"), (0, b"b")], [(0, b"b"), (0, b"a")]):
+        with pytest.raises(WireError, match="out of order or repeated"):
+            decode_step_message(_raw_frame(1, b"m", _raw_set(entries)))
 
 
 def test_history_codec():
@@ -167,10 +190,14 @@ def _flip(blob: bytes, at: int, mask: int) -> bytes:
 
 
 valid_encodings = st.sampled_from(_valid_encodings())
+raw_sets = st.builds(
+    _raw_set, st.lists(st.tuples(st.integers(0, 2), st.binary(max_size=2)), max_size=4))
 damaged = st.one_of(
     st.binary(max_size=200),
     st.builds(lambda blob, cut: blob[:cut], valid_encodings, st.integers(0, 400)),
     st.builds(_flip, valid_encodings, st.integers(0, 400), st.integers(1, 255)),
+    raw_sets,
+    st.builds(_raw_frame, st.integers(0, 255), st.binary(max_size=4), raw_sets, raw_sets),
 )
 
 
@@ -181,6 +208,18 @@ def test_decoders_fail_only_with_wire_error(data):
             decode(data)
         except WireError:
             pass
+
+
+@given(damaged)
+def test_decoders_accept_only_canonical_bytes(data):
+    for decode, encode in ((decode_step_message, encode_step_message),
+                           (entry_set_bytes, encode_entry_set),
+                           (history_bytes, encode_history)):
+        try:
+            value = decode(data)
+        except WireError:
+            continue
+        assert encode(value) == data
 
 
 @given(damaged)

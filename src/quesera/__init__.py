@@ -8,11 +8,13 @@ The pieces, bottom up:
   validators.
 - :mod:`quesera.tlcr` / :mod:`quesera.tlcb` / :mod:`quesera.tlcw` /
   :mod:`quesera.tlcf` -- the four step-broadcast layers.
-- :mod:`quesera.qsc` -- the two-step consensus round and its validators.
-- :mod:`quesera.netsim` -- deterministic asynchronous simulator with crash
-  injection.
+- :mod:`quesera.qsc` -- the two-step consensus round, its commit rule
+  (:func:`quesera.qsc.decide`) and its validators.
+- :mod:`quesera.netsim` -- the stack table (:data:`quesera.netsim.STACKS`)
+  and a deterministic asynchronous simulator with crash injection.
 - :mod:`quesera.kvstore` -- write-once key-value stores and line protocol.
-- :mod:`quesera.qscod` -- client-driven consensus over those stores.
+- :mod:`quesera.qscod` -- client-driven consensus over those stores, deciding
+  by the same commit rule.
 - :mod:`quesera.cli` -- the qsc-sim experiment harness.
 """
 
@@ -23,7 +25,6 @@ from .chain import (
     History,
     Proposal,
     best_in,
-    is_prefix,
     uniquely_best_in,
 )
 from .netsim import DeadlockError, Metrics, SimConfig, SimResult, mix64, run
@@ -63,7 +64,6 @@ __all__ = [
     "TsbResult",
     "best_in",
     "check_consensus",
-    "is_prefix",
     "mix64",
     "qsc_round",
     "run",

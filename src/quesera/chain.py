@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 DIGEST_SIZE = 32
 GENESIS_DIGEST = b"\x00" * DIGEST_SIZE
@@ -77,14 +77,13 @@ class Proposal:
 class History:
     """A proposal chain, identified by the digest of its head.
 
-    ``parent`` is an in-memory convenience link kept when a history was built
-    locally by :meth:`extend`; histories decoded off the wire carry only the
-    head.  Equality and hashing go by digest.
+    Only the head is held: earlier entries are reached by walking prev
+    digests through whatever recorded them.  Equality and hashing go by
+    digest.
     """
 
     head: Optional[Proposal]
     length: int
-    parent: Optional["History"] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.head is None and self.length != 0:
@@ -103,7 +102,7 @@ class History:
     def extend(self, proposal: Proposal) -> "History":
         if proposal.prev != self.digest:
             raise ChainError("proposal does not chain onto this history")
-        return History(head=proposal, length=self.length + 1, parent=self)
+        return History(head=proposal, length=self.length + 1)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, History) and self.digest == other.digest
@@ -157,55 +156,3 @@ def uniquely_best_in(history: History, histories: Iterable[History]) -> bool:
         if other.digest != history.digest and priority_of(other) >= p:
             return False
     return True
-
-
-def is_prefix(ancestor: History, descendant: History) -> bool:
-    """True iff walking parent links back from ``descendant`` reaches
-    ``ancestor`` (the empty history prefixes everything).  Requires the
-    intermediate links to be materialized; raises ChainError otherwise."""
-    if ancestor.length > descendant.length:
-        return False
-    node = descendant
-    while node.length > ancestor.length:
-        if node.parent is None:
-            raise ChainError(
-                f"chain not materialized below length {node.length}; "
-                "use is_prefix_by_digest with a resolver"
-            )
-        node = node.parent
-    return node.digest == ancestor.digest
-
-
-def is_prefix_by_digest(
-    ancestor: Digest,
-    ancestor_length: int,
-    descendant: Digest,
-    descendant_length: int,
-    resolve: Callable[[Digest], Optional[Proposal]],
-) -> bool:
-    """Prefix test that walks prev-digest links through ``resolve`` instead of
-    in-memory parents.  ``resolve`` maps a digest to its head proposal."""
-    if ancestor_length > descendant_length:
-        return False
-    d, length = descendant, descendant_length
-    while length > ancestor_length:
-        prop = resolve(d)
-        if prop is None:
-            raise ChainError(f"no proposal known for digest {d.hex()[:16]}")
-        d, length = prop.prev, length - 1
-    return d == ancestor
-
-
-def entries(history: History) -> list[Proposal]:
-    """All proposals of a locally-built history, oldest first (test utility)."""
-    out: list[Proposal] = []
-    node: Optional[History] = history
-    while node is not None and node.head is not None:
-        out.append(node.head)
-        if node.parent is None and node.length > 1:
-            raise ChainError("chain not materialized; cannot list entries")
-        node = node.parent
-    out.reverse()
-    if len(out) != history.length:
-        raise ChainError("materialized chain shorter than declared length")
-    return out

@@ -10,11 +10,10 @@ rate, which is how the liveness numbers are measured.
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import Optional
 
 from . import netsim, qscod
-from .netsim import Metrics, SimConfig
+from .netsim import STACKS, Metrics, SimConfig
 from .qsc import check_consensus
 from .tlcr import ConfigError
 from .tsb import (
@@ -24,11 +23,6 @@ from .tsb import (
     validate_layer,
     validate_substeps,
 )
-
-_SUBSTEPS = {  # outer layer -> inner layers consumed per call
-    "tlcb": (("tlcb", "tlcr", 2),),
-    "tlcf": (("tlcf", "tlcw", 1), ("tlcf", "tlcr", 1)),
-}
 
 
 def parse_crash(text: str) -> tuple[int, int, str]:
@@ -49,10 +43,11 @@ def validate_trace(trace: RunTrace, consensus: bool) -> list[str]:
     problems: list[str] = []
     if trace.rets:
         for name, params in trace.layers.items():
-            problems += validate_layer(trace, name, full_spread=params.t_s == trace.n)
-        for outer, inner, per_step in _SUBSTEPS.get(trace.top_layer, ()):
-            if inner in trace.layers:
-                problems += validate_substeps(trace, outer, inner, per_step)
+            problems += validate_layer(trace, name, full_spread=params.t_s == trace.n,
+                                       b_in_r=STACKS[name].b_in_r)
+        top = trace.top_layer
+        for _, inner, per_call in STACKS[top].subs:
+            problems += validate_substeps(trace, top, inner, per_call)
     if trace.xmits:
         problems += validate_fifo(trace)
         problems += validate_delivery(trace)
@@ -79,8 +74,9 @@ def build_config(args: argparse.Namespace, seed: int) -> SimConfig:
     )
 
 
-def _run_qscod(args: argparse.Namespace, seed: int) -> tuple[Metrics, list[str]]:
-    """Store-backed client run shaped into the common metrics record."""
+def _run_qscod(args: argparse.Namespace, seed: int) -> tuple[Metrics, list[str], list[str]]:
+    """Store-backed client run shaped into the common metrics record, with
+    its problems and one line per store column that raised."""
     params = qscod.qscod_params(args.n, args.f if args.f else None,
                                 args.t_r, args.t_s, args.t_b)
     tally = qscod.ByteTally()
@@ -89,10 +85,10 @@ def _run_qscod(args: argparse.Namespace, seed: int) -> tuple[Metrics, list[str]]
     workloads = [
         [b"c%d-m%d" % (cid, k) for k in range(args.messages)] for cid in range(args.clients)
     ]
-    done, failed = qscod.run_clients(stores, params, workloads, args.rounds, seed)
+    done, failed, dead = qscod.run_clients(stores, params, workloads, args.rounds, seed)
     problems = failed + qscod.audit(raw, params, done)
     metrics = Metrics(
-        layer="qscod",
+        layer=args.layer,
         n=args.n,
         f=params.f,
         seed=seed,
@@ -101,22 +97,30 @@ def _run_qscod(args: argparse.Namespace, seed: int) -> tuple[Metrics, list[str]]
         unicasts=tally.ops,
         bytes=tally.total,
     )
-    return metrics, problems
+    return metrics, problems, dead
+
+
+def _run_seed(args: argparse.Namespace, seed: int):
+    """One seed of ``run`` or ``sweep``: prints the metrics line and any
+    dead store columns, and returns the metrics, the problems found, and the
+    simulator's trace (None for qscod)."""
+    if args.layer in netsim.LAYERS:
+        result = netsim.run(build_config(args, seed))
+        metrics, trace, notes = result.metrics, result.trace, []
+        problems = validate_trace(trace, STACKS[args.layer].consensus) if args.validate else []
+    else:
+        (metrics, problems, notes), trace = _run_qscod(args, seed), None
+    print(metrics.line())
+    for note in notes:
+        print(note)
+    return metrics, problems, trace
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.layer == "qscod":
-        metrics, problems = _run_qscod(args, args.seed)
-        trace_text = None
-    else:
-        result = netsim.run(build_config(args, args.seed))
-        metrics = result.metrics
-        problems = validate_trace(result.trace, args.layer.startswith("qsc-")) if args.validate else []
-        trace_text = result.trace.serialize(include_transport=args.trace_level == "full")
-        if args.trace_out:
-            with open(args.trace_out, "w", encoding="ascii") as fh:
-                fh.write(trace_text)
-    print(metrics.line())
+    _, problems, trace = _run_seed(args, args.seed)
+    if trace is not None and args.trace_out:
+        with open(args.trace_out, "w", encoding="ascii") as fh:
+            fh.write(trace.serialize(include_transport=args.trace_level == "full"))
     if args.validate:
         print(f"validate={'ok' if not problems else 'FAIL'}")
         for p in problems:
@@ -130,17 +134,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     failures = 0
     for k in range(args.seeds):
         seed = args.seed + k
-        if args.layer == "qscod":
-            metrics, problems = _run_qscod(args, seed)
-        else:
-            result = netsim.run(build_config(args, seed))
-            metrics = result.metrics
-            problems = validate_trace(result.trace, args.layer.startswith("qsc-")) if args.validate else []
-        print(metrics.line())
+        metrics, problems, trace = _run_seed(args, seed)
         for p in problems:
             print(f"violation: seed={seed} {p}")
         failures += bool(problems)
-        total_rounds += metrics.rounds * (1 if args.layer == "qscod" else args.n)
+        # simulated rounds are per node; qscod counts every client's rounds
+        total_rounds += metrics.rounds * (args.n if trace is not None else 1)
         total_commits += metrics.commits
     rate = total_commits / total_rounds if total_rounds else 0.0
     print(
@@ -159,7 +158,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--layer", required=True, choices=netsim.LAYERS + ("qscod",))
+        p.add_argument("--layer", required=True, choices=tuple(STACKS))
         p.add_argument("--n", type=int, default=3, help="nodes (or stores for qscod)")
         p.add_argument("--f", type=int, default=0, help="tolerated crashes")
         p.add_argument("--rounds", type=int, default=10)

@@ -16,8 +16,8 @@ empty byte string is spelled ``-``)::
                             V <existing> (lost: key already written)
     R  <key>             -> V <value> or N
 
-Stores are thread-safe; ``wait_read`` blocks until some writer commits the
-key, so in-process pollers don't have to spin.
+Stores are thread-safe.  Every field is canonical: a line that parses
+re-encodes to the same fields, so one key or value has one spelling.
 """
 
 from __future__ import annotations
@@ -42,9 +42,12 @@ def unb64(text: str) -> bytes:
     if text == "-":
         return b""
     try:
-        return base64.b64decode(text.encode("ascii"), validate=True)
+        data = base64.b64decode(text.encode("ascii"), validate=True)
     except Exception as exc:
         raise ProtocolError(f"bad base64 field {text!r}") from exc
+    if b64(data) != text:  # nonzero padding bits, or "" for the empty string
+        raise ProtocolError(f"non-canonical base64 field {text!r}")
+    return data
 
 
 def encode_request(verb: str, key: bytes, value: Optional[bytes] = None) -> str:
@@ -79,39 +82,26 @@ class _Store:
     def __init__(self) -> None:
         self._data: dict[bytes, bytes] = {}
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
 
     def _commit(self, key: bytes, value: bytes) -> None:
         self._data[key] = value
 
-    def write_read(self, key: bytes, value: bytes) -> bytes:
-        """Store value if the key is fresh; either way return the key's
-        settled value."""
-        with self._cond:
-            if key not in self._data:
-                self._commit(key, value)
-                self._cond.notify_all()
-            return self._data[key]
-
     def write(self, key: bytes, value: bytes) -> tuple[bool, bytes]:
-        """Like write_read but also says whether this call won the key."""
-        with self._cond:
+        """Store value if the key is fresh; either way return whether this
+        call won the key and the key's settled value."""
+        with self._lock:
             if key not in self._data:
                 self._commit(key, value)
-                self._cond.notify_all()
                 return True, value
             return False, self._data[key]
+
+    def write_read(self, key: bytes, value: bytes) -> bytes:
+        """:meth:`write` without the verdict: the key's settled value."""
+        return self.write(key, value)[1]
 
     def read(self, key: bytes) -> Optional[bytes]:
         with self._lock:
             return self._data.get(key)
-
-    def wait_read(self, key: bytes, timeout: Optional[float] = None) -> bytes:
-        """Block until the key is written, then return its value."""
-        with self._cond:
-            if not self._cond.wait_for(lambda: key in self._data, timeout):
-                raise TimeoutError(f"key never written: {key!r}")
-            return self._data[key]
 
     def __len__(self) -> int:
         with self._lock:
@@ -151,7 +141,10 @@ class FileStore(_Store):
                         torn_at = offset
                         break
                     offset += len(raw)
-                    line = raw.decode("ascii").strip()
+                    try:
+                        line = raw.decode("ascii").strip()
+                    except UnicodeDecodeError as exc:
+                        raise ProtocolError(f"log line is not ASCII: {raw!r}") from exc
                     if not line:
                         continue
                     verb, key, value = parse_request(line)

@@ -21,8 +21,8 @@ from __future__ import annotations
 import heapq
 import hashlib
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .qsc import DeliveryRecord, QscState, run_qsc_node
 from .tlcb import Tlcb, tlcb_check_config
@@ -32,7 +32,6 @@ from .tlcw import Tlcw, tlcw_configure
 from .tsb import ProposalInfo, RunTrace, TsbParams
 from .wire import StepMessage, frame_size
 
-LAYERS = ("tlcr", "tlcb", "tlcb-full", "tlcw", "tlcf", "qsc-tlcb", "qsc-tlcf")
 DELAY_POLICIES = ("fixed", "random", "adversarial")
 TRACE_LEVELS = ("full", "steps", "light")
 
@@ -154,6 +153,96 @@ def make_delay_policy(name: str, seed: int, n: int, scale: int = 4):
     return table[name](seed, n, scale)
 
 
+# --- the stack table --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Stack:
+    """One row of the stack table.  Each ``(attribute, name, per_call)`` of
+    ``subs`` is a sub-layer held at that attribute by both the top layer and
+    its config, recorded as ``name`` and stepped ``per_call`` times per call
+    of the top layer."""
+
+    configure: Callable  # (n, f, t_r, t_b, t_s, defer_future) -> top-layer config
+    witnessed: bool  # default thresholds: n - f throughout, else the gossip scheme
+    layer: Optional[type] = None  # the top layer; None where stores replace nodes
+    records: str = ""  # the name the top layer is recorded under
+    subs: tuple[tuple[str, str, int], ...] = ()
+    b_in_r: bool = False  # claims every returned B lies within the call's R
+    consensus: bool = False  # QSC rounds run on top
+
+    def claims(self, config) -> dict[str, TsbParams]:
+        """Recorded layer names -> claimed thresholds, top of the stack first."""
+        claims = {self.records: config.claim}
+        for attr, name, _ in self.subs:
+            claims[name] = getattr(config, attr).claim
+        return claims
+
+    def build(self, sim: "Simulator", node: int) -> "_Recorder":
+        """One node's stack, every recorded layer wrapped in a recorder."""
+        top = self.layer(sim.ctxs[node], node, sim.layer_config)
+        for attr, name, _ in self.subs:
+            setattr(top, attr, _Recorder(sim, name, node, getattr(top, attr)))
+        return _Recorder(sim, self.records, node, top)
+
+
+def _tlcr(n, f, t_r, t_b, t_s, defer_future):
+    return tlcr_configure(n, t_r, f, defer_future)
+
+
+def _tlcb(n, f, t_r, t_b, t_s, defer_future):
+    return tlcb_check_config(n, t_r, t_s, t_b, f, defer_future=defer_future)
+
+
+def _tlcb_full(n, f, t_r, t_b, t_s, defer_future):
+    return tlcb_check_config(
+        n, t_r, t_s, t_b, f, require_full_spread=True, defer_future=defer_future
+    )
+
+
+def _tlcw(n, f, t_r, t_b, t_s, defer_future):
+    return tlcw_configure(n, t_b, t_s, f)
+
+
+def _tlcf(n, f, t_r, t_b, t_s, defer_future):
+    return tlcf_configure(n, t_r, t_b, t_s, f)
+
+
+_GOSSIP_SUBS = (("inner", "tlcr", 2),)
+_WITNESS_SUBS = (("witness", "tlcw", 1), ("gossip", "tlcr", 1))
+
+STACKS: dict[str, Stack] = {
+    # configure, witnessed, layer, records, subs, b_in_r, consensus
+    "tlcr": Stack(_tlcr, False, Tlcr, "tlcr"),
+    "tlcb": Stack(_tlcb, False, Tlcb, "tlcb", _GOSSIP_SUBS, True),
+    "tlcb-full": Stack(_tlcb_full, False, Tlcb, "tlcb", _GOSSIP_SUBS, True),
+    "tlcw": Stack(_tlcw, True, Tlcw, "tlcw", (), True),
+    "tlcf": Stack(_tlcf, True, Tlcf, "tlcf", _WITNESS_SUBS, True),
+    "qsc-tlcb": Stack(_tlcb_full, False, Tlcb, "tlcb", _GOSSIP_SUBS, True, True),
+    "qsc-tlcf": Stack(_tlcf, True, Tlcf, "tlcf", _WITNESS_SUBS, True, True),
+    # the same rounds over write-once store columns (quesera.qscod)
+    "qscod": Stack(_tlcb_full, False, consensus=True),
+}
+
+# the stacks the simulator runs
+LAYERS = tuple(name for name, stack in STACKS.items() if stack.layer is not None)
+
+
+def configure(layer: str, n: int, f: int, t_r: Optional[int] = None,
+              t_b: Optional[int] = None, t_s: Optional[int] = None,
+              defer_future: bool = False):
+    """The top-layer config of a stack (raises ConfigError).  Unset t_r
+    defaults to n - f, and so do t_b and t_s on witnessed stacks; elsewhere
+    they default to the gossip scheme t_b = f (floor 1), t_s = f + 1 (at
+    most n - f)."""
+    stack = STACKS[layer]
+    d_b, d_s = (n - f, n - f) if stack.witnessed else (max(1, f), min(n - f, f + 1))
+    t_r = n - f if t_r is None else t_r
+    t_b = d_b if t_b is None else t_b
+    t_s = d_s if t_s is None else t_s
+    return stack.configure(n, f, t_r, t_b, t_s, defer_future)
+
+
 # --- run configuration ----------------------------------------------------
 
 
@@ -162,8 +251,8 @@ class SimConfig:
     """One reproducible run: a layer stack, a network, and a workload.
 
     ``rounds`` counts broadcast calls for bare layers and consensus rounds
-    for the qsc-* stacks.  Unset thresholds fall back to the standard scheme
-    for the given n and f (receive quorum n-f; witnessed stacks at f+1 spread).
+    for consensus stacks.  Unset thresholds fall back to the defaults of the
+    layer's row in :data:`STACKS`.
     ``crashes`` holds (node, wire-step, phase) triples, phase "before" or
     "after" the step's send.
     """
@@ -197,7 +286,7 @@ class SimConfig:
 
     @property
     def is_consensus(self) -> bool:
-        return self.layer.startswith("qsc-")
+        return STACKS[self.layer].consensus
 
 
 @dataclass(frozen=True)
@@ -226,7 +315,6 @@ class SimResult:
     config: SimConfig
     trace: RunTrace
     metrics: Metrics
-    results: dict[int, object] = field(default_factory=dict)
 
 
 class DeadlockError(Exception):
@@ -236,45 +324,6 @@ class DeadlockError(Exception):
 class NodeCrashed(Exception):
     """Raised inside a node's stack when its scheduled crash fires; the
     message is the phase."""
-
-
-def resolve_thresholds(cfg: SimConfig) -> tuple[int, int, int]:
-    """(t_r, t_b, t_s) after defaults.  Witnessed stacks (tlcw/tlcf) default
-    to full quorums of n - f everywhere; gossip stacks (tlcb) default to a
-    receive quorum of n - f, confirmation threshold f (floor 1), and spread
-    mark f + 1 -- the standard n = 3f arrangement."""
-    n, f = cfg.n, cfg.f
-    t_r = cfg.t_r if cfg.t_r is not None else n - f
-    if cfg.layer in ("tlcw", "tlcf", "qsc-tlcf"):
-        t_b = cfg.t_b if cfg.t_b is not None else n - f
-        t_s = cfg.t_s if cfg.t_s is not None else n - f
-    else:
-        t_b = cfg.t_b if cfg.t_b is not None else max(1, f)
-        t_s = cfg.t_s if cfg.t_s is not None else min(n - f, f + 1)
-    return t_r, t_b, t_s
-
-
-def stack_claims(cfg: SimConfig) -> dict[str, TsbParams]:
-    """Recorded layer names -> claimed thresholds, top of the stack first.
-    Also validates the configuration (raises ConfigError)."""
-    t_r, t_b, t_s = resolve_thresholds(cfg)
-    n, f = cfg.n, cfg.f
-    if cfg.layer == "tlcr":
-        c = tlcr_configure(n, t_r, f, cfg.defer_future)
-        return {"tlcr": c.claim}
-    if cfg.layer in ("tlcb", "tlcb-full", "qsc-tlcb"):
-        c = tlcb_check_config(
-            n, t_r, t_s, t_b, f,
-            require_full_spread=cfg.layer != "tlcb",
-            defer_future=cfg.defer_future,
-        )
-        return {"tlcb": c.claim, "tlcr": c.inner.claim}
-    if cfg.layer == "tlcw":
-        c = tlcw_configure(n, t_b, t_s, f)
-        return {"tlcw": c.claim}
-    # tlcf, qsc-tlcf
-    c = tlcf_configure(n, t_r, t_b, t_s, f)
-    return {"tlcf": c.claim, "tlcw": c.witness.claim, "tlcr": c.gossip.claim}
 
 
 # --- the simulator --------------------------------------------------------
@@ -356,7 +405,11 @@ class Simulator:
         self.n = cfg.n
         self.seed = cfg.seed
         self.policy = make_delay_policy(cfg.delay, cfg.seed, cfg.n, cfg.delay_scale)
-        self.trace = RunTrace(n=cfg.n, layers=stack_claims(cfg))
+        self.stack = STACKS[cfg.layer]
+        self.layer_config = configure(
+            cfg.layer, cfg.n, cfg.f, cfg.t_r, cfg.t_b, cfg.t_s, cfg.defer_future
+        )
+        self.trace = RunTrace(n=cfg.n, layers=self.stack.claims(self.layer_config))
         self.level = cfg.trace_level
         self.now = 0
         self.order = 0
@@ -369,7 +422,6 @@ class Simulator:
         self._chan_last: dict[tuple[int, int], int] = {}
         crash_plan = {node: (step, phase) for node, step, phase in cfg.crashes}
         self.ctxs = [_NodeCtx(self, i, crash_plan.get(i)) for i in range(cfg.n)]
-        self.results: dict[int, object] = {}
 
     # -- recording --
 
@@ -407,38 +459,12 @@ class Simulator:
 
     # -- stacks and workloads --
 
-    def _build_stack(self, node: int):
-        cfg = self.cfg
-        ctx = self.ctxs[node]
-        t_r, t_b, t_s = resolve_thresholds(cfg)
-        if cfg.layer == "tlcr":
-            c = tlcr_configure(cfg.n, t_r, cfg.f, cfg.defer_future)
-            return _Recorder(self, "tlcr", node, Tlcr(ctx, node, c))
-        if cfg.layer in ("tlcb", "tlcb-full", "qsc-tlcb"):
-            c = tlcb_check_config(
-                cfg.n, t_r, t_s, t_b, cfg.f,
-                require_full_spread=cfg.layer != "tlcb",
-                defer_future=cfg.defer_future,
-            )
-            raw = Tlcb(ctx, node, c)
-            raw.inner = _Recorder(self, "tlcr", node, raw.inner)
-            return _Recorder(self, "tlcb", node, raw)
-        if cfg.layer == "tlcw":
-            c = tlcw_configure(cfg.n, t_b, t_s, cfg.f)
-            return _Recorder(self, "tlcw", node, Tlcw(ctx, node, c))
-        c = tlcf_configure(cfg.n, t_r, t_b, t_s, cfg.f)
-        raw = Tlcf(ctx, node, c)
-        raw.witness = _Recorder(self, "tlcw", node, raw.witness)
-        raw.gossip = _Recorder(self, "tlcr", node, raw.gossip)
-        return _Recorder(self, cfg.layer.removeprefix("qsc-"), node, raw)
-
     def _broadcast_program(self, node: int, top):
         for k in range(1, self.cfg.rounds + 1):
             payload = b"%d/%d/" % (node, k) + mix64(
                 self.seed, _S_PAYLOAD, node, k
             ).to_bytes(8, "big")
             yield from top.broadcast(payload)
-        return None
 
     def _consensus_program(self, node: int, top):
         state = QscState(node=node)
@@ -477,13 +503,12 @@ class Simulator:
                 self.commits += 1
 
         yield from run_qsc_node(state, top, self.cfg.rounds, choose, on_propose, on_decide)
-        return state
 
     # -- the scheduler --
 
     def run(self) -> SimResult:
-        make = self._consensus_program if self.cfg.is_consensus else self._broadcast_program
-        gens = [make(i, self._build_stack(i)) for i in range(self.n)]
+        make = self._consensus_program if self.stack.consensus else self._broadcast_program
+        gens = [make(i, self.stack.build(self, i)) for i in range(self.n)]
         status = [_RUNNABLE] * self.n
         runq = deque(range(self.n))
 
@@ -491,9 +516,8 @@ class Simulator:
             try:
                 gens[node].send(None)
                 status[node] = _BLOCKED
-            except StopIteration as stop:
+            except StopIteration:
                 status[node] = _DONE
-                self.results[node] = stop.value
             except NodeCrashed as crashed:
                 status[node] = _CRASHED
                 self.trace.crashes[node] = (self.ctxs[node].steps, str(crashed))
@@ -537,7 +561,7 @@ class Simulator:
             unicasts=self.unicasts,
             bytes=self.bytes,
         )
-        return SimResult(config=self.cfg, trace=self.trace, metrics=metrics, results=self.results)
+        return SimResult(config=self.cfg, trace=self.trace, metrics=metrics)
 
 
 def run(cfg: SimConfig) -> SimResult:

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 from .chain import GENESIS, History, Proposal, best_in, uniquely_best_in
 from .tsb import RunTrace
-from .wire import encode_history, histories_of
+from .wire import Entry, encode_history, histories_of, history_bytes
 
 # choose(state) -> (message bytes, random priority) for the next round
 Chooser = Callable[["QscState"], tuple[bytes, int]]
@@ -51,6 +51,31 @@ class QscState:
     round: int = 0
 
 
+def step2_candidate(b1: Iterable[Entry]) -> History:
+    """What step 2 broadcasts: the best history confirmed in step 1's B."""
+    return best_in(histories_of(b1))
+
+
+def decide(
+    r1: Iterable[Entry], r2: Iterable[Entry], b2: Iterable[Entry]
+) -> tuple[History, bool]:
+    """The round's outcome from its views, each a set of (sender, encoded
+    history) entries: adopt the best history in R2, and commit it only if it
+    is in B2 and uniquely best in R1.
+
+    Committing is deliberately conservative: the adopted history must appear
+    in the second step's confirmed set *and* be strictly ahead of everything
+    else the node saw in the first step's receive set.  Either condition
+    failing just means this node cannot yet rule out a competing history;
+    some other node may still commit the very same round.
+    """
+    chosen = best_in(histories_of(r2))
+    committed = any(
+        history_bytes(payload).digest == chosen.digest for _, payload in b2
+    ) and uniquely_best_in(chosen, histories_of(r1))
+    return chosen, committed
+
+
 def qsc_round(
     state: QscState,
     tsb,
@@ -67,11 +92,7 @@ def qsc_round(
     first broadcast; ``on_decide(round, history, committed)`` fires after the
     adoption, with ``state`` already updated.
 
-    Committing is deliberately conservative: the adopted history must appear
-    in the second step's confirmed set *and* be strictly ahead of everything
-    else the node saw in the first step's receive set.  Either condition
-    failing just means this node cannot yet rule out a competing history;
-    some other node may still commit the very same round.
+    The decision itself is :func:`step2_candidate` and :func:`decide`.
     """
     state.round += 1
     q = state.round
@@ -86,13 +107,8 @@ def qsc_round(
         on_propose(q, mine)
 
     first = yield from tsb.broadcast(encode_history(mine))
-    confirmed = histories_of(first.b)
-    second = yield from tsb.broadcast(encode_history(best_in(confirmed)))
-
-    chosen = best_in(histories_of(second.r))
-    committed = any(
-        h.digest == chosen.digest for h in histories_of(second.b)
-    ) and uniquely_best_in(chosen, histories_of(first.r))
+    second = yield from tsb.broadcast(encode_history(step2_candidate(first.b)))
+    chosen, committed = decide(first.r, second.r, second.b)
 
     state.history = chosen
     if on_decide is not None:
@@ -126,34 +142,35 @@ def _commits(trace: RunTrace) -> list[DeliveryRecord]:
     return [rec for rec in trace.deliveries if rec.committed]
 
 
-def _walk(trace: RunTrace, digest: bytes, length: int, down_to: int):
-    """Follow prev links from (digest, length) down to the given length.
+def _walk(resolve, digest: bytes, length: int, down_to: int):
+    """Follow prev links from (digest, length) down to the given length,
+    through ``resolve`` (digest -> anything with ``.prev``, or None).
     Returns the ancestor digest, or None when the chain leaves the record."""
     d = digest
     for _ in range(length - down_to):
-        info = trace.resolve(d)
+        info = resolve(d)
         if info is None:
             return None
         d = info.prev
     return d
 
 
-def check_consistency(trace: RunTrace) -> list[str]:
-    """All committed histories, across all nodes and rounds, lie on a single
-    chain: of any two, the shorter is a prefix of the longer."""
+def check_one_chain(commits: Iterable[tuple[str, int, bytes]], resolve) -> list[str]:
+    """All committed histories lie on a single chain: of any two, the shorter
+    is a prefix of the longer.  ``commits`` yields (committer, length,
+    digest); chains are walked through ``resolve`` as in :func:`_walk`."""
     bad: list[str] = []
     by_len: dict[int, bytes] = {}
-    for rec in _commits(trace):
-        seen = by_len.get(rec.length)
-        if seen is not None and seen != rec.digest:
+    for who, length, digest in commits:
+        seen = by_len.setdefault(length, digest)
+        if seen != digest:
             bad.append(
-                f"two committed histories of length {rec.length}: "
-                f"{seen.hex()[:16]} vs {rec.digest.hex()[:16]} (node {rec.node})"
+                f"two committed histories of length {length}: "
+                f"{seen.hex()[:16]} vs {digest.hex()[:16]} ({who})"
             )
-        by_len.setdefault(rec.length, rec.digest)
     lengths = sorted(by_len)
     for shorter, longer in zip(lengths, lengths[1:]):
-        anc = _walk(trace, by_len[longer], longer, shorter)
+        anc = _walk(resolve, by_len[longer], longer, shorter)
         if anc is None:
             bad.append(f"commit at length {longer} has an unresolvable ancestry")
         elif anc != by_len[shorter]:
@@ -162,6 +179,13 @@ def check_consistency(trace: RunTrace) -> list[str]:
                 f"length {longer}"
             )
     return bad
+
+
+def check_consistency(trace: RunTrace) -> list[str]:
+    """All committed histories, across all nodes and rounds, lie on a single
+    chain (:func:`check_one_chain`)."""
+    commits = ((f"node {rec.node}", rec.length, rec.digest) for rec in _commits(trace))
+    return check_one_chain(commits, trace.resolve)
 
 
 def check_agreement(trace: RunTrace) -> list[str]:
@@ -205,7 +229,7 @@ def check_preservation(trace: RunTrace) -> list[str]:
         if idx == 0:
             continue  # no commit at or below this round yet
         nearest = lengths[idx - 1]
-        anc = _walk(trace, digest, rnd, nearest)
+        anc = _walk(trace.resolve, digest, rnd, nearest)
         if anc != by_len[nearest]:
             bad.append(
                 f"node {node} round {rnd} adoption drops the history "
@@ -248,9 +272,3 @@ def check_consensus(trace: RunTrace) -> list[str]:
         + check_preservation(trace)
         + check_validity(trace)
     )
-
-
-def commit_stats(trace: RunTrace) -> tuple[int, int]:
-    """(rounds played by all nodes combined, commits among them)."""
-    total = len(trace.deliveries)
-    return total, sum(1 for rec in trace.deliveries if rec.committed)

@@ -15,11 +15,13 @@ collect:
 
 The client adopts the best history visible in R2 and commits only when that
 history is its own proposal, appears in B2, and was uniquely best in its R1
-view -- the same rule the message-passing rounds use, restricted to the
-client's own proposal because nobody else will retry a foreign message.
+view -- the rule the message-passing rounds use (:func:`qsc.decide`),
+restricted to the client's own proposal because nobody else will retry a
+foreign message.
 
 Each client drives its n stores from n dedicated threads so one slow or dead
-store never stalls a round; progress needs any t_r columns.  Lost proposals
+store never stalls a round; progress needs any t_r columns, and the store
+operations that raised are counted per column.  Lost proposals
 are retried after a randomized, exponentially growing number of back-off
 rounds in which the client plays an empty proposal (it must keep proposing to
 keep the lottery fair, but an empty win changes nothing).  Delivery is
@@ -34,14 +36,14 @@ import functools
 import queue
 import struct
 import threading
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .chain import GENESIS, ChainError, History, Proposal, best_in, uniquely_best_in
+from .chain import GENESIS, ChainError, History, Proposal
 from .kvstore import MemoryStore, encode_hit, encode_request, open_store
-from .netsim import mix64
-from .tlcb import tlcb_check_config
+from .netsim import configure, mix64
+from .qsc import check_one_chain, decide, step2_candidate
+from .tlcb import TlcbConfig, gather
 from .tlcr import ConfigError
 from .wire import (
     DECODE_MEMO_SIZE,
@@ -83,31 +85,17 @@ def decode_slot3(data: bytes) -> tuple[EntrySet, EntrySet, History]:
     return r1, b1, best
 
 
-@dataclass(frozen=True)
-class QscodParams:
-    n: int
-    t_r: int
-    t_s: int
-    t_b: int
-    f: int
-
-
 def qscod_params(
     n: int,
     f: Optional[int] = None,
     t_r: Optional[int] = None,
     t_s: Optional[int] = None,
     t_b: Optional[int] = None,
-) -> QscodParams:
-    """Thresholds over the store columns; same admission story as the gossip
-    stack with full spread required (t_r + t_s > n), defaults to the
-    n = 3f scheme."""
-    f = n // 3 if f is None else f
-    t_r = n - f if t_r is None else t_r
-    t_s = min(n - f, f + 1) if t_s is None else t_s
-    t_b = max(1, f) if t_b is None else t_b
-    tlcb_check_config(n, t_r, t_s, t_b, f, require_full_spread=True)
-    return QscodParams(n=n, t_r=t_r, t_s=t_s, t_b=t_b, f=f)
+) -> TlcbConfig:
+    """Thresholds over the store columns: the gossip stack's admission with
+    full spread required (t_r + t_s > n) and its defaults, from the stack
+    table's qscod row; f defaults to n // 3."""
+    return configure("qscod", n, n // 3 if f is None else f, t_r, t_b, t_s)
 
 
 class CountingStore:
@@ -121,11 +109,6 @@ class CountingStore:
     def write_read(self, key: bytes, value: bytes) -> bytes:
         got = self.inner.write_read(key, value)
         self.tally.add(len(encode_request("WR", key, value)) + len(encode_hit(got)))
-        return got
-
-    def read(self, key: bytes):
-        got = self.inner.read(key)
-        self.tally.add(len(encode_request("R", key)) + (len(encode_hit(got)) if got is not None else 2))
         return got
 
 
@@ -176,7 +159,8 @@ class WaitCache:
 
 class _Driver(threading.Thread):
     """One store's dedicated writer: performs write_read commands in order
-    and reports winners to the cache.  A broken store kills only this column."""
+    and reports winners to the cache.  A broken store kills only this column;
+    its failed operations are counted, and the last one kept."""
 
     def __init__(self, column: int, store, cache: WaitCache):
         super().__init__(daemon=True)
@@ -184,6 +168,8 @@ class _Driver(threading.Thread):
         self.store = store
         self.cache = cache
         self.commands: queue.SimpleQueue = queue.SimpleQueue()
+        self.errors = 0  # store operations that raised
+        self.last_error: Optional[Exception] = None
 
     def submit(self, key: bytes, value: bytes) -> None:
         self.commands.put((key, value))
@@ -199,9 +185,38 @@ class _Driver(threading.Thread):
             key, value = cmd
             try:
                 winner = self.store.write_read(key, value)
-            except Exception:
-                continue  # dead column; the client proceeds on the others
+            except Exception as exc:  # the client proceeds on the others
+                self.errors += 1
+                self.last_error = exc
+                continue
             self.cache.put(key, self.column, winner)
+
+
+# --- the decision ------------------------------------------------------------
+
+
+def _best_row(cols3: dict[int, bytes]) -> dict[int, bytes]:
+    """The R2 row: each collected slot-3 value's best history, re-encoded."""
+    return {col: encode_history(decode_slot3(value)[2]) for col, value in cols3.items()}
+
+
+def play_round(step, payload: bytes, proposed: bytes, t_s: int) -> tuple[History, bool]:
+    """One round's four slots and its decision.  ``step(slot, value)`` offers
+    ``value`` for the slot and returns the columns collected for it; slot 1
+    is offered ``payload``, the encoded history whose digest is
+    ``proposed``.  The round adopts and commits by :func:`qsc.decide` over
+    R1 (slots 1-2), R2 and B2 (slots 3-4), each gathered like a
+    :class:`tlcb.Tlcb` step, and commits only the client's own proposal,
+    because nobody else will retry a foreign one."""
+    cols1 = step(1, payload)
+    cols2 = step(2, encode_entry_set(cols1.items()))
+    r1, b1 = gather(cols1.items(), cols2.values(), t_s)
+    cols3 = step(3, encode_slot3(r1, b1, step2_candidate(b1)))
+    row2 = _best_row(cols3)
+    cols4 = step(4, encode_entry_set(row2.items()))
+    r2, b2 = gather(row2.items(), cols4.values(), t_s)
+    chosen, committed = decide(r1, r2, b2)
+    return chosen, committed and chosen.digest == proposed
 
 
 @dataclass
@@ -225,15 +240,11 @@ class ClientReport:
     delivered: list[bytes] = field(default_factory=list)
     log: list[RoundLog] = field(default_factory=list)
 
-    @property
-    def history_digest(self) -> bytes:
-        return self.log[-1].adopted if self.log else b""
-
 
 class Client:
     """One consensus client; drives its stores until its workload lands."""
 
-    def __init__(self, client_id: int, stores, params: QscodParams, seed: int):
+    def __init__(self, client_id: int, stores, params: TlcbConfig, seed: int):
         if len(stores) != params.n:
             raise ValueError("one store per column expected")
         self.id = client_id
@@ -252,53 +263,22 @@ class Client:
 
     # -- round machinery --
 
-    def _step(self, slot: int, value: bytes) -> dict[int, bytes]:
-        key = slot_key(self.round, slot)
-        for d in self.drivers:
-            d.submit(key, value)
-        return self.cache.wait(key, self.params.t_r)
-
-    @staticmethod
-    def _tally(columns: dict[int, bytes], t_s: int) -> tuple[set, set]:
-        """Union and >= t_s tally of gossiped entry sets."""
-        union: set = set()
-        hits: Counter = Counter()
-        for payload in columns.values():
-            entries = entry_set_bytes(payload)
-            union |= entries
-            hits.update(entries)
-        return union, {e for e, k in hits.items() if k >= t_s}
-
     def run_round(self, message: bytes, priority: int) -> RoundLog:
         self.round += 1
-        p = self.params
         proposal = Proposal(
             proposer=0, message=message, priority=priority, prev=self.history.digest
         )
         mine = self.history.extend(proposal)
+        views: dict[int, dict[int, bytes]] = {}
 
-        cols1 = self._step(1, encode_history(mine))
-        r1 = frozenset((col, payload) for col, payload in cols1.items())
-        cols2 = self._step(2, encode_entry_set(r1))
-        gossip1, b1 = self._tally(cols2, p.t_s)
-        r1_full = set(r1) | gossip1
-        confirmed = [history_bytes(payload) for _, payload in b1]
-        h2 = best_in(confirmed)
+        def step(slot: int, value: bytes) -> dict[int, bytes]:
+            key = slot_key(self.round, slot)
+            for d in self.drivers:
+                d.submit(key, value)
+            views[slot] = self.cache.wait(key, self.params.t_r)
+            return views[slot]
 
-        cols3 = self._step(3, encode_slot3(frozenset(r1_full), frozenset(b1), h2))
-        r2 = frozenset(
-            (col, encode_history(decode_slot3(payload)[2])) for col, payload in cols3.items()
-        )
-        cols4 = self._step(4, encode_entry_set(r2))
-        gossip2, b2 = self._tally(cols4, p.t_s)
-        r2_full = set(r2) | gossip2
-
-        chosen = best_in([history_bytes(x) for _, x in r2_full])
-        committed = (
-            chosen.digest == mine.digest
-            and any(history_bytes(x).digest == chosen.digest for _, x in b2)
-            and uniquely_best_in(chosen, [history_bytes(x) for _, x in r1_full])
-        )
+        chosen, committed = play_round(step, encode_history(mine), mine.digest, self.params.t_s)
         self.history = chosen
         return RoundLog(
             round=self.round,
@@ -307,7 +287,7 @@ class Client:
             adopted=chosen.digest,
             length=chosen.length,
             committed=committed,
-            views={1: cols1, 2: cols2, 3: cols3, 4: cols4},
+            views=views,
         )
 
     def run(self, messages: Iterable[bytes], max_rounds: int) -> ClientReport:
@@ -347,13 +327,15 @@ class Client:
 
 
 def run_clients(
-    stores, params: QscodParams, workloads: list[list[bytes]], max_rounds: int, seed: int
-) -> tuple[list[ClientReport], list[str]]:
+    stores, params: TlcbConfig, workloads: list[list[bytes]], max_rounds: int, seed: int
+) -> tuple[list[ClientReport], list[str], list[str]]:
     """Race one client per workload over the shared stores, each on its own
     thread and seeded ``mix64(seed, client)``, then stop their drivers.
 
-    Returns the reports of the clients that finished, in client order, and
-    one line per client that raised instead, naming it and its exception."""
+    Returns the reports of the clients that finished, in client order; one
+    line per client that raised instead, naming it and its exception; and
+    one line per store column whose operations raised, with their count over
+    all clients and the last exception."""
     clients = [Client(cid, stores, params, mix64(seed, cid)) for cid in range(len(workloads))]
     reports: dict[int, ClientReport] = {}
     failed: dict[int, str] = {}
@@ -371,13 +353,26 @@ def run_clients(
         t.join()
     for c in clients:
         c.close()
-    return [reports[cid] for cid in sorted(reports)], [failed[cid] for cid in sorted(failed)]
+    dead = []
+    for column in range(params.n):
+        drivers = [c.drivers[column] for c in clients]
+        for d in drivers:
+            d.join(WAIT_TIMEOUT)
+        raised = [d for d in drivers if d.errors]
+        if raised:
+            dead.append(f"column {column}: {sum(d.errors for d in raised)} store "
+                        f"operations raised, last {raised[-1].last_error!r}")
+    return (
+        [reports[cid] for cid in sorted(reports)],
+        [failed[cid] for cid in sorted(failed)],
+        dead,
+    )
 
 
 # --- audit ------------------------------------------------------------------
 
 
-def audit(stores, params: QscodParams, reports: Iterable[ClientReport]) -> list[str]:
+def audit(stores, params: TlcbConfig, reports: Iterable[ClientReport]) -> list[str]:
     """Replay the decision arithmetic of every logged round against the
     canonical store contents.  Deterministic given the final stores; returns
     violation strings (empty list = clean).
@@ -390,20 +385,14 @@ def audit(stores, params: QscodParams, reports: Iterable[ClientReport]) -> list[
     """
     bad: list[str] = []
     bodies: dict[bytes, Proposal] = {}
-
-    def learn(payload: bytes) -> None:
-        h = history_bytes(payload)
-        if h.head is not None:
-            bodies[h.digest] = h.head
-
     snapshots = [store.snapshot() for store in stores]
     for snapshot in snapshots:
         for key, value in snapshot.items():
             _, slot = struct.unpack(">IB", key)
-            if slot == 1:
-                learn(value)
-            elif slot == 3:
-                learn(encode_history(decode_slot3(value)[2]))
+            if slot in (1, 3):
+                h = history_bytes(value) if slot == 1 else decode_slot3(value)[2]
+                if h.head is not None:
+                    bodies[h.digest] = h.head
 
     for report in reports:
         for entry in report.log:
@@ -422,19 +411,8 @@ def audit(stores, params: QscodParams, reports: Iterable[ClientReport]) -> list[
             # recompute the decision from the logged views; logs are evidence
             # from an untrusted party, so garbage is a finding, not a crash
             try:
-                r1 = frozenset((c, v) for c, v in entry.views[1].items())
-                gossip1, b1 = Client._tally(entry.views[2], params.t_s)
-                r1_full = set(r1) | gossip1
-                r2 = frozenset(
-                    (c, encode_history(decode_slot3(v)[2]))
-                    for c, v in entry.views[3].items()
-                )
-                gossip2, b2 = Client._tally(entry.views[4], params.t_s)
-                chosen = best_in([history_bytes(x) for _, x in set(r2) | gossip2])
-                should_commit = (
-                    chosen.digest == entry.proposed
-                    and any(history_bytes(x).digest == chosen.digest for _, x in b2)
-                    and uniquely_best_in(chosen, [history_bytes(x) for _, x in r1_full])
+                chosen, should_commit = play_round(
+                    lambda slot, _: entry.views[slot], b"", entry.proposed, params.t_s
                 )
             except (WireError, ChainError, KeyError, struct.error) as exc:
                 bad.append(f"{tag}: views do not replay ({exc})")
@@ -445,30 +423,13 @@ def audit(stores, params: QscodParams, reports: Iterable[ClientReport]) -> list[
             if should_commit != entry.committed:
                 bad.append(f"{tag}: committed={entry.committed} but views say {should_commit}")
 
-    by_len: dict[int, bytes] = {}
-    for report in reports:
-        for entry in report.log:
-            if not entry.committed:
-                continue
-            seen = by_len.get(entry.length)
-            if seen is not None and seen != entry.adopted:
-                bad.append(f"two committed histories at length {entry.length}")
-            by_len.setdefault(entry.length, entry.adopted)
-    lengths = sorted(by_len)
-    for shorter, longer in zip(lengths, lengths[1:]):
-        d = by_len[longer]
-        for _ in range(longer - shorter):
-            body = bodies.get(d)
-            if body is None:
-                bad.append(f"commit at length {longer}: ancestry leaves the stores")
-                break
-            d = body.prev
-        else:
-            if d != by_len[shorter]:
-                bad.append(
-                    f"commit at length {shorter} not a prefix of the one at {longer}"
-                )
-    return bad
+    commits = (
+        (f"client {report.client}", entry.length, entry.adopted)
+        for report in reports
+        for entry in report.log
+        if entry.committed
+    )
+    return bad + check_one_chain(commits, bodies.get)
 
 
 # --- command line ------------------------------------------------------------
@@ -513,7 +474,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     workloads = [
         [b"c%d-m%d" % (cid, k) for k in range(args.messages)] for cid in range(args.clients)
     ]
-    done, failed = run_clients(stores, params, workloads, args.rounds, args.seed)
+    done, failed, dead = run_clients(stores, params, workloads, args.rounds, args.seed)
     problems = failed + audit(raw, params, done)
     delivered_all = 0
     for report in done:
@@ -528,6 +489,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         f"bytes={tally.total} bytes_per_agreement={tally.total // agreements} "
         f"audit={'ok' if not problems else 'FAIL'}"
     )
+    for line in dead:
+        print(line)
     for p in problems:
         print(f"audit: {p}")
     for s in raw:

@@ -15,10 +15,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .tlcr import ConfigError, Tlcr, TlcrConfig
 from .tsb import TsbParams, TsbResult
-from .wire import encode_entry_set, entry_set_bytes
+from .wire import Entry, EntrySet, encode_entry_set, entry_set_bytes
 
 
 def spread_fault_budget(n: int, t_r: int, t_s: int) -> Fraction:
@@ -85,6 +86,21 @@ def tlcb_check_config(
     )
 
 
+def gather(
+    r: Iterable[Entry], gossiped: Iterable[bytes], t_s: int
+) -> tuple[EntrySet, EntrySet]:
+    """The (R, B) of a gossip step: the first step's receive set ``r`` joined
+    with every gossiped receive set (encoded), and the entries that at least
+    ``t_s`` of the gossiped sets hold."""
+    joined = set(r)
+    tallies: Counter = Counter()
+    for payload in gossiped:
+        entries = entry_set_bytes(payload)
+        joined |= entries
+        tallies.update(entries)
+    return frozenset(joined), frozenset(e for e, hits in tallies.items() if hits >= t_s)
+
+
 class Tlcb:
     """Two receive-threshold steps per call; shares one inner layer instance
     so its step counter runs across both."""
@@ -96,12 +112,5 @@ class Tlcb:
     def broadcast(self, m: bytes):
         first = yield from self.inner.broadcast(m)
         second = yield from self.inner.broadcast(encode_entry_set(first.r))
-        gossiped = {sender: entry_set_bytes(payload) for sender, payload in second.r}
-        r = set(first.r)
-        tallies: Counter = Counter()
-        for entries in gossiped.values():
-            r |= entries
-            tallies.update(entries)
-        t_s = self.config.t_s
-        b = frozenset(entry for entry, hits in tallies.items() if hits >= t_s)
-        return TsbResult(r=frozenset(r), b=b)
+        r, b = gather(first.r, (payload for _, payload in second.r), self.config.t_s)
+        return TsbResult(r=r, b=b)

@@ -46,14 +46,6 @@ class TsbResult:
     r: frozenset[tuple[int, bytes]]
     b: frozenset[tuple[int, bytes]]
 
-    @property
-    def r_senders(self) -> frozenset[int]:
-        return frozenset(s for s, _ in self.r)
-
-    @property
-    def b_senders(self) -> frozenset[int]:
-        return frozenset(s for s, _ in self.b)
-
 
 def senders(entries: Iterable[Entry]) -> set[int]:
     return {s for s, _ in entries}
@@ -282,7 +274,7 @@ def validate_fullspread(trace: RunTrace, layer: Optional[str] = None) -> list[st
 
 def validate_b_in_r(trace: RunTrace, layer: Optional[str] = None) -> list[str]:
     """Layer-local containment check: every returned B is a subset of the
-    same call's R (holds for the witnessing layer)."""
+    same call's R (claimed per layer by the stack table in netsim)."""
     layer = layer or trace.top_layer
     bad: list[str] = []
     for node, seq in sorted(_layer_rets(trace, layer).items()):
@@ -348,11 +340,15 @@ def validate_delivery(trace: RunTrace) -> list[str]:
     return bad
 
 
-def validate_layer(trace: RunTrace, layer: str, full_spread: bool) -> list[str]:
+def validate_layer(
+    trace: RunTrace, layer: str, full_spread: bool, b_in_r: bool = False
+) -> list[str]:
     """Run panel of contract checks for one recorded layer at its claim."""
     params = trace.layers[layer]
     bad = validate_lockstep(trace, layer)
     bad += validate_thresholds(trace, params, layer)
     if full_spread:
         bad += validate_fullspread(trace, layer)
+    if b_in_r:
+        bad += validate_b_in_r(trace, layer)
     return bad

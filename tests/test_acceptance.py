@@ -305,8 +305,8 @@ def run_contenders(n_clients: int, messages_each: int, budget: int, seed: int):
     stores = [MemoryStore() for _ in range(3)]
     workloads = [[b"c%d-m%d" % (cid, k) for k in range(messages_each)]
                  for cid in range(n_clients)]
-    reports, failed = run_clients(stores, params, workloads, budget, seed)
-    assert failed == [], failed
+    reports, failed, dead = run_clients(stores, params, workloads, budget, seed)
+    assert failed == [] and dead == [], (failed, dead)
     return params, stores, reports
 
 

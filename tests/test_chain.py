@@ -1,4 +1,4 @@
-"""Histories, the priority order, and prefix walks."""
+"""Histories and the priority order."""
 
 from __future__ import annotations
 
@@ -19,9 +19,6 @@ from quesera.chain import (
     decode_proposal,
     dedup,
     encode_proposal,
-    entries,
-    is_prefix,
-    is_prefix_by_digest,
     uniquely_best_in,
 )
 
@@ -97,7 +94,8 @@ def test_history_linking_and_equality():
     assert h.digest == h.head.digest
     detached = History(head=h.head, length=2)  # as decoded off the wire
     assert detached == h and hash(detached) == hash(h)
-    assert [p.message for p in entries(h)] == [b"a", b"b"]
+    assert h.head.message == b"b"
+    assert h.head.prev == chain_of((0, b"a", 5)).digest
 
     with pytest.raises(ChainError):
         GENESIS.extend(Proposal(proposer=0, message=b"x", priority=1, prev=b"\x01" * 32))
@@ -150,31 +148,3 @@ def test_best_is_a_maximal_member(specs):
     assert all(h.priority <= top.priority for h in hs)
     if uniquely_best_in(top, hs):
         assert sum(1 for h in dedup(hs) if h.priority == top.priority) == 1
-
-
-# --- prefix relations ---
-
-
-def test_prefix_walks():
-    h2 = chain_of((0, b"a", 1), (1, b"b", 2))
-    h3 = h2.extend(Proposal(proposer=2, message=b"c", priority=3, prev=h2.digest))
-    fork = h2.extend(Proposal(proposer=9, message=b"not c", priority=8, prev=h2.digest))
-    assert is_prefix(GENESIS, h3)
-    assert is_prefix(h2, h3)
-    assert is_prefix(h3, h3)
-    assert not is_prefix(h3, h2)
-    assert not is_prefix(h3, fork)
-    assert not is_prefix(fork, h3)
-
-    bodies = {h.digest: h.head for h in (h2, h3, fork)}
-    bodies[h2.parent.digest] = h2.parent.head
-    resolve = bodies.get
-    assert is_prefix_by_digest(h2.digest, 2, h3.digest, 3, resolve)
-    assert is_prefix_by_digest(GENESIS_DIGEST, 0, h3.digest, 3, resolve)
-    assert not is_prefix_by_digest(fork.digest, 3, h3.digest, 3, resolve)
-    with pytest.raises(ChainError):
-        is_prefix_by_digest(GENESIS_DIGEST, 0, b"\x77" * 32, 2, resolve)
-
-    detached = History(head=h3.head, length=3)  # no parent links materialized
-    with pytest.raises(ChainError):
-        is_prefix(h2, detached)

@@ -11,7 +11,9 @@ import pytest
 
 from quesera import qscod
 from quesera.cli import main as sim_main
-from quesera.cli import parse_crash
+from quesera.cli import parse_crash, validate_trace
+from quesera.kvstore import MemoryStore
+from quesera.netsim import SimConfig, run
 
 
 def parse_metrics(line):
@@ -95,6 +97,47 @@ def test_qscod_tools_fail_when_a_client_raises(capsys, monkeypatch):
     assert code == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[1:] == ["validate=FAIL", f"violation: {failure}"]
+
+
+def test_qscod_tools_name_a_dead_store_column(capsys, monkeypatch):
+    made = []
+
+    def store():
+        made.append(MemoryStore())
+        if len(made) % 3 == 2:  # column 1 of every three-store run
+            made[-1].write_read = fail
+        return made[-1]
+
+    def fail(key, value):
+        raise OSError("disk on fire")
+
+    monkeypatch.setattr(qscod, "MemoryStore", store)
+
+    code = qscod.main(["--stores", "3", "--clients", "1", "--messages", "2",
+                       "--rounds", "40", "--seed", "5"])
+    assert code == 0  # a dead column is reported, not a failure
+    lines = capsys.readouterr().out.splitlines()
+    rounds = int(parse_metrics(lines[0])["rounds"])
+    dead = f"column 1: {4 * rounds} store operations raised, last OSError('disk on fire')"
+    assert lines[1].endswith(" audit=ok")
+    assert lines[2:] == [dead]
+
+    code = sim_main(["run", "--layer", "qscod", "--n", "3", "--clients", "1",
+                     "--messages", "2", "--rounds", "40", "--seed", "5",
+                     "--validate"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert int(parse_metrics(lines[0])["rounds"]) == rounds
+    assert lines[1:] == [dead, "validate=ok"]
+
+
+def test_panel_checks_b_within_r_where_the_stack_claims_it():
+    trace = run(SimConfig(layer="qsc-tlcf", n=4, f=1, seed=3, rounds=2)).trace
+    assert validate_trace(trace, True) == []
+    k, (order, layer, step, node, r, b) = next(
+        (k, ret) for k, ret in enumerate(trace.rets) if ret[1] == "tlcw")
+    trace.rets[k] = (order, layer, step, node, tuple(e for e in r if e != b[0]), b)
+    assert f"node {node} tlcw step {step}: B not within R" in validate_trace(trace, True)
 
 
 def cli(*argv, input_text=None, hashseed=None):

@@ -6,7 +6,7 @@ import io
 import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quesera.kvstore import (
@@ -44,17 +44,6 @@ def test_empty_bytes_are_legal_keys_and_values(store):
     assert store.write_read(b"", b"") == b""
     assert store.read(b"") == b""
     assert b64(b"") == "-" and unb64("-") == b""
-
-
-def test_wait_read_blocks_until_the_write(store):
-    got = []
-    t = threading.Thread(target=lambda: got.append(store.wait_read(b"slow", 5)))
-    t.start()
-    store.write_read(b"slow", b"v")
-    t.join(timeout=5)
-    assert got == [b"v"]
-    with pytest.raises(TimeoutError):
-        store.wait_read(b"never", timeout=0.01)
 
 
 def test_racing_writers_settle_on_one_value(store):
@@ -118,18 +107,25 @@ def test_file_store_drops_a_torn_final_line(tmp_path):
     assert path.read_bytes() == whole + encode_request("W", b"k2", b"value-three").encode()
 
     # a complete line that does not parse is damage, not a torn append
-    with open(path, "ab") as fh:
-        fh.write(b"W azI dmFsdWUtdH\n")
-    with pytest.raises(ProtocolError, match="bad base64"):
-        FileStore(str(path))
+    for damage, error in ((b"W azI dmFsdWUtdH\n", "bad base64"),
+                          (b"W YR== dmFs\n", "non-canonical base64"),
+                          (b"W \xff\xfe dmFs\n", "not ASCII")):
+        path.write_bytes(whole + damage)
+        with pytest.raises(ProtocolError, match=error):
+            FileStore(str(path))
 
 
 @given(st.text(max_size=80))
+@example("R YR==")  # nonzero padding bits: 'a' spelled a second way
+@example("W a2V5 dmFs\u00e9")
+@example("W \u00ff\u00fe dmFs")
 def test_parse_request_fails_only_with_protocol_error(line):
     try:
-        parse_request(line)
+        got = parse_request(line)
     except ProtocolError:
-        pass
+        return
+    # whatever parses is canonical: it re-encodes to the same fields
+    assert encode_request(*got).split() == line.split()
 
 
 @given(st.binary(max_size=64), st.binary(max_size=64))

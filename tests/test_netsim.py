@@ -14,10 +14,11 @@ from quesera.netsim import (
     FixedDelay,
     RandomDelay,
     SimConfig,
+    configure,
     mix64,
-    resolve_thresholds,
     run,
 )
+from quesera.qscod import qscod_params
 from quesera.tlcr import ConfigError
 from quesera.tsb import validate_delivery, validate_fifo, validate_layer
 
@@ -99,13 +100,16 @@ def test_per_channel_keys_give_the_unfolded_delays(seed, n, scale, draws):
 
 def test_threshold_defaults():
     def resolved(layer, n, f):
-        return resolve_thresholds(SimConfig(layer=layer, n=n, seed=0, rounds=1, f=f))
+        c = configure(layer, n, f)
+        return c.t_r, c.t_b, c.t_s
 
     assert resolved("qsc-tlcf", 3, 1) == (2, 2, 2)
     assert resolved("qsc-tlcf", 5, 2) == (3, 3, 3)
-    assert resolved("qsc-tlcb", 3, 1) == (2, 1, 2)
-    assert resolved("qsc-tlcb", 6, 2) == (4, 2, 3)
-    assert resolved("qsc-tlcb", 12, 4) == (8, 4, 5)
+    for n, f, want in ((3, 1, (2, 1, 2)), (6, 2, (4, 2, 3)), (12, 4, (8, 4, 5))):
+        assert resolved("qsc-tlcb", n, f) == want
+        # QSCOD's store columns take the gossip stack's defaults too
+        p = qscod_params(n, f)
+        assert (p.t_r, p.t_b, p.t_s) == want
 
 
 def test_config_validation():

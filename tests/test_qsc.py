@@ -13,7 +13,6 @@ from quesera.qsc import (
     check_consistency,
     check_preservation,
     check_validity,
-    commit_stats,
     qsc_round,
     run_qsc_node,
 )
@@ -203,7 +202,6 @@ def build_clean():
 def test_clean_trace_passes_the_panel():
     trace, _ = build_clean()
     assert check_consensus(trace) == []
-    assert commit_stats(trace) == (1, 1)
 
 
 def test_consistency_catches_equal_length_forks_and_broken_prefixes():

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quesera.chain import GENESIS, History, Proposal
-from quesera.kvstore import MemoryStore
+from quesera.kvstore import MemoryStore, encode_hit, encode_request
 from quesera.qscod import (
     CountingStore,
     ByteTally,
@@ -46,17 +46,18 @@ def test_slot_keys_and_slot3_codec():
 
 def race(workloads, budget, seed=7, stores=None):
     """Run the workloads to the end, by default on three fresh memory
-    stores; every client must finish."""
+    stores; every client must finish.  Also returns the lines naming the
+    store columns that raised."""
     stores = [MemoryStore() for _ in range(3)] if stores is None else stores
     params = qscod_params(len(stores))
-    reports, failed = run_clients(stores, params, workloads, budget, seed)
+    reports, failed, raised = run_clients(stores, params, workloads, budget, seed)
     assert failed == []
-    return params, stores, reports
+    return params, stores, reports, raised
 
 
 def test_lone_client_commits_every_message_in_order():
     workload = [b"alpha", b"beta", b"gamma", b""]
-    params, stores, (report,) = race([list(workload)], 20)
+    params, stores, (report,), _ = race([list(workload)], 20)
     assert report.delivered == workload
     assert report.commits == report.rounds == len(workload)
     assert all(e.committed and e.adopted == e.proposed for e in report.log)
@@ -67,14 +68,14 @@ def test_lone_client_decisions_replay_across_runs():
     """Store scheduling may vary which columns answer first, but a single
     writer's chain and deliveries are a pure function of the seed."""
     runs = [race([[b"a", b"b", b"c"]], 20, seed=3) for _ in range(2)]
-    (_, _, (r1,)), (_, _, (r2,)) = runs
+    (_, _, (r1,), _), (_, _, (r2,), _) = runs
     assert r1.delivered == r2.delivered
     assert r1.commits == r2.commits
     assert [e.adopted for e in r1.log] == [e.adopted for e in r2.log]
 
 
 def test_contending_clients_stay_consistent():
-    params, stores, reports = race(
+    params, stores, reports, _ = race(
         [[b"c%d-%d" % (cid, k) for k in range(3)] for cid in range(3)], 200)
     assert audit(stores, params, reports) == []
     for cid, report in enumerate(reports):
@@ -96,13 +97,16 @@ def test_dead_column_does_not_stall_the_client():
             raise RuntimeError("disk on fire")
 
     stores = [MemoryStore(), BrokenStore(), MemoryStore(), MemoryStore()]
-    params, _, (report,) = race([[b"x", b"y"]], 20, stores=stores)
+    params, _, (report,), raised = race([[b"x", b"y"]], 20, stores=stores)
     assert report.delivered == [b"x", b"y"]
     assert audit(stores, params, [report]) == []  # the dead column is just absent
+    # ...to the audit, but run_clients counts its four failed writes a round
+    assert raised == [f"column 1: {4 * report.rounds} store operations raised, "
+                      "last RuntimeError('disk on fire')"]
 
 
 def test_audit_rejects_tampered_logs():
-    params, stores, (report,) = race([[b"a", b"b"]], 20)
+    params, stores, (report,), _ = race([[b"a", b"b"]], 20)
     assert audit(stores, params, [report]) == []
 
     forged = dataclasses.replace(report.log[0], committed=False)
@@ -160,7 +164,7 @@ def test_run_clients_reports_a_client_that_raises():
     stores = [MemoryStore() for _ in range(3)]
     params = qscod_params(3)
     # client 1's workload holds a message no proposal can carry
-    reports, failed = run_clients(stores, params, [[b"a"], ["not bytes"], [b"c"]], 200, 7)
+    reports, failed, _ = run_clients(stores, params, [[b"a"], ["not bytes"], [b"c"]], 200, 7)
     assert [r.client for r in reports] == [0, 2]
     assert [r.delivered for r in reports] == [[b"a"], [b"c"]]
     assert len(failed) == 1 and failed[0].startswith("client 1 raised ")
@@ -223,9 +227,10 @@ def test_decode_slot3_fails_only_with_wire_error_and_stays_bounded(data):
 def test_counting_store_bills_protocol_bytes():
     tally = ByteTally()
     store = CountingStore(MemoryStore(), tally)
-    store.write_read(b"key", b"value")
-    store.read(b"key")
-    store.read(b"missing")
-    assert tally.ops == 3
-    # WR request + V reply, R + V, R + N -- all non-empty line costs
-    assert tally.total > 20
+    assert store.write_read(b"key", b"value") == b"value"
+    assert store.write_read(b"key", b"other") == b"value"
+    assert tally.ops == 2
+    # each write is billed as its WR request line plus the V reply line
+    reply = len(encode_hit(b"value"))
+    assert tally.total == (len(encode_request("WR", b"key", b"value")) + reply
+                           + len(encode_request("WR", b"key", b"other")) + reply)

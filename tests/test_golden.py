@@ -2,7 +2,11 @@
 
 ``tests/golden_traces.json`` holds, per config, the sha256 of the full
 ``RunTrace.serialize()`` (every send, return, frame size, delivery, crash and
-commit) and of ``Metrics.line()``.  A change that is meant to leave behaviour
+commit), of the same trace without its transport records
+(``serialize(include_transport=False)``: sends, returns, crashes, adoptions and
+commits only), and of ``Metrics.line()``.  The transport-free digest is the
+one a change to frame contents or sizes must keep: it shows that no decision
+moved.  A change that is meant to leave behaviour
 alone -- a speedup, a refactor -- must leave this file untouched.  A change
 that alters behaviour on purpose regenerates it with
 
@@ -59,6 +63,8 @@ def digests(kwargs: dict) -> dict:
         "metrics": line,
         "metrics_sha256": hashlib.sha256(line.encode()).hexdigest(),
         "trace_sha256": hashlib.sha256(res.trace.serialize().encode()).hexdigest(),
+        "trace_no_transport_sha256": hashlib.sha256(
+            res.trace.serialize(include_transport=False).encode()).hexdigest(),
     }
 
 

@@ -77,8 +77,7 @@ def build_config(args: argparse.Namespace, seed: int) -> SimConfig:
 def _run_qscod(args: argparse.Namespace, seed: int) -> tuple[Metrics, list[str], list[str]]:
     """Store-backed client run shaped into the common metrics record, with
     its problems and one line per store column that raised."""
-    params = qscod.qscod_params(args.n, args.f if args.f else None,
-                                args.t_r, args.t_s, args.t_b)
+    params = qscod.qscod_params(args.n, args.f, args.t_r, args.t_s, args.t_b)
     tally = qscod.ByteTally()
     raw = [qscod.MemoryStore() for _ in range(args.n)]
     stores = [qscod.CountingStore(s, tally) for s in raw]

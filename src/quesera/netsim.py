@@ -1,7 +1,9 @@
 """Deterministic asynchronous network simulator for the broadcast stacks.
 
 Every node runs its whole protocol stack as one generator; the scheduler is a
-single event heap of pending unicast deliveries.  Channels are reliable FIFO
+single event heap of pending unicast deliveries.  A delivery runs the handler
+of the receiving node's current step at once, and the node's generator
+resumes only when that handler reports the step complete.  Channels are reliable FIFO
 with arbitrary (but schedule-determined) delays, so runs model a genuinely
 asynchronous network: steps interleave, nodes fall behind and catch up
 virally, and an adversarial delay policy can stall any subset of channels for
@@ -18,16 +20,16 @@ the validators check eventual delivery.
 
 from __future__ import annotations
 
-import heapq
 import hashlib
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from .qsc import DeliveryRecord, QscState, run_qsc_node
 from .tlcb import Tlcb, tlcb_check_config
 from .tlcf import Tlcf, tlcf_configure
-from .tlcr import ConfigError, Tlcr, tlcr_configure
+from .tlcr import ConfigError, StepCollector, Tlcr, tlcr_configure
 from .tlcw import Tlcw, tlcw_configure
 from .tsb import ProposalInfo, RunTrace, TsbParams
 from .wire import StepMessage, frame_size
@@ -46,22 +48,21 @@ def mix64(*parts: int) -> int:
     """Keyed 64-bit mixer (splitmix finalization over folded inputs).
     Deterministic across processes and platforms; used for every random-ish
     decision in a run so seeds replay exactly."""
-    return _fold(_MIX_IV, *parts)
-
-
-def _fold(h: int, *parts: int) -> int:
-    """Continue a mix64 state over more parts: ``mix64(*a, *b)`` equals
-    ``_fold(_fold(_MIX_IV, *a), *b)``, so a fixed key prefix is folded once."""
+    h = _MIX_IV
     for p in parts:
-        p &= _M64
-        h = (h ^ p) & _M64
-        h = (h + 0x9E3779B97F4A7C15) & _M64
-        h ^= h >> 30
-        h = (h * 0xBF58476D1CE4E5B9) & _M64
-        h ^= h >> 27
-        h = (h * 0x94D049BB133111EB) & _M64
-        h ^= h >> 31
+        h = _fold(h, p)
     return h
+
+
+def _fold(h: int, p: int) -> int:
+    """Continue a mix64 state over one more part: ``mix64(*a, p)`` equals
+    ``_fold(mix64(*a), p)``, so a fixed key prefix is folded once."""
+    h = ((h ^ (p & _M64)) + 0x9E3779B97F4A7C15) & _M64
+    h ^= h >> 30
+    h = (h * 0xBF58476D1CE4E5B9) & _M64
+    h ^= h >> 27
+    h = (h * 0x94D049BB133111EB) & _M64
+    return h ^ (h >> 31)
 
 
 # --- delay policies -------------------------------------------------------
@@ -70,8 +71,8 @@ def _fold(h: int, *parts: int) -> int:
 def _channel_keys(seed: int, stream: int, n: int) -> list[int]:
     """mix64 state after ``(seed, stream, sender, dest)`` for every channel,
     indexed ``sender * n + dest``: a hop then folds in only its index."""
-    prefix = _fold(_MIX_IV, seed, stream)
-    return [_fold(prefix, sender, dest) for sender in range(n) for dest in range(n)]
+    prefix = mix64(seed, stream)
+    return [_fold(_fold(prefix, sender), dest) for sender in range(n) for dest in range(n)]
 
 
 class FixedDelay:
@@ -330,18 +331,20 @@ class NodeCrashed(Exception):
 
 
 class _NodeCtx:
-    """Per-node transport endpoint handed to the protocol stack."""
+    """Per-node transport endpoint handed to the protocol stack.  ``waiting``
+    is the layer whose step takes this node's deliveries on its lane; other
+    lanes queue in ``inbox`` until a step of theirs collects them."""
 
     __slots__ = ("sim", "node", "inbox", "steps", "crash", "armed", "waiting")
 
     def __init__(self, sim: "Simulator", node: int, crash: Optional[tuple[int, str]]):
         self.sim = sim
         self.node = node
-        self.inbox: dict[str, deque] = {}
+        self.inbox: defaultdict[str, deque] = defaultdict(deque)
         self.steps = 0  # wire-level steps begun (all lanes together)
         self.crash = crash
         self.armed = False
-        self.waiting: Optional[tuple[str, int, int, int]] = None
+        self.waiting: Optional[StepCollector] = None
 
     def step_begin(self, tag: str) -> None:
         self.steps += 1
@@ -360,18 +363,25 @@ class _NodeCtx:
     def unicast(self, dest: int, msg: StepMessage) -> None:
         self.sim.xmit(self.node, dest, msg, frame_size(msg))
 
-    def receive(self, tag: str):
-        while True:
-            lane = self.inbox.get(tag)
-            if lane:
-                return lane.popleft()
-            yield  # block until the scheduler delivers something
+    def collect(self, layer: StepCollector) -> bool:
+        """Feed the lane's queued messages to ``layer.handle``; True if they
+        complete its step, else it takes the lane's next deliveries."""
+        lane = self.inbox[layer.tag]
+        while lane:
+            if layer.handle(lane.popleft()):
+                return True
+        self.waiting = layer
+        return False
 
-    def note_wait(self, tag: str, step: int, have: int, need: int) -> None:
-        self.waiting = (tag, step, have, need)
-
-    def deliver(self, msg: StepMessage) -> None:
-        self.inbox.setdefault(msg.layer, deque()).append(msg)
+    def deliver(self, msg: StepMessage) -> bool:
+        """True when ``msg`` completes the waiting step: resume the node."""
+        layer = self.waiting
+        if layer is None or msg.layer != layer.tag:
+            self.inbox[msg.layer].append(msg)
+        elif layer.handle(msg):
+            self.waiting = None
+            return True
+        return False
 
 
 class _Recorder:
@@ -396,9 +406,6 @@ class _Recorder:
         return res
 
 
-_RUNNABLE, _BLOCKED, _DONE, _CRASHED = range(4)
-
-
 class Simulator:
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
@@ -416,10 +423,10 @@ class Simulator:
         self.unicasts = 0
         self.bytes = 0
         self.commits = 0
-        self._eseq = 0
         self._heap: list = []
-        self._chan_seq: dict[tuple[int, int], int] = {}
-        self._chan_last: dict[tuple[int, int], int] = {}
+        # per channel, indexed sender * n + dest: unicasts sent, last arrival
+        self._chan_seq = [0] * (cfg.n * cfg.n)
+        self._chan_last = [0] * (cfg.n * cfg.n)
         crash_plan = {node: (step, phase) for node, step, phase in cfg.crashes}
         self.ctxs = [_NodeCtx(self, i, crash_plan.get(i)) for i in range(cfg.n)]
 
@@ -444,15 +451,15 @@ class Simulator:
     # -- transport --
 
     def xmit(self, sender: int, dest: int, msg: StepMessage, size: int) -> None:
-        chan = (sender, dest)
-        seq = self._chan_seq.get(chan, 0) + 1
+        chan = sender * self.n + dest
+        seq = self._chan_seq[chan] + 1
         self._chan_seq[chan] = seq
-        arrival = max(self.now + self.policy.delay(sender, dest, seq),
-                      self._chan_last.get(chan, 0) + 1)
+        arrival = self.now + self.policy.delay(sender, dest, seq)
+        if arrival <= self._chan_last[chan]:
+            arrival = self._chan_last[chan] + 1  # FIFO: never overtake
         self._chan_last[chan] = arrival
-        self._eseq += 1
-        heapq.heappush(self._heap, (arrival, self._eseq, sender, dest, seq, msg))
-        self.unicasts += 1
+        self.unicasts += 1  # doubles as the heap's tie-break sequence
+        heappush(self._heap, (arrival, self.unicasts, sender, dest, seq, msg))
         self.bytes += size
         if self.level == "full":
             self.trace.xmits.append((self.next_order(), sender, dest, seq, size))
@@ -509,46 +516,34 @@ class Simulator:
     def run(self) -> SimResult:
         make = self._consensus_program if self.stack.consensus else self._broadcast_program
         gens = [make(i, self.stack.build(self, i)) for i in range(self.n)]
-        status = [_RUNNABLE] * self.n
-        runq = deque(range(self.n))
+        ctxs, heap, full = self.ctxs, self._heap, self.level == "full"
 
         def advance(node: int) -> None:
             try:
                 gens[node].send(None)
-                status[node] = _BLOCKED
             except StopIteration:
-                status[node] = _DONE
+                pass
             except NodeCrashed as crashed:
-                status[node] = _CRASHED
-                self.trace.crashes[node] = (self.ctxs[node].steps, str(crashed))
+                self.trace.crashes[node] = (ctxs[node].steps, str(crashed))
 
-        while True:
-            while runq:
-                advance(runq.popleft())
-            if not self._heap:
-                break
-            when, _, sender, dest, seq, msg = heapq.heappop(self._heap)
+        for node in range(self.n):
+            advance(node)
+        while heap:
+            when, _, sender, dest, seq, msg = heappop(heap)
             self.now = when
-            if self.level == "full":
+            if full:
                 self.trace.dlvrs.append((self.next_order(), sender, dest, seq))
-            self.ctxs[dest].deliver(msg)
-            if status[dest] == _BLOCKED:
-                status[dest] = _RUNNABLE
-                runq.append(dest)
+            if ctxs[dest].deliver(msg):
+                advance(dest)
 
-        stuck = [i for i in range(self.n) if status[i] == _BLOCKED]
+        stuck = [(ctx.node, ctx.waiting) for ctx in ctxs if ctx.waiting is not None]
         if stuck:
-            def describe(i: int) -> str:
-                w = self.ctxs[i].waiting
-                if w is None:
-                    return f"node {i} blocked before its first step"
-                tag, step, have, need = w
-                return (f"node {i} stuck on lane {tag} step {step} with "
-                        f"{have}/{need} senders (threshold unmeetable)")
-
             raise DeadlockError(
-                "no traffic in flight but nodes waiting: "
-                + "; ".join(describe(i) for i in stuck)
+                "no traffic in flight but nodes waiting: " + "; ".join(
+                    f"node {i} stuck on lane {w.tag} step {w.step} with "
+                    f"{w.have()}/{w.need} senders (threshold unmeetable)"
+                    for i, w in stuck
+                )
             )
 
         metrics = Metrics(

@@ -13,14 +13,17 @@ is over.
 
 The layer talks to a node context supplying the transport::
 
-    ctx.step_begin(tag)            account one wire-level step
-    ctx.broadcast(msg)             fan a StepMessage out to all n nodes
-    ctx.unicast(dest, msg)         send to one node
-    ctx.receive(tag)               generator: next StepMessage on this lane
-    ctx.note_wait(tag, step, have, need)   progress report for stall diagnosis
+    ctx.step_begin(tag)      account one wire-level step
+    ctx.broadcast(msg)       fan a StepMessage out to all n nodes
+    ctx.unicast(dest, msg)   send to one node
+    ctx.collect(layer)       hand lane ``layer.tag`` to ``layer.handle``
 
-``broadcast`` is a generator so a whole protocol stack runs as one coroutine
-per node under the deterministic scheduler.
+``collect`` feeds the lane's queued messages to the handler and returns True
+if they complete the step.  Otherwise the context keeps the handler, runs it
+on each message the moment it is delivered on that lane, and resumes the
+layer once, when the handler reports the step complete.  ``broadcast`` is a
+generator so a whole protocol stack runs as one coroutine per node under the
+deterministic scheduler; it yields at most once per step.
 """
 
 from __future__ import annotations
@@ -64,62 +67,87 @@ def tlcr_configure(n: int, t_r: int, f: int = 0, defer_future: bool = False) -> 
     return TlcrConfig(n=n, t_r=t_r, f=f, defer_future=defer_future)
 
 
-class Tlcr:
-    """Per-node state machine for the receive-threshold layer."""
+class StepCollector:
+    """The step skeleton of one lane, shared by the receive-threshold and
+    witnessing layers.  A subclass keeps its step's sets and supplies
+    ``need``, ``have()`` (the count that must reach it), ``on_current(msg)``
+    for a message of the current step, and ``adopt(msg)``, which merges the
+    piggybacked sets of a message one step ahead.  While a step waits, the
+    node context runs :meth:`handle` on each delivery of the lane."""
 
-    def __init__(self, ctx, node: int, config: TlcrConfig, tag: str = "r"):
+    def __init__(self, ctx, node: int, tag: str, need: int, defer_future: bool = False):
         self.ctx = ctx
         self.node = node
-        self.config = config
         self.tag = tag
+        self.need = need
+        self.defer_future = defer_future
         self.step = 0
-        self._prev: frozenset[tuple[int, bytes]] = frozenset()
         self._deferred: dict[int, list[StepMessage]] = {}
         self._replay: list[StepMessage] = []
 
+    def _collect(self, first: StepMessage):
+        """Generator: send ``first``, count the messages held over for this
+        step, then handle the lane until the step completes."""
+        self.ctx.step_begin(self.tag)
+        self.ctx.broadcast(first)
+        replay, self._replay = self._replay, []
+        for msg in (*self._deferred.pop(self.step, ()), *replay):
+            self.on_current(msg)
+        if self.have() < self.need and not self.ctx.collect(self):
+            yield  # resumed by the delivery that completes the step
+
+    def handle(self, msg: StepMessage) -> bool:
+        """Take one message of this lane; True once the step is complete."""
+        step = self.step
+        if msg.step == step:
+            self.on_current(msg)
+        elif msg.step < step:
+            return False  # stale: its step is over, the message is lost
+        elif self.defer_future:
+            self._deferred.setdefault(msg.step, []).append(msg)
+            return False
+        elif msg.step == step + 1:
+            self.adopt(msg)  # the peer finished this step; take its sets
+            self._replay.append(msg)  # and count its message at its own step
+        else:
+            raise TransportIntegrityError(
+                f"node {self.node}: step {msg.step} message while in {step}"
+            )
+        return self.have() >= self.need
+
+
+class Tlcr(StepCollector):
+    """Per-node state machine for the receive-threshold layer."""
+
+    def __init__(self, ctx, node: int, config: TlcrConfig, tag: str = "r"):
+        super().__init__(ctx, node, tag, config.t_r, config.defer_future)
+        self._prev: frozenset[tuple[int, bytes]] = frozenset()
+        self._cur: set[tuple[int, bytes]] = set()
+
     def broadcast(self, m: bytes):
         """One step: send ``m``, gather t_r same-step messages, return (R, {})."""
-        cfg = self.config
         self.step += 1
-        step = self.step
-        cur: set[tuple[int, bytes]] = set()
-        self.ctx.step_begin(self.tag)
-        self.ctx.broadcast(
+        self._cur = set()
+        yield from self._collect(
             StepMessage(
                 layer=self.tag,
                 kind=PLAIN,
                 sender=self.node,
-                step=step,
+                step=self.step,
                 payload=m,
-                prior_r=None if cfg.defer_future else self._prev,
+                prior_r=None if self.defer_future else self._prev,
             )
         )
-        replay, self._replay = self._replay, []
-        for msg in (*self._deferred.pop(step, ()), *replay):
-            if msg.step != step:
-                raise TransportIntegrityError(
-                    f"node {self.node}: replayed message for step {msg.step} at {step}"
-                )
-            cur.add((msg.sender, msg.payload))
-        while len(cur) < cfg.t_r:
-            self.ctx.note_wait(self.tag, step, len(cur), cfg.t_r)
-            msg = yield from self.ctx.receive(self.tag)
-            if msg.step == step:
-                cur.add((msg.sender, msg.payload))
-            elif msg.step < step:
-                continue  # stale: its step is over, the message is lost
-            elif cfg.defer_future:
-                self._deferred.setdefault(msg.step, []).append(msg)
-            elif msg.step == step + 1:
-                if msg.prior_r is None:
-                    raise TransportIntegrityError(
-                        f"node {self.node}: future message without piggyback"
-                    )
-                cur |= msg.prior_r  # peer finished this step; adopt its set
-                self._replay.append(msg)  # and count its message at its own step
-            else:
-                raise TransportIntegrityError(
-                    f"node {self.node}: step {msg.step} message while in {step}"
-                )
-        self._prev = frozenset(cur)
+        self._prev = frozenset(self._cur)
         return TsbResult(r=self._prev, b=frozenset())
+
+    def have(self) -> int:
+        return len(self._cur)
+
+    def on_current(self, msg: StepMessage) -> None:
+        self._cur.add((msg.sender, msg.payload))
+
+    def adopt(self, msg: StepMessage) -> None:
+        if msg.prior_r is None:
+            raise TransportIntegrityError(f"node {self.node}: future message without piggyback")
+        self._cur |= msg.prior_r

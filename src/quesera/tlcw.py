@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tlcr import ConfigError, TransportIntegrityError
+from .tlcr import ConfigError, StepCollector, TransportIntegrityError
 from .tsb import TsbParams, TsbResult
 from .wire import ACK, REQ, WIT, StepMessage
 
@@ -48,80 +48,61 @@ def tlcw_configure(n: int, t_b: int, t_s: int, f: int = 0) -> TlcwConfig:
     return TlcwConfig(n=n, t_b=t_b, t_s=t_s, f=f)
 
 
-class Tlcw:
+class Tlcw(StepCollector):
     """Per-node state machine for the witnessing layer."""
 
     def __init__(self, ctx, node: int, config: TlcwConfig, tag: str = "w"):
-        self.ctx = ctx
-        self.node = node
+        super().__init__(ctx, node, tag, config.t_b)
         self.config = config
-        self.tag = tag
-        self.step = 0
         self._prev_r: frozenset[tuple[int, bytes]] = frozenset()
         self._prev_b: frozenset[tuple[int, bytes]] = frozenset()
-        self._replay: list[StepMessage] = []
+        self._start(b"")
+
+    def _start(self, m: bytes) -> None:
+        """Fresh per-step state for a step broadcasting ``m``."""
+        self._m = m
+        self._cur_r: set[tuple[int, bytes]] = set()
+        self._cur_b: set[tuple[int, bytes]] = set()
+        self._acks: set[int] = set()
+        self._wit_sent = False
 
     def broadcast(self, m: bytes):
-        cfg = self.config
         self.step += 1
-        step = self.step
-        cur_r: set[tuple[int, bytes]] = set()
-        cur_b: set[tuple[int, bytes]] = set()
-        acks: set[int] = set()
-        wit_sent = False
-        self.ctx.step_begin(self.tag)
-        self.ctx.broadcast(self._msg(REQ, step, m))
-        replay, self._replay = self._replay, []
-        for msg in replay:
-            if msg.step != step:
-                raise TransportIntegrityError(
-                    f"node {self.node}: replayed message for step {msg.step} at {step}"
-                )
-            wit_sent = self._on_current(msg, step, m, cur_r, cur_b, acks, wit_sent)
-        while len(cur_b) < cfg.t_b:
-            self.ctx.note_wait(self.tag, step, len(cur_b), cfg.t_b)
-            msg = yield from self.ctx.receive(self.tag)
-            if msg.step == step:
-                wit_sent = self._on_current(msg, step, m, cur_r, cur_b, acks, wit_sent)
-            elif msg.step < step:
-                continue
-            elif msg.step == step + 1:
-                if msg.prior_r is None or msg.prior_b is None:
-                    raise TransportIntegrityError(
-                        f"node {self.node}: future message without piggyback"
-                    )
-                cur_r |= msg.prior_r
-                cur_b |= msg.prior_b
-                self._replay.append(msg)
-            else:
-                raise TransportIntegrityError(
-                    f"node {self.node}: step {msg.step} message while in {step}"
-                )
-        self._prev_r = frozenset(cur_r)
-        self._prev_b = frozenset(cur_b)
+        self._start(m)
+        yield from self._collect(self._msg(REQ, m))
+        self._prev_r = frozenset(self._cur_r)
+        self._prev_b = frozenset(self._cur_b)
         return TsbResult(r=self._prev_r, b=self._prev_b)
 
-    def _msg(self, kind: str, step: int, payload: bytes) -> StepMessage:
+    def _msg(self, kind: str, payload: bytes) -> StepMessage:
         return StepMessage(
             layer=self.tag,
             kind=kind,
             sender=self.node,
-            step=step,
+            step=self.step,
             payload=payload,
             prior_r=self._prev_r,
             prior_b=self._prev_b,
         )
 
-    def _on_current(self, msg, step, m, cur_r, cur_b, acks, wit_sent) -> bool:
+    def have(self) -> int:
+        return len(self._cur_b)
+
+    def on_current(self, msg: StepMessage) -> None:
         if msg.kind == REQ:
-            cur_r.add((msg.sender, msg.payload))
-            self.ctx.unicast(msg.sender, self._msg(ACK, step, msg.payload))
+            self._cur_r.add((msg.sender, msg.payload))
+            self.ctx.unicast(msg.sender, self._msg(ACK, msg.payload))
         elif msg.kind == ACK:
-            if msg.payload == m:
-                acks.add(msg.sender)
-                if len(acks) == self.config.t_s and not wit_sent:
-                    wit_sent = True
-                    self.ctx.broadcast(self._msg(WIT, step, m))
+            if msg.payload == self._m:
+                self._acks.add(msg.sender)
+                if len(self._acks) == self.config.t_s and not self._wit_sent:
+                    self._wit_sent = True
+                    self.ctx.broadcast(self._msg(WIT, self._m))
         elif msg.kind == WIT:
-            cur_b.add((msg.sender, msg.payload))
-        return wit_sent
+            self._cur_b.add((msg.sender, msg.payload))
+
+    def adopt(self, msg: StepMessage) -> None:
+        if msg.prior_r is None or msg.prior_b is None:
+            raise TransportIntegrityError(f"node {self.node}: future message without piggyback")
+        self._cur_r |= msg.prior_r
+        self._cur_b |= msg.prior_b

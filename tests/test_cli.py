@@ -72,6 +72,15 @@ def test_run_qscod_layer_reports_the_audit(capsys):
     assert lines[1] == "validate=ok"
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("f", ["0", "1"])
+def test_qscod_layer_runs_with_the_f_given(capsys, command, f):
+    argv = [command, "--layer", "qscod", "--n", "4", "--f", f, "--rounds", "20",
+            "--messages", "2", "--seed", "3", "--validate"]
+    assert sim_main(argv + (["--seeds", "1"] if command == "sweep" else [])) == 0
+    assert parse_metrics(capsys.readouterr().out.splitlines()[0])["f"] == f
+
+
 def test_qscod_tools_fail_when_a_client_raises(capsys, monkeypatch):
     run = qscod.Client.run
 
@@ -122,7 +131,7 @@ def test_qscod_tools_name_a_dead_store_column(capsys, monkeypatch):
     assert lines[1].endswith(" audit=ok")
     assert lines[2:] == [dead]
 
-    code = sim_main(["run", "--layer", "qscod", "--n", "3", "--clients", "1",
+    code = sim_main(["run", "--layer", "qscod", "--n", "3", "--f", "1", "--clients", "1",
                      "--messages", "2", "--rounds", "40", "--seed", "5",
                      "--validate"])
     assert code == 0

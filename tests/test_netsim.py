@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,12 +16,13 @@ from quesera.netsim import (
     FixedDelay,
     RandomDelay,
     SimConfig,
+    Simulator,
     configure,
     mix64,
     run,
 )
 from quesera.qscod import qscod_params
-from quesera.tlcr import ConfigError
+from quesera.tlcr import ConfigError, TransportIntegrityError
 from quesera.tsb import validate_delivery, validate_fifo, validate_layer
 
 
@@ -190,6 +193,28 @@ def test_two_dead_of_three_names_the_unmeetable_receive_quorum():
                     crashes=((1, 1, "before"), (2, 1, "before")))
     with pytest.raises(DeadlockError, match=r"node 0 stuck .* 1/2 senders"):
         run(cfg)
+
+
+@pytest.mark.parametrize("layer, piggyback", [("qsc-tlcb", "prior_r"), ("tlcw", "prior_b")])
+@pytest.mark.parametrize("broken, error", [
+    (lambda msg, _: replace(msg, step=msg.step + 2), r"node 0: step 3 message while in 1$"),
+    (lambda msg, piggyback: replace(msg, step=msg.step + 1, **{piggyback: None}),
+     r"node 0: future message without piggyback$"),
+], ids=["step-gap", "no-piggyback"])
+def test_a_broken_frame_fails_its_delivery(monkeypatch, layer, piggyback, broken, error):
+    """Under fixed delays node 0's first frame, the one to itself, is the
+    first delivery, so it reaches node 0 in step 1: made into a step-3 frame
+    it is a step gap, made into a step-2 frame without its piggyback it
+    cannot be adopted.  Either fails on the r lane (qsc-tlcb) and the w lane
+    (tlcw) alike."""
+    xmit = Simulator.xmit
+
+    def tamper(sim, sender, dest, msg, size):
+        xmit(sim, sender, dest, broken(msg, piggyback) if sim.unicasts == 0 else msg, size)
+
+    monkeypatch.setattr(Simulator, "xmit", tamper)
+    with pytest.raises(TransportIntegrityError, match=error):
+        run(SimConfig(layer=layer, n=3, f=1, seed=1, rounds=2, delay="fixed"))
 
 
 def test_survivors_run_a_long_race_past_a_dead_founder():

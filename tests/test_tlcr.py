@@ -11,7 +11,8 @@ from quesera.wire import PLAIN, StepMessage
 
 
 class ScriptedCtx:
-    """Hand-fed transport: receive() pops from a script, sends are recorded."""
+    """Hand-fed transport: collect() feeds the layer's handler from a script
+    until the step completes, sends are recorded."""
 
     def __init__(self, script=()):
         self.script = deque(script)
@@ -27,14 +28,12 @@ class ScriptedCtx:
     def unicast(self, dest, msg):
         self.unicasts.append((dest, msg))
 
-    def receive(self, tag):
-        if not self.script:
-            raise AssertionError("layer wanted more messages than scripted")
-        yield
-        return self.script.popleft()
-
-    def note_wait(self, tag, step, have, need):
-        pass
+    def collect(self, layer):
+        while True:
+            if not self.script:
+                raise AssertionError("layer wanted more messages than scripted")
+            if layer.handle(self.script.popleft()):
+                return True
 
 
 def drive(gen):

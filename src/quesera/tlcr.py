@@ -85,7 +85,7 @@ class StepCollector:
         self._deferred: dict[int, list[StepMessage]] = {}
         self._replay: list[StepMessage] = []
 
-    def _collect(self, first: StepMessage):
+    def _run_step(self, first: StepMessage):
         """Generator: send ``first``, count the messages held over for this
         step, then handle the lane until the step completes."""
         self.ctx.step_begin(self.tag)
@@ -128,7 +128,7 @@ class Tlcr(StepCollector):
         """One step: send ``m``, gather t_r same-step messages, return (R, {})."""
         self.step += 1
         self._cur = set()
-        yield from self._collect(
+        yield from self._run_step(
             StepMessage(
                 layer=self.tag,
                 kind=PLAIN,

@@ -69,7 +69,7 @@ class Tlcw(StepCollector):
     def broadcast(self, m: bytes):
         self.step += 1
         self._start(m)
-        yield from self._collect(self._msg(REQ, m))
+        yield from self._run_step(self._msg(REQ, m))
         self._prev_r = frozenset(self._cur_r)
         self._prev_b = frozenset(self._cur_b)
         return TsbResult(r=self._prev_r, b=self._prev_b)

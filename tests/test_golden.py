@@ -32,9 +32,11 @@ CORPUS = pathlib.Path(__file__).with_name("golden_traces.json")
 # trace level used by long sweeps.
 CONFIGS: dict[str, dict] = {
     "tlcr-fixed": dict(layer="tlcr", n=4, f=1, rounds=6, delay="fixed"),
+    "tlcr-random": dict(layer="tlcr", n=4, f=1, rounds=6),
     "tlcr-random-defer": dict(layer="tlcr", n=4, f=1, rounds=6, defer_future=True),
     "tlcr-crash-before": dict(layer="tlcr", n=4, f=1, rounds=6, crashes=((2, 3, "before"),)),
     "tlcb-random": dict(layer="tlcb", n=4, f=1, rounds=5),
+    "tlcb-adversarial": dict(layer="tlcb", n=5, f=1, rounds=5, delay="adversarial"),
     "tlcb-adversarial-defer": dict(layer="tlcb", n=5, f=1, rounds=5, delay="adversarial",
                                    defer_future=True),
     "tlcb-full-random": dict(layer="tlcb-full", n=4, f=1, rounds=5),
@@ -45,6 +47,8 @@ CONFIGS: dict[str, dict] = {
                                           delay="adversarial", crashes=((4, 5, "before"),)),
     "qsc-tlcb-fixed": dict(layer="qsc-tlcb", n=3, f=1, rounds=6, delay="fixed"),
     "qsc-tlcb-random": dict(layer="qsc-tlcb", n=6, f=2, rounds=5),
+    "qsc-tlcb-crash-after": dict(layer="qsc-tlcb", n=4, f=1, rounds=6,
+                                 crashes=((1, 6, "after"),)),
     "qsc-tlcb-defer-crash-after": dict(layer="qsc-tlcb", n=4, f=1, rounds=6, defer_future=True,
                                        crashes=((1, 6, "after"),)),
     "qsc-tlcb-light": dict(layer="qsc-tlcb", n=7, f=2, rounds=8, trace_level="light"),

@@ -13,7 +13,7 @@ import argparse
 from typing import Optional
 
 from . import netsim, qscod
-from .netsim import STACKS, Metrics, SimConfig
+from .netsim import STACKS, DeadlockError, Metrics, SimConfig
 from .qsc import check_consensus
 from .tlcr import ConfigError
 from .tsb import (
@@ -69,7 +69,6 @@ def build_config(args: argparse.Namespace, seed: int) -> SimConfig:
         delay=args.delay,
         delay_scale=args.delay_scale,
         crashes=tuple(args.crash or ()),
-        defer_future=args.defer_future,
         trace_level=args.trace_level,
     )
 
@@ -78,14 +77,10 @@ def _run_qscod(args: argparse.Namespace, seed: int) -> tuple[Metrics, list[str],
     """Store-backed client run shaped into the common metrics record, with
     its problems and one line per store column that raised."""
     params = qscod.qscod_params(args.n, args.f, args.t_r, args.t_s, args.t_b)
-    tally = qscod.ByteTally()
     raw = [qscod.MemoryStore() for _ in range(args.n)]
-    stores = [qscod.CountingStore(s, tally) for s in raw]
-    workloads = [
-        [b"c%d-m%d" % (cid, k) for k in range(args.messages)] for cid in range(args.clients)
-    ]
-    done, failed, dead = qscod.run_clients(stores, params, workloads, args.rounds, seed)
-    problems = failed + qscod.audit(raw, params, done)
+    done, problems, dead, tally = qscod.run_workload(
+        raw, params, args.clients, args.messages, args.rounds, seed
+    )
     metrics = Metrics(
         layer=args.layer,
         n=args.n,
@@ -168,8 +163,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--delay", choices=netsim.DELAY_POLICIES, default="random")
         p.add_argument("--delay-scale", type=int, default=4)
         p.add_argument("--crash", action="append", type=parse_crash, metavar="N@Sb|a")
-        p.add_argument("--defer-future", action="store_true",
-                       help="buffer early messages instead of piggybacking sets")
         p.add_argument("--trace-level", choices=netsim.TRACE_LEVELS, default="full")
         p.add_argument("--validate", action="store_true")
         p.add_argument("--clients", type=int, default=1, help="qscod only")
@@ -190,6 +183,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    except DeadlockError as exc:
+        parser.exit(1, f"{parser.prog}: deadlock: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -103,10 +103,6 @@ class _Store:
         with self._lock:
             return self._data.get(key)
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
     def snapshot(self) -> dict[bytes, bytes]:
         with self._lock:
             return dict(self._data)

@@ -164,7 +164,7 @@ class Stack:
     its config, recorded as ``name`` and stepped ``per_call`` times per call
     of the top layer."""
 
-    configure: Callable  # (n, f, t_r, t_b, t_s, defer_future) -> top-layer config
+    configure: Callable  # (n, f, t_r, t_b, t_s) -> top-layer config
     witnessed: bool  # default thresholds: n - f throughout, else the gossip scheme
     layer: Optional[type] = None  # the top layer; None where stores replace nodes
     records: str = ""  # the name the top layer is recorded under
@@ -187,25 +187,23 @@ class Stack:
         return _Recorder(sim, self.records, node, top)
 
 
-def _tlcr(n, f, t_r, t_b, t_s, defer_future):
-    return tlcr_configure(n, t_r, f, defer_future)
+def _tlcr(n, f, t_r, t_b, t_s):
+    return tlcr_configure(n, t_r, f)
 
 
-def _tlcb(n, f, t_r, t_b, t_s, defer_future):
-    return tlcb_check_config(n, t_r, t_s, t_b, f, defer_future=defer_future)
+def _tlcb(n, f, t_r, t_b, t_s):
+    return tlcb_check_config(n, t_r, t_s, t_b, f)
 
 
-def _tlcb_full(n, f, t_r, t_b, t_s, defer_future):
-    return tlcb_check_config(
-        n, t_r, t_s, t_b, f, require_full_spread=True, defer_future=defer_future
-    )
+def _tlcb_full(n, f, t_r, t_b, t_s):
+    return tlcb_check_config(n, t_r, t_s, t_b, f, require_full_spread=True)
 
 
-def _tlcw(n, f, t_r, t_b, t_s, defer_future):
+def _tlcw(n, f, t_r, t_b, t_s):
     return tlcw_configure(n, t_b, t_s, f)
 
 
-def _tlcf(n, f, t_r, t_b, t_s, defer_future):
+def _tlcf(n, f, t_r, t_b, t_s):
     return tlcf_configure(n, t_r, t_b, t_s, f)
 
 
@@ -230,8 +228,7 @@ LAYERS = tuple(name for name, stack in STACKS.items() if stack.layer is not None
 
 
 def configure(layer: str, n: int, f: int, t_r: Optional[int] = None,
-              t_b: Optional[int] = None, t_s: Optional[int] = None,
-              defer_future: bool = False):
+              t_b: Optional[int] = None, t_s: Optional[int] = None):
     """The top-layer config of a stack (raises ConfigError).  Unset t_r
     defaults to n - f, and so do t_b and t_s on witnessed stacks; elsewhere
     they default to the gossip scheme t_b = f (floor 1), t_s = f + 1 (at
@@ -241,7 +238,7 @@ def configure(layer: str, n: int, f: int, t_r: Optional[int] = None,
     t_r = n - f if t_r is None else t_r
     t_b = d_b if t_b is None else t_b
     t_s = d_s if t_s is None else t_s
-    return stack.configure(n, f, t_r, t_b, t_s, defer_future)
+    return stack.configure(n, f, t_r, t_b, t_s)
 
 
 # --- run configuration ----------------------------------------------------
@@ -255,7 +252,7 @@ class SimConfig:
     for consensus stacks.  Unset thresholds fall back to the defaults of the
     layer's row in :data:`STACKS`.
     ``crashes`` holds (node, wire-step, phase) triples, phase "before" or
-    "after" the step's send.
+    "after" the step's send, at most one per node.
     """
 
     layer: str
@@ -269,7 +266,6 @@ class SimConfig:
     delay: str = "random"
     delay_scale: int = 4
     crashes: tuple[tuple[int, int, str], ...] = ()
-    defer_future: bool = False
     trace_level: str = "full"
 
     def __post_init__(self) -> None:
@@ -284,10 +280,8 @@ class SimConfig:
                 raise ConfigError(f"crash node {node} out of range")
             if step < 1 or phase not in ("before", "after"):
                 raise ConfigError(f"bad crash spec ({node}, {step}, {phase})")
-
-    @property
-    def is_consensus(self) -> bool:
-        return STACKS[self.layer].consensus
+            if [c[0] for c in self.crashes].count(node) > 1:
+                raise ConfigError(f"crash node {node} given twice (a node crashes once)")
 
 
 @dataclass(frozen=True)
@@ -413,9 +407,7 @@ class Simulator:
         self.seed = cfg.seed
         self.policy = make_delay_policy(cfg.delay, cfg.seed, cfg.n, cfg.delay_scale)
         self.stack = STACKS[cfg.layer]
-        self.layer_config = configure(
-            cfg.layer, cfg.n, cfg.f, cfg.t_r, cfg.t_b, cfg.t_s, cfg.defer_future
-        )
+        self.layer_config = configure(cfg.layer, cfg.n, cfg.f, cfg.t_r, cfg.t_b, cfg.t_s)
         self.trace = RunTrace(n=cfg.n, layers=self.stack.claims(self.layer_config))
         self.level = cfg.trace_level
         self.now = 0

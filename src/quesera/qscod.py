@@ -369,6 +369,20 @@ def run_clients(
     )
 
 
+def run_workload(
+    raw, params: TlcbConfig, clients: int, messages: int, max_rounds: int, seed: int
+) -> tuple[list[ClientReport], list[str], list[str], ByteTally]:
+    """:func:`run_clients` for ``clients`` workloads of ``messages`` messages
+    (``c<client>-m<k>``) over the ``raw`` stores, billed to one tally, then
+    :func:`audit`.  Returns the finished clients' reports, the problems
+    (clients that raised, then audit findings), the dead columns, the tally."""
+    tally = ByteTally()
+    stores = [CountingStore(s, tally) for s in raw]
+    workloads = [[b"c%d-m%d" % (cid, k) for k in range(messages)] for cid in range(clients)]
+    done, failed, dead = run_clients(stores, params, workloads, max_rounds, seed)
+    return done, failed + audit(raw, params, done), dead, tally
+
+
 # --- audit ------------------------------------------------------------------
 
 
@@ -458,7 +472,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         params = qscod_params(args.stores)
     except ConfigError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    tally = ByteTally()
     if args.backend == "memory":
         raw = [MemoryStore() for _ in range(args.stores)]
     else:
@@ -469,13 +482,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             ]
         except OSError as exc:
             parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    stores = [CountingStore(s, tally) for s in raw]
-
-    workloads = [
-        [b"c%d-m%d" % (cid, k) for k in range(args.messages)] for cid in range(args.clients)
-    ]
-    done, failed, dead = run_clients(stores, params, workloads, args.rounds, args.seed)
-    problems = failed + audit(raw, params, done)
+    done, problems, dead, tally = run_workload(
+        raw, params, args.clients, args.messages, args.rounds, args.seed
+    )
     delivered_all = 0
     for report in done:
         delivered_all += len(report.delivered)

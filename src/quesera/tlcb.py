@@ -38,7 +38,6 @@ class TlcbConfig:
     t_b: int
     f: int = 0
     full_spread: bool = False
-    defer_future: bool = False
 
     @property
     def claim(self) -> TsbParams:
@@ -46,7 +45,7 @@ class TlcbConfig:
 
     @property
     def inner(self) -> TlcrConfig:
-        return TlcrConfig(n=self.n, t_r=self.t_r, f=self.f, defer_future=self.defer_future)
+        return TlcrConfig(n=self.n, t_r=self.t_r, f=self.f)
 
 
 def tlcb_check_config(
@@ -56,7 +55,6 @@ def tlcb_check_config(
     t_b: int,
     f: int = 0,
     require_full_spread: bool = False,
-    defer_future: bool = False,
 ) -> TlcbConfig:
     """Validate every admission inequality, naming each violation.
 
@@ -81,9 +79,7 @@ def tlcb_check_config(
         bad.append(f"t_r + t_s > n violated (t_r={t_r}, t_s={t_s}, n={n})")
     if bad:
         raise ConfigError("; ".join(bad))
-    return TlcbConfig(
-        n=n, t_r=t_r, t_s=t_s, t_b=t_b, f=f, full_spread=full, defer_future=defer_future
-    )
+    return TlcbConfig(n=n, t_r=t_r, t_s=t_s, t_b=t_b, f=f, full_spread=full)
 
 
 def gather(

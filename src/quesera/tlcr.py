@@ -47,14 +47,13 @@ class TlcrConfig:
     n: int
     t_r: int
     f: int = 0
-    defer_future: bool = False
 
     @property
     def claim(self) -> TsbParams:
         return TsbParams(self.n, self.t_r, 0, 0)
 
 
-def tlcr_configure(n: int, t_r: int, f: int = 0, defer_future: bool = False) -> TlcrConfig:
+def tlcr_configure(n: int, t_r: int, f: int = 0) -> TlcrConfig:
     """Validate the receive-threshold admission: 0 <= t_r <= n and enough
     live nodes to meet it (f <= n - t_r)."""
     bad = []
@@ -64,7 +63,7 @@ def tlcr_configure(n: int, t_r: int, f: int = 0, defer_future: bool = False) -> 
         bad.append(f"f <= n - t_r violated (f={f}, n={n}, t_r={t_r})")
     if bad:
         raise ConfigError("; ".join(bad))
-    return TlcrConfig(n=n, t_r=t_r, f=f, defer_future=defer_future)
+    return TlcrConfig(n=n, t_r=t_r, f=f)
 
 
 class StepCollector:
@@ -75,14 +74,12 @@ class StepCollector:
     piggybacked sets of a message one step ahead.  While a step waits, the
     node context runs :meth:`handle` on each delivery of the lane."""
 
-    def __init__(self, ctx, node: int, tag: str, need: int, defer_future: bool = False):
+    def __init__(self, ctx, node: int, tag: str, need: int):
         self.ctx = ctx
         self.node = node
         self.tag = tag
         self.need = need
-        self.defer_future = defer_future
         self.step = 0
-        self._deferred: dict[int, list[StepMessage]] = {}
         self._replay: list[StepMessage] = []
 
     def _run_step(self, first: StepMessage):
@@ -91,7 +88,7 @@ class StepCollector:
         self.ctx.step_begin(self.tag)
         self.ctx.broadcast(first)
         replay, self._replay = self._replay, []
-        for msg in (*self._deferred.pop(self.step, ()), *replay):
+        for msg in replay:
             self.on_current(msg)
         if self.have() < self.need and not self.ctx.collect(self):
             yield  # resumed by the delivery that completes the step
@@ -103,9 +100,6 @@ class StepCollector:
             self.on_current(msg)
         elif msg.step < step:
             return False  # stale: its step is over, the message is lost
-        elif self.defer_future:
-            self._deferred.setdefault(msg.step, []).append(msg)
-            return False
         elif msg.step == step + 1:
             self.adopt(msg)  # the peer finished this step; take its sets
             self._replay.append(msg)  # and count its message at its own step
@@ -120,7 +114,7 @@ class Tlcr(StepCollector):
     """Per-node state machine for the receive-threshold layer."""
 
     def __init__(self, ctx, node: int, config: TlcrConfig, tag: str = "r"):
-        super().__init__(ctx, node, tag, config.t_r, config.defer_future)
+        super().__init__(ctx, node, tag, config.t_r)
         self._prev: frozenset[tuple[int, bytes]] = frozenset()
         self._cur: set[tuple[int, bytes]] = set()
 
@@ -135,7 +129,7 @@ class Tlcr(StepCollector):
                 sender=self.node,
                 step=self.step,
                 payload=m,
-                prior_r=None if self.defer_future else self._prev,
+                prior_r=self._prev,
             )
         )
         self._prev = frozenset(self._cur)

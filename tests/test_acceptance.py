@@ -15,7 +15,7 @@ import time
 from itertools import combinations, product
 
 from quesera.kvstore import FileStore, MemoryStore
-from quesera.netsim import SimConfig, mix64, run
+from quesera.netsim import STACKS, SimConfig, mix64, run
 from quesera.qsc import check_consensus, check_validity
 from quesera.qscod import ByteTally, Client, CountingStore, audit, qscod_params, run_clients
 from quesera.tlcb import spread_fault_budget, tlcb_check_config
@@ -134,7 +134,7 @@ def test_a3_every_recorded_layer_honours_its_claim():
     runs = problems = 0
     for cfg in corpus():
         res = run(cfg)
-        bad = validate_trace(res.trace, cfg.is_consensus)
+        bad = validate_trace(res.trace, STACKS[cfg.layer].consensus)
         problems += len(bad)
         runs += 1
         assert bad == [], f"{cfg.layer} n={cfg.n} seed={cfg.seed}: {bad[:3]}"

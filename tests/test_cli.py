@@ -202,6 +202,16 @@ def test_bad_configurations_exit_2_with_the_violation_named():
     assert "needs --path" in got.stderr
 
 
+def test_a_deadlocked_run_exits_1_with_its_report():
+    # two of four nodes crash where t_r = 3 needs one of them
+    got = cli("quesera.cli", "run", "--layer", "qsc-tlcb", "--n", "4", "--f", "1",
+              "--rounds", "6", "--crash", "0@4b", "--crash", "1@4b")
+    assert got.returncode == 1
+    assert got.stderr.startswith("qsc-sim: deadlock: ")
+    assert "2/3 senders" in got.stderr
+    assert "Traceback" not in got.stderr
+
+
 def test_store_server_speaks_the_protocol_over_pipes(tmp_path):
     log = tmp_path / "store.log"
     first = cli("quesera.kvstore", "--backend", "file", "--path", str(log),

@@ -28,17 +28,14 @@ from quesera.netsim import DELAY_POLICIES, LAYERS, SimConfig, run
 CORPUS = pathlib.Path(__file__).with_name("golden_traces.json")
 
 # Together these cover every stack in LAYERS, every delay policy, crashes
-# before and after a step's send, defer_future on and off, and the light
-# trace level used by long sweeps.
+# before and after a step's send, and the light trace level used by long
+# sweeps.
 CONFIGS: dict[str, dict] = {
     "tlcr-fixed": dict(layer="tlcr", n=4, f=1, rounds=6, delay="fixed"),
     "tlcr-random": dict(layer="tlcr", n=4, f=1, rounds=6),
-    "tlcr-random-defer": dict(layer="tlcr", n=4, f=1, rounds=6, defer_future=True),
     "tlcr-crash-before": dict(layer="tlcr", n=4, f=1, rounds=6, crashes=((2, 3, "before"),)),
     "tlcb-random": dict(layer="tlcb", n=4, f=1, rounds=5),
     "tlcb-adversarial": dict(layer="tlcb", n=5, f=1, rounds=5, delay="adversarial"),
-    "tlcb-adversarial-defer": dict(layer="tlcb", n=5, f=1, rounds=5, delay="adversarial",
-                                   defer_future=True),
     "tlcb-full-random": dict(layer="tlcb-full", n=4, f=1, rounds=5),
     "tlcw-adversarial": dict(layer="tlcw", n=4, f=1, rounds=5, delay="adversarial"),
     "tlcw-crash-after": dict(layer="tlcw", n=4, f=1, rounds=5, crashes=((0, 2, "after"),)),
@@ -49,8 +46,6 @@ CONFIGS: dict[str, dict] = {
     "qsc-tlcb-random": dict(layer="qsc-tlcb", n=6, f=2, rounds=5),
     "qsc-tlcb-crash-after": dict(layer="qsc-tlcb", n=4, f=1, rounds=6,
                                  crashes=((1, 6, "after"),)),
-    "qsc-tlcb-defer-crash-after": dict(layer="qsc-tlcb", n=4, f=1, rounds=6, defer_future=True,
-                                       crashes=((1, 6, "after"),)),
     "qsc-tlcb-light": dict(layer="qsc-tlcb", n=7, f=2, rounds=8, trace_level="light"),
     "qsc-tlcf-crash-after": dict(layer="qsc-tlcf", n=3, f=1, rounds=6,
                                  crashes=((1, 4, "after"),)),
@@ -72,12 +67,11 @@ def digests(kwargs: dict) -> dict:
     }
 
 
-def test_corpus_covers_every_layer_policy_crash_phase_and_catch_up_mode():
+def test_corpus_covers_every_layer_policy_and_crash_phase():
     cfgs = list(CONFIGS.values())
     assert {c["layer"] for c in cfgs} == set(LAYERS)
     assert {c.get("delay", "random") for c in cfgs} == set(DELAY_POLICIES)
     assert {phase for c in cfgs for *_, phase in c.get("crashes", ())} == {"before", "after"}
-    assert {c.get("defer_future", False) for c in cfgs} == {True, False}
     assert set(json.loads(CORPUS.read_text())) == set(CONFIGS)
 
 

@@ -125,6 +125,8 @@ def test_config_validation():
         SimConfig(layer="tlcr", crashes=((5, 1, "before"),), **ok)
     with pytest.raises(ConfigError, match="bad crash spec"):
         SimConfig(layer="tlcr", crashes=((1, 1, "during"),), **ok)
+    with pytest.raises(ConfigError, match="crash node 0 given twice"):
+        SimConfig(layer="tlcr", crashes=((0, 4, "before"), (0, 9, "after")), **ok)
     with pytest.raises(ConfigError):
         run(SimConfig(layer="qsc-tlcf", n=6, seed=0, rounds=1, f=2,
                       t_r=3, t_b=3, t_s=3))  # no receive overlap: rejected

@@ -1,4 +1,4 @@
-"""Receive-threshold layer: step mechanics, viral catch-up, deferral."""
+"""Receive-threshold layer: step mechanics and viral catch-up."""
 
 from __future__ import annotations
 
@@ -102,32 +102,6 @@ def test_future_gap_and_missing_piggyback_are_transport_errors():
                  0, tlcr_configure(3, 2))
     with pytest.raises(TransportIntegrityError, match="piggyback"):
         drive(layer.broadcast(b"m"))
-
-
-def test_defer_mode_buffers_instead_of_adopting():
-    """Deferred handling: early messages wait in a per-step bucket and the
-    wire frames carry no piggyback sets."""
-    ctx = ScriptedCtx([
-        plain(1, 2, b"early"),  # would be a viral trigger otherwise
-        plain(0, 1, b"self"), plain(2, 1, b"m2"),
-        plain(0, 2, b"self2"),  # step 2 then needs just one scripted message
-    ])
-    layer = Tlcr(ctx, 0, tlcr_configure(3, 2, defer_future=True))
-    res1 = drive(layer.broadcast(b"self"))
-    assert res1.r == {(0, b"self"), (2, b"m2")}
-    res2 = drive(layer.broadcast(b"self2"))
-    assert res2.r == {(0, b"self2"), (1, b"early")}
-    assert all(m.prior_r is None for m in ctx.broadcasts)
-
-
-def test_defer_mode_tolerates_wide_gaps():
-    ctx = ScriptedCtx([
-        plain(1, 4, b"far"),  # three steps ahead: fine when deferring
-        plain(0, 1, b"self"), plain(2, 1, b"m2"),
-    ])
-    layer = Tlcr(ctx, 0, tlcr_configure(3, 2, defer_future=True))
-    res = drive(layer.broadcast(b"self"))
-    assert res.r == {(0, b"self"), (2, b"m2")}
 
 
 def test_zero_threshold_returns_immediately():

@@ -18,6 +18,7 @@ from .qsc import check_consensus
 from .tlcr import ConfigError
 from .tsb import (
     RunTrace,
+    index_rets,
     validate_delivery,
     validate_fifo,
     validate_layer,
@@ -42,12 +43,13 @@ def validate_trace(trace: RunTrace, consensus: bool) -> list[str]:
     """Full validator panel for everything the trace recorded."""
     problems: list[str] = []
     if trace.rets:
+        index = index_rets(trace)
         for name, params in trace.layers.items():
             problems += validate_layer(trace, name, full_spread=params.t_s == trace.n,
-                                       b_in_r=STACKS[name].b_in_r)
+                                       b_in_r=STACKS[name].b_in_r, index=index)
         top = trace.top_layer
         for _, inner, per_call in STACKS[top].subs:
-            problems += validate_substeps(trace, top, inner, per_call)
+            problems += validate_substeps(trace, top, inner, per_call, index)
     if trace.xmits:
         problems += validate_fifo(trace)
         problems += validate_delivery(trace)
@@ -56,7 +58,18 @@ def validate_trace(trace: RunTrace, consensus: bool) -> list[str]:
     return problems
 
 
+# Options only the simulator reads, by argparse dest.  They default to None,
+# so a store-backed run can tell that one was given and refuse it.
+_SIM_ONLY = ("crash", "delay", "delay_scale", "trace_level", "trace_out")
+
+
+def _given(args: argparse.Namespace, dests) -> dict:
+    """Those of the options ``dests`` given on the command line."""
+    return {d: getattr(args, d) for d in dests if getattr(args, d, None) is not None}
+
+
 def build_config(args: argparse.Namespace, seed: int) -> SimConfig:
+    network = _given(args, ("delay", "delay_scale", "trace_level"))
     return SimConfig(
         layer=args.layer,
         n=args.n,
@@ -66,16 +79,18 @@ def build_config(args: argparse.Namespace, seed: int) -> SimConfig:
         t_r=args.t_r,
         t_b=args.t_b,
         t_s=args.t_s,
-        delay=args.delay,
-        delay_scale=args.delay_scale,
         crashes=tuple(args.crash or ()),
-        trace_level=args.trace_level,
+        **network,
     )
 
 
 def _run_qscod(args: argparse.Namespace, seed: int) -> tuple[Metrics, list[str], list[str]]:
     """Store-backed client run shaped into the common metrics record, with
     its problems and one line per store column that raised."""
+    given = _given(args, _SIM_ONLY)
+    if given:
+        flags = ", ".join("--" + d.replace("_", "-") for d in given)
+        raise ConfigError(f"--layer qscod does not take {flags} (simulated layers only)")
     params = qscod.qscod_params(args.n, args.f, args.t_r, args.t_s, args.t_b)
     raw = [qscod.MemoryStore() for _ in range(args.n)]
     done, problems, dead, tally = qscod.run_workload(
@@ -114,7 +129,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _, problems, trace = _run_seed(args, args.seed)
     if trace is not None and args.trace_out:
         with open(args.trace_out, "w", encoding="ascii") as fh:
-            fh.write(trace.serialize(include_transport=args.trace_level == "full"))
+            fh.write(trace.serialize())  # only a full trace holds transport records
     if args.validate:
         print(f"validate={'ok' if not problems else 'FAIL'}")
         for p in problems:
@@ -160,10 +175,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--t-r", type=int, dest="t_r")
         p.add_argument("--t-b", type=int, dest="t_b")
         p.add_argument("--t-s", type=int, dest="t_s")
-        p.add_argument("--delay", choices=netsim.DELAY_POLICIES, default="random")
-        p.add_argument("--delay-scale", type=int, default=4)
+        p.add_argument("--delay", choices=netsim.DELAY_POLICIES, help="default: random")
+        p.add_argument("--delay-scale", type=int, help="default: 4")
         p.add_argument("--crash", action="append", type=parse_crash, metavar="N@Sb|a")
-        p.add_argument("--trace-level", choices=netsim.TRACE_LEVELS, default="full")
+        p.add_argument("--trace-level", choices=netsim.TRACE_LEVELS, help="default: full")
         p.add_argument("--validate", action="store_true")
         p.add_argument("--clients", type=int, default=1, help="qscod only")
         p.add_argument("--messages", type=int, default=4, help="qscod only")

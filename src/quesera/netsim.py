@@ -140,7 +140,10 @@ class AdversarialDelay:
         return got
 
     def delay(self, sender: int, dest: int, index: int) -> int:
-        victims = self._victim_set(index // self.period)
+        window = index // self.period
+        victims = self._windows.get(window)
+        if victims is None:
+            victims = self._victim_set(window)
         if sender in victims or dest in victims:
             jitter = _fold(self._jitter_keys[sender * self.n + dest], index) % self.scale
             return self.scale * 40 + jitter
@@ -410,6 +413,7 @@ class Simulator:
         self.layer_config = configure(cfg.layer, cfg.n, cfg.f, cfg.t_r, cfg.t_b, cfg.t_s)
         self.trace = RunTrace(n=cfg.n, layers=self.stack.claims(self.layer_config))
         self.level = cfg.trace_level
+        self._full = cfg.trace_level == "full"
         self.now = 0
         self.order = 0
         self.unicasts = 0
@@ -419,6 +423,10 @@ class Simulator:
         # per channel, indexed sender * n + dest: unicasts sent, last arrival
         self._chan_seq = [0] * (cfg.n * cfg.n)
         self._chan_last = [0] * (cfg.n * cfg.n)
+        # recorder memos: payload -> sha256 digest (filled as payloads are
+        # sent), and returned set -> its trace rendering
+        self._digests: dict[bytes, bytes] = {}
+        self._rendered: dict[frozenset, tuple] = {}
         crash_plan = {node: (step, phase) for node, step, phase in cfg.crashes}
         self.ctxs = [_NodeCtx(self, i, crash_plan.get(i)) for i in range(cfg.n)]
 
@@ -428,33 +436,51 @@ class Simulator:
         self.order += 1
         return self.order
 
+    def _digest(self, payload: bytes) -> bytes:
+        digest = self._digests.get(payload)
+        if digest is None:
+            digest = self._digests[payload] = hashlib.sha256(payload).digest()
+        return digest
+
+    def _render(self, entries: frozenset) -> tuple:
+        """A returned set as recorded: its (sender, payload digest) pairs,
+        sorted.  Layers hand sets on (tlcf returns tlcw's B), so each set
+        object is usually rendered once."""
+        got = self._rendered.get(entries)
+        if got is None:
+            got = self._rendered[entries] = tuple(
+                sorted((s, self._digest(p)) for s, p in entries)
+            )
+        return got
+
     def rec_send(self, name: str, step: int, node: int, payload: bytes) -> None:
         if self.level != "light":
-            self.trace.sends.append(
-                (self.next_order(), name, step, node, hashlib.sha256(payload).digest())
-            )
+            self.order += 1
+            self.trace.sends.append((self.order, name, step, node, self._digest(payload)))
 
     def rec_ret(self, name: str, step: int, node: int, res) -> None:
         if self.level != "light":
-            r = tuple(sorted((s, hashlib.sha256(p).digest()) for s, p in res.r))
-            b = tuple(sorted((s, hashlib.sha256(p).digest()) for s, p in res.b))
-            self.trace.rets.append((self.next_order(), name, step, node, r, b))
+            self.order += 1
+            self.trace.rets.append(
+                (self.order, name, step, node, self._render(res.r), self._render(res.b))
+            )
 
     # -- transport --
 
     def xmit(self, sender: int, dest: int, msg: StepMessage, size: int) -> None:
         chan = sender * self.n + dest
-        seq = self._chan_seq[chan] + 1
-        self._chan_seq[chan] = seq
+        chan_seq, chan_last = self._chan_seq, self._chan_last
+        seq = chan_seq[chan] = chan_seq[chan] + 1
         arrival = self.now + self.policy.delay(sender, dest, seq)
-        if arrival <= self._chan_last[chan]:
-            arrival = self._chan_last[chan] + 1  # FIFO: never overtake
-        self._chan_last[chan] = arrival
+        if arrival <= chan_last[chan]:
+            arrival = chan_last[chan] + 1  # FIFO: never overtake
+        chan_last[chan] = arrival
         self.unicasts += 1  # doubles as the heap's tie-break sequence
         heappush(self._heap, (arrival, self.unicasts, sender, dest, seq, msg))
         self.bytes += size
-        if self.level == "full":
-            self.trace.xmits.append((self.next_order(), sender, dest, seq, size))
+        if self._full:
+            self.order += 1
+            self.trace.xmits.append((self.order, sender, dest, seq, size))
 
     # -- stacks and workloads --
 
@@ -508,7 +534,8 @@ class Simulator:
     def run(self) -> SimResult:
         make = self._consensus_program if self.stack.consensus else self._broadcast_program
         gens = [make(i, self.stack.build(self, i)) for i in range(self.n)]
-        ctxs, heap, full = self.ctxs, self._heap, self.level == "full"
+        ctxs, heap, full = self.ctxs, self._heap, self._full
+        dlvrs = self.trace.dlvrs
 
         def advance(node: int) -> None:
             try:
@@ -524,7 +551,8 @@ class Simulator:
             when, _, sender, dest, seq, msg = heappop(heap)
             self.now = when
             if full:
-                self.trace.dlvrs.append((self.next_order(), sender, dest, seq))
+                self.order += 1
+                dlvrs.append((self.order, sender, dest, seq))
             if ctxs[dest].deliver(msg):
                 advance(dest)
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 Entry = tuple[int, bytes]  # (sender, payload digest) in trace records
+# layer -> node -> that node's (order, step, R, B) returns, in order
+RetIndex = dict[str, dict[int, list[tuple[int, int, tuple[Entry, ...], tuple[Entry, ...]]]]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,40 +141,51 @@ def _set_digest(entries: tuple[Entry, ...]) -> str:
 
 
 def _layer_sends(trace: RunTrace, layer: str):
-    index: dict[tuple[int, int], bytes] = {}
+    """A layer's sends as step -> node -> payload digest, and its repeats."""
+    by_step: dict[int, dict[int, bytes]] = {}
     dups: list[str] = []
     for _, lname, step, node, digest in trace.sends:
         if lname != layer:
             continue
-        if (step, node) in index:
+        sent = by_step.setdefault(step, {})
+        if node in sent:
             dups.append(f"node {node} sent twice at {layer} step {step}")
-        index[(step, node)] = digest
-    return index, dups
+        sent[node] = digest
+    return by_step, dups
 
 
-def _layer_rets(trace: RunTrace, layer: str):
-    per_node: dict[int, list[tuple[int, int, tuple, tuple]]] = {}
-    for order, lname, step, node, r, b in trace.rets:
-        if lname != layer:
-            continue
-        per_node.setdefault(node, []).append((order, step, r, b))
-    for seq in per_node.values():
-        seq.sort()
-    return per_node
+def index_rets(trace: RunTrace) -> RetIndex:
+    """Every layer's returns, per node and in order, from one pass over the
+    trace.  The checks below take it as ``index`` so that a panel of them
+    scans the returns once; each builds its own when given none."""
+    index: RetIndex = {}
+    for order, layer, step, node, r, b in trace.rets:
+        index.setdefault(layer, {}).setdefault(node, []).append((order, step, r, b))
+    for per_node in index.values():
+        for seq in per_node.values():
+            seq.sort()
+    return index
 
 
-def validate_lockstep(trace: RunTrace, layer: Optional[str] = None) -> list[str]:
+def _layer_rets(trace: RunTrace, layer: str, index: Optional[RetIndex]):
+    return (index_rets(trace) if index is None else index).get(layer, {})
+
+
+def validate_lockstep(
+    trace: RunTrace, layer: Optional[str] = None, index: Optional[RetIndex] = None
+) -> list[str]:
     """Check lock-step synchrony: per node, broadcast calls return one per
     step in order 1,2,3,... and every returned set entry is a message some
     node actually sent at that same layer step."""
     layer = layer or trace.top_layer
     bad: list[str] = []
-    send_index, dups = _layer_sends(trace, layer)
+    sends, dups = _layer_sends(trace, layer)
     bad.extend(dups)
-    per_node = _layer_rets(trace, layer)
+    per_node = _layer_rets(trace, layer, index)
     send_steps: dict[int, list[int]] = {}
-    for (step, node), _ in send_index.items():
-        send_steps.setdefault(node, []).append(step)
+    for step, sent in sends.items():
+        for node in sent:
+            send_steps.setdefault(node, []).append(step)
     for node, steps in sorted(send_steps.items()):
         steps.sort()
         if steps != list(range(1, len(steps) + 1)):
@@ -183,11 +196,12 @@ def validate_lockstep(trace: RunTrace, layer: Optional[str] = None) -> list[str]
             if step != want:
                 bad.append(f"node {node} {layer} returned step {step}, expected {want}")
             want = step + 1
-            if (step, node) not in send_index:
+            at_step = sends.get(step, {})
+            if node not in at_step:
                 bad.append(f"node {node} {layer} step {step} returned without sending")
             for tag, entries in (("R", r), ("B", b)):
                 for sender, digest in entries:
-                    sent = send_index.get((step, sender))
+                    sent = at_step.get(sender)
                     if sent is None:
                         bad.append(
                             f"node {node} {layer} step {step} {tag} holds a message "
@@ -208,7 +222,10 @@ def validate_lockstep(trace: RunTrace, layer: Optional[str] = None) -> list[str]
 
 
 def validate_thresholds(
-    trace: RunTrace, params: Optional[TsbParams] = None, layer: Optional[str] = None
+    trace: RunTrace,
+    params: Optional[TsbParams] = None,
+    layer: Optional[str] = None,
+    index: Optional[RetIndex] = None,
 ) -> list[str]:
     """Check receive/broadcast/spread thresholds of one layer.
 
@@ -219,11 +236,12 @@ def validate_thresholds(
     layer = layer or trace.top_layer
     params = params or trace.layers[layer]
     bad: list[str] = []
-    per_node = _layer_rets(trace, layer)
+    per_node = _layer_rets(trace, layer, index)
     by_step: dict[int, list[tuple[int, tuple, tuple]]] = {}
     for node, seq in per_node.items():
         for _, step, r, b in seq:
             by_step.setdefault(step, []).append((node, r, b))
+    t_r, t_b, t_s = params.t_r, params.t_b, params.t_s
     for step, rows in sorted(by_step.items()):
         present: dict[Entry, int] = {}
         for _, r, _ in rows:
@@ -231,33 +249,35 @@ def validate_thresholds(
                 present[entry] = present.get(entry, 0) + 1
         missing = trace.n - len(rows)  # nodes that never returned this step
         for node, r, b in rows:
-            if len(senders(r)) < params.t_r:
+            have = len(senders(r))
+            if have < t_r:
                 bad.append(
-                    f"node {node} {layer} step {step}: |R senders| "
-                    f"{len(senders(r))} < t_r={params.t_r}"
+                    f"node {node} {layer} step {step}: |R senders| {have} < t_r={t_r}"
                 )
-            if len(senders(b)) < params.t_b:
+            have = len(senders(b))
+            if have < t_b:
                 bad.append(
-                    f"node {node} {layer} step {step}: |B senders| "
-                    f"{len(senders(b))} < t_b={params.t_b}"
+                    f"node {node} {layer} step {step}: |B senders| {have} < t_b={t_b}"
                 )
             for entry in b:
                 reach = present.get(entry, 0) + missing
-                if reach < params.t_s:
+                if reach < t_s:
                     bad.append(
                         f"node {node} {layer} step {step}: B message from "
-                        f"{entry[0]} reached {reach} < t_s={params.t_s} nodes"
+                        f"{entry[0]} reached {reach} < t_s={t_s} nodes"
                     )
     return bad
 
 
-def validate_fullspread(trace: RunTrace, layer: Optional[str] = None) -> list[str]:
+def validate_fullspread(
+    trace: RunTrace, layer: Optional[str] = None, index: Optional[RetIndex] = None
+) -> list[str]:
     """Check the full-spread property: any step-s B set is contained in every
     step-s R set returned by any node."""
     layer = layer or trace.top_layer
     bad: list[str] = []
     by_step: dict[int, list[tuple[int, frozenset, tuple]]] = {}
-    for node, seq in _layer_rets(trace, layer).items():
+    for node, seq in _layer_rets(trace, layer, index).items():
         for _, step, r, b in seq:
             by_step.setdefault(step, []).append((node, frozenset(r), b))
     for step, rows in sorted(by_step.items()):
@@ -272,12 +292,14 @@ def validate_fullspread(trace: RunTrace, layer: Optional[str] = None) -> list[st
     return bad
 
 
-def validate_b_in_r(trace: RunTrace, layer: Optional[str] = None) -> list[str]:
+def validate_b_in_r(
+    trace: RunTrace, layer: Optional[str] = None, index: Optional[RetIndex] = None
+) -> list[str]:
     """Layer-local containment check: every returned B is a subset of the
     same call's R (claimed per layer by the stack table in netsim)."""
     layer = layer or trace.top_layer
     bad: list[str] = []
-    for node, seq in sorted(_layer_rets(trace, layer).items()):
+    for node, seq in sorted(_layer_rets(trace, layer, index).items()):
         for _, step, r, b in seq:
             if not set(b) <= set(r):
                 bad.append(f"node {node} {layer} step {step}: B not within R")
@@ -285,13 +307,16 @@ def validate_b_in_r(trace: RunTrace, layer: Optional[str] = None) -> list[str]:
 
 
 def validate_substeps(
-    trace: RunTrace, outer: str, inner: str, per_step: int
+    trace: RunTrace, outer: str, inner: str, per_step: int,
+    index: Optional[RetIndex] = None,
 ) -> list[str]:
     """Check that each outer-layer step consumed exactly ``per_step`` steps of
     the inner layer, in order."""
     bad: list[str] = []
-    outer_rets = _layer_rets(trace, outer)
-    inner_rets = _layer_rets(trace, inner)
+    if index is None:
+        index = index_rets(trace)
+    outer_rets = _layer_rets(trace, outer, index)
+    inner_rets = _layer_rets(trace, inner, index)
     for node, seq in sorted(outer_rets.items()):
         inner_seq = inner_rets.get(node, [])
         if node not in trace.crashes and len(inner_seq) != per_step * len(seq):
@@ -310,45 +335,67 @@ def validate_substeps(
     return bad
 
 
+def _no_channel(sender: int, dest: int, n: int) -> str:
+    return f"channel {sender}->{dest}: no such channel among {n} nodes"
+
+
 def validate_fifo(trace: RunTrace) -> list[str]:
     """Per-channel delivery order equals send order (needs a full trace)."""
+    n = trace.n
     bad: list[str] = []
-    last: dict[tuple[int, int], int] = {}
+    last = [0] * (n * n)  # per channel, indexed sender * n + dest
     for _, sender, dest, seq in trace.dlvrs:
-        prev = last.get((sender, dest), 0)
+        if not (0 <= sender < n and 0 <= dest < n):
+            bad.append(_no_channel(sender, dest, n))
+            continue
+        chan = sender * n + dest
+        prev = last[chan]
         if seq <= prev:
             bad.append(f"channel {sender}->{dest}: delivery {seq} after {prev}")
-        last[(sender, dest)] = seq
+        last[chan] = seq
     return bad
 
 
 def validate_delivery(trace: RunTrace) -> list[str]:
-    """Every transmitted unicast was eventually delivered (needs full trace;
-    the simulator drains in-flight traffic before finishing a run)."""
-    sent: dict[tuple[int, int], int] = {}
-    got: dict[tuple[int, int], int] = {}
+    """Every transmitted unicast was eventually delivered, and nothing else
+    was (needs full trace; the simulator drains in-flight traffic before
+    finishing a run)."""
+    n = trace.n
+    bad: list[str] = []
+    sent = [0] * (n * n)  # per channel, indexed sender * n + dest
+    got = [0] * (n * n)
     for _, sender, dest, _, _ in trace.xmits:
-        sent[(sender, dest)] = sent.get((sender, dest), 0) + 1
+        if 0 <= sender < n and 0 <= dest < n:
+            sent[sender * n + dest] += 1
+        else:
+            bad.append(_no_channel(sender, dest, n))
     for _, sender, dest, _ in trace.dlvrs:
-        got[(sender, dest)] = got.get((sender, dest), 0) + 1
-    bad = []
-    for chan, k in sorted(sent.items()):
-        if got.get(chan, 0) != k:
-            bad.append(
-                f"channel {chan[0]}->{chan[1]}: {k} sent, {got.get(chan, 0)} delivered"
-            )
+        if 0 <= sender < n and 0 <= dest < n:
+            got[sender * n + dest] += 1
+        else:
+            bad.append(_no_channel(sender, dest, n))
+    for chan, k in enumerate(sent):
+        if got[chan] != k:
+            bad.append(f"channel {chan // n}->{chan % n}: {k} sent, {got[chan]} delivered")
     return bad
 
 
 def validate_layer(
-    trace: RunTrace, layer: str, full_spread: bool, b_in_r: bool = False
+    trace: RunTrace,
+    layer: str,
+    full_spread: bool,
+    b_in_r: bool = False,
+    index: Optional[RetIndex] = None,
 ) -> list[str]:
-    """Run panel of contract checks for one recorded layer at its claim."""
+    """Run panel of contract checks for one recorded layer at its claim,
+    over one index of the trace's returns."""
+    if index is None:
+        index = index_rets(trace)
     params = trace.layers[layer]
-    bad = validate_lockstep(trace, layer)
-    bad += validate_thresholds(trace, params, layer)
+    bad = validate_lockstep(trace, layer, index)
+    bad += validate_thresholds(trace, params, layer, index)
     if full_spread:
-        bad += validate_fullspread(trace, layer)
+        bad += validate_fullspread(trace, layer, index)
     if b_in_r:
-        bad += validate_b_in_r(trace, layer)
+        bad += validate_b_in_r(trace, layer, index)
     return bad

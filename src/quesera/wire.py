@@ -25,6 +25,7 @@ REQ = "q"
 ACK = "a"
 WIT = "w"
 _KINDS = (PLAIN, REQ, ACK, WIT)
+_LANES = frozenset(map(chr, range(128)))  # a lane tag is one ASCII character
 
 # Fixed frame header: layer, kind, flags u8, sender u32, step u32, and the
 # payload's u32 length prefix.  A piggybacked set adds a u32 count, and each
@@ -33,10 +34,11 @@ _FRAME_HEAD = 15
 _SET_HEAD = 4
 _SET_ENTRY_HEAD = 4 + DIGEST_SIZE + 4
 
-# Entries kept by the memoized decoders.  A gossiped payload is decoded by
-# every receiver of its step and by every later lookup in the same round, all
-# within a few dozen distinct payloads, so a small memo catches nearly all of
-# it while its memory stays bounded.
+# Entries kept by each memo below.  A gossiped payload is decoded by every
+# receiver of its step and by every later lookup in the same round, and a
+# piggybacked set rides on every frame its sender sends in a step (a tlcw
+# REQ, its n ACKs and its WIT), all within a few dozen distinct values, so a
+# small memo catches nearly all of it while its memory stays bounded.
 DECODE_MEMO_SIZE = 64
 
 
@@ -125,7 +127,7 @@ class StepMessage:
 
 
 def _check_lane(msg: StepMessage) -> None:
-    if len(msg.layer) != 1 or not msg.layer.isascii() or msg.kind not in _KINDS:
+    if msg.layer not in _LANES or msg.kind not in _KINDS:
         raise WireError(f"bad layer/kind {msg.layer!r}/{msg.kind!r}")
 
 
@@ -146,14 +148,22 @@ def encode_step_message(msg: StepMessage) -> bytes:
     return b"".join(parts)
 
 
+@functools.lru_cache(maxsize=DECODE_MEMO_SIZE)
+def _set_size(entries: EntrySet) -> int:
+    """Encoded length of one piggybacked set.  Memoized: a set is immutable,
+    and the frames of a step share their sender's two sets."""
+    return _SET_HEAD + sum(_SET_ENTRY_HEAD + len(p) for _, p in entries)
+
+
 def frame_size(msg: StepMessage) -> int:
     """``len(encode_step_message(msg))``, worked out from the format without
     building the frame."""
     _check_lane(msg)
     size = _FRAME_HEAD + len(msg.payload)
-    for entries in (msg.prior_r, msg.prior_b):
-        if entries is not None:
-            size += _SET_HEAD + sum(_SET_ENTRY_HEAD + len(p) for _, p in entries)
+    if msg.prior_r is not None:
+        size += _set_size(msg.prior_r)
+    if msg.prior_b is not None:
+        size += _set_size(msg.prior_b)
     return size
 
 

@@ -81,6 +81,34 @@ def test_qscod_layer_runs_with_the_f_given(capsys, command, f):
     assert parse_metrics(capsys.readouterr().out.splitlines()[0])["f"] == f
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("extra,named", [
+    (["--crash", "0@4b", "--delay", "adversarial"], "--crash, --delay"),
+    (["--delay", "random"], "--delay"),  # the simulator's default, but given
+    (["--delay-scale", "4"], "--delay-scale"),
+    (["--trace-level", "light"], "--trace-level"),
+])
+def test_qscod_layer_refuses_simulator_flags(capsys, command, extra, named):
+    argv = [command, "--layer", "qscod", "--n", "4", "--f", "1", "--rounds", "20",
+            "--messages", "2", "--validate", *extra]
+    with pytest.raises(SystemExit) as exited:
+        sim_main(argv)
+    assert exited.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"qsc-sim: error: --layer qscod does not take {named} "
+                       "(simulated layers only)\n")
+
+
+def test_qscod_run_refuses_a_trace_file(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exited:
+        sim_main(["run", "--layer", "qscod", "--n", "3", "--rounds", "20",
+                  "--trace-out", str(tmp_path / "t")])
+    assert exited.value.code == 2
+    assert "does not take --trace-out" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
 def test_qscod_tools_fail_when_a_client_raises(capsys, monkeypatch):
     run = qscod.Client.run
 

@@ -1,5 +1,6 @@
 """Trace validators: a clean hand-built trace passes, every broken promise
-is caught by the matching check."""
+is caught by the matching check, and the panel over one shared index of the
+returns finds exactly what the checks find one by one."""
 
 from __future__ import annotations
 
@@ -8,10 +9,12 @@ import hashlib
 from quesera.tsb import (
     RunTrace,
     TsbParams,
+    index_rets,
     validate_b_in_r,
     validate_delivery,
     validate_fifo,
     validate_fullspread,
+    validate_layer,
     validate_lockstep,
     validate_substeps,
     validate_thresholds,
@@ -35,12 +38,25 @@ def two_node_trace() -> RunTrace:
     return t
 
 
+def panel(t: RunTrace) -> list[str]:
+    """Layer x's findings through ``validate_layer``, after checking that
+    they equal the four checks run one by one, each indexing the trace
+    itself, whether the panel is handed an index or builds its own."""
+    singles = (validate_lockstep(t, "x") + validate_thresholds(t, layer="x")
+               + validate_fullspread(t, "x") + validate_b_in_r(t, "x"))
+    shared = validate_layer(t, "x", full_spread=True, b_in_r=True, index=index_rets(t))
+    assert shared == singles
+    assert validate_layer(t, "x", full_spread=True, b_in_r=True) == singles
+    return shared
+
+
 def test_clean_trace_passes_everything():
     t = two_node_trace()
     assert validate_lockstep(t) == []
     assert validate_thresholds(t) == []
     assert validate_fullspread(t) == []
     assert validate_b_in_r(t) == []
+    assert panel(t) == []
 
 
 def test_lockstep_catches_foreign_payload():
@@ -48,6 +64,7 @@ def test_lockstep_catches_foreign_payload():
     r = ((0, d(b"m0")), (1, d(b"FORGED")))
     t.rets[0] = (3, "x", 1, 0, r, ())
     assert any("foreign payload" in s for s in validate_lockstep(t))
+    assert panel(t)
 
 
 def test_lockstep_catches_never_sent():
@@ -55,18 +72,22 @@ def test_lockstep_catches_never_sent():
     r = ((0, d(b"m0")), (7, d(b"ghost")))
     t.rets[0] = (3, "x", 1, 0, r, ())
     assert any("never sent" in s for s in validate_lockstep(t))
+    assert panel(t)
 
 
 def test_lockstep_catches_gaps_and_silent_stops():
     t = two_node_trace()
     t.rets[1] = (4, "x", 3, 1, t.rets[1][4], ())  # returned step 3, never 1..2
     assert any("expected" in s for s in validate_lockstep(t))
+    assert panel(t)
 
     t = two_node_trace()
     del t.rets[1]  # node 1 sent but never returned, and no crash recorded
     assert any("without a crash" in s for s in validate_lockstep(t))
+    assert panel(t)
     t.crashes[1] = (1, "after")  # ...a recorded crash excuses it
     assert validate_lockstep(t) == []
+    assert panel(t) == []
 
 
 def test_thresholds_catch_thin_sets():
@@ -74,10 +95,12 @@ def test_thresholds_catch_thin_sets():
     t.rets[0] = (3, "x", 1, 0, ((0, d(b"m0")),), ((0, d(b"m0")),))
     bad = validate_thresholds(t)
     assert any("|R senders| 1 < t_r=2" in s for s in bad)
+    assert panel(t)
 
     t = two_node_trace()
     t.rets[0] = (3, "x", 1, 0, t.rets[0][4], ())
     assert any("|B senders| 0 < t_b=1" in s for s in validate_thresholds(t))
+    assert panel(t)
 
 
 def test_spread_counts_silent_nodes_as_reached():
@@ -89,6 +112,7 @@ def test_spread_counts_silent_nodes_as_reached():
     t.rets = [(3, "x", 1, 0, ((0, d(b"m0")),), ((0, d(b"m0")),))]
     params = TsbParams(2, 1, 1, 2)
     assert validate_thresholds(t, params) == []
+    assert panel(t)  # at the trace's own claim, t_r=2, R is one sender short
 
     # but a returned R missing the B message does count against it
     t = two_node_trace()
@@ -96,6 +120,7 @@ def test_spread_counts_silent_nodes_as_reached():
     t.rets[1] = (4, "x", 1, 1, ((0, d(b"m0")),), ())
     bad = validate_thresholds(t)  # m1 only in node 0's returned R: reach 1 < 2
     assert any("reached 1 < t_s=2" in s for s in bad)
+    assert panel(t)
 
 
 def test_fullspread_and_containment():
@@ -103,10 +128,12 @@ def test_fullspread_and_containment():
     # node 1's R lost node 0's message, but node 0 still has it in B
     t.rets[1] = (4, "x", 1, 1, ((1, d(b"m1")),), ())
     assert any("missing in R of node 1" in s for s in validate_fullspread(t))
+    assert panel(t)
 
     t = two_node_trace()
     t.rets[0] = (3, "x", 1, 0, ((0, d(b"m0")),), ((1, d(b"m1")),))
     assert any("B not within R" in s for s in validate_b_in_r(t))
+    assert panel(t)
 
 
 def test_substeps_counts_and_ordering():
@@ -118,9 +145,11 @@ def test_substeps_counts_and_ordering():
               (6, "o", 1, 0, ((0, d(b"m")),), ())]
     assert validate_substeps(t, "o", "i", 2) == []
     assert any("want x3" in s for s in validate_substeps(t, "o", "i", 3))
+    assert validate_substeps(t, "o", "i", 3, index_rets(t)) == validate_substeps(t, "o", "i", 3)
     # outer returning before its inner sub-steps is a nesting violation
     t.rets[2] = (4, "o", 1, 0, ((0, d(b"m")),), ())
     assert any("before its" in s for s in validate_substeps(t, "o", "i", 2))
+    assert validate_substeps(t, "o", "i", 2, index_rets(t)) == validate_substeps(t, "o", "i", 2)
 
 
 def test_transport_checks():
@@ -131,10 +160,26 @@ def test_transport_checks():
     assert validate_delivery(t) == []
 
     t.dlvrs = [(3, 0, 1, 2), (4, 0, 1, 1)]  # out of order
-    assert any("after" in s for s in validate_fifo(t))
+    assert validate_fifo(t) == ["channel 0->1: delivery 1 after 2"]
 
     t.dlvrs = [(3, 0, 1, 1)]  # one frame evaporated
-    assert any("2 sent, 1 delivered" in s for s in validate_delivery(t))
+    assert validate_delivery(t) == ["channel 0->1: 2 sent, 1 delivered"]
+
+    # deliveries on a channel that carried no xmits
+    t.dlvrs = [(3, 0, 1, 1), (4, 0, 1, 2), (5, 1, 0, 1)]
+    assert validate_fifo(t) == []
+    assert validate_delivery(t) == ["channel 1->0: 0 sent, 1 delivered"]
+
+    # seq skips from 1 to 3: still in order, but frame 2 never arrived
+    t.xmits.append((3, 0, 1, 3, 10))
+    t.dlvrs = [(4, 0, 1, 1), (5, 0, 1, 3)]
+    assert validate_fifo(t) == []
+    assert validate_delivery(t) == ["channel 0->1: 3 sent, 2 delivered"]
+
+    # a record naming a node outside the run
+    t.dlvrs = [(4, 0, 1, 1), (5, 0, 1, 2), (6, 0, 1, 3), (7, 2, 0, 1)]
+    assert validate_fifo(t) == ["channel 2->0: no such channel among 2 nodes"]
+    assert validate_delivery(t) == ["channel 2->0: no such channel among 2 nodes"]
 
 
 def test_serialization_is_stable():

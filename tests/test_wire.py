@@ -18,6 +18,7 @@ from quesera.wire import (
     WIT,
     StepMessage,
     WireError,
+    _set_size,
     decode_entry_set,
     decode_step_message,
     encode_entry_set,
@@ -150,6 +151,33 @@ step_messages = st.builds(
 @given(step_messages)
 def test_frame_size_is_the_encoded_length(msg):
     assert frame_size(msg) == len(encode_step_message(msg))
+
+
+def test_frame_size_of_frames_sharing_their_sets():
+    # one witnessed step: a REQ, an ACK per peer and a WIT, all carrying the
+    # sender's same two set objects
+    prior_r = frozenset({(0, b"a" * 40), (1, b""), (2, bytes(range(200)))})
+    prior_b = frozenset({(0, b"a" * 40)})
+    step = [StepMessage("w", REQ, 3, 7, b"m", prior_r, prior_b)]
+    step += [StepMessage("w", ACK, 3, 7, b"p%d" % peer, prior_r, prior_b) for peer in range(5)]
+    step += [StepMessage("w", WIT, 3, 7, b"m", prior_r, prior_b)]
+    for msg in step:
+        assert frame_size(msg) == len(encode_step_message(msg))
+    # a set equal to a remembered one, as a distinct object, sizes the same
+    twin_r = frozenset(list(prior_r))
+    assert twin_r == prior_r and twin_r is not prior_r
+    for msg in (StepMessage("r", PLAIN, 1, 2, b"", twin_r),
+                StepMessage("w", ACK, 1, 2, b"xy", frozenset(prior_b), twin_r),
+                StepMessage("w", ACK, 1, 2, b"xy", twin_r, frozenset())):
+        assert frame_size(msg) == len(encode_step_message(msg))
+
+
+def test_set_size_memo_stays_bounded():
+    for k in range(3 * DECODE_MEMO_SIZE):
+        entries = frozenset({(k, b"x" * (k % 7)), (k + 1, b"")})
+        msg = StepMessage("r", PLAIN, 0, 1, b"m", entries, entries)
+        assert frame_size(msg) == len(encode_step_message(msg))
+        assert _set_size.cache_info().currsize <= DECODE_MEMO_SIZE
 
 
 @pytest.mark.parametrize("layer,kind", [("", PLAIN), ("rr", PLAIN), ("\xe9", PLAIN),

@@ -76,6 +76,18 @@ def encode_hit(value: bytes) -> str:
     return f"V {b64(value)}\n"
 
 
+def _b64_size(n: int) -> int:
+    """``len(b64(data))`` for ``n == len(data)``."""
+    return 4 * ((n + 2) // 3) if n else 1
+
+
+def write_read_size(key: bytes, value: bytes, got: bytes) -> int:
+    """``len(encode_request("WR", key, value)) + len(encode_hit(got))``,
+    worked out from the line format without encoding: ``WR``, ``V``, three
+    separators and two newlines make 8 bytes, plus the three fields."""
+    return 8 + _b64_size(len(key)) + _b64_size(len(value)) + _b64_size(len(got))
+
+
 class _Store:
     """Shared write-once machinery; subclasses supply the commit action."""
 
@@ -122,7 +134,8 @@ class FileStore(_Store):
     input for the protocol server, which makes debugging a matter of cat.
     A final line without its newline is an append torn by a crash, whose
     write never returned: opening cuts it off.  Any complete line that does
-    not parse still raises.
+    not parse still raises.  The log is unbuffered, so each append reaches
+    the file in one write call (more only if the write comes back short).
     """
 
     def __init__(self, path: str):
@@ -151,11 +164,13 @@ class FileStore(_Store):
             pass
         if torn_at is not None:
             os.truncate(path, torn_at)
-        self._fh = open(path, "a", encoding="ascii")
+        self._fh = open(path, "ab", buffering=0)
 
     def _commit(self, key: bytes, value: bytes) -> None:
-        self._fh.write(encode_request("W", key, value))
-        self._fh.flush()
+        line = encode_request("W", key, value).encode("ascii")
+        done = self._fh.write(line)
+        while done < len(line):  # a short write: append the rest
+            done += self._fh.write(line[done:])
         super()._commit(key, value)
 
     def close(self) -> None:

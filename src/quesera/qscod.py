@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import queue
 import struct
 import threading
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .chain import GENESIS, ChainError, History, Proposal
-from .kvstore import MemoryStore, encode_hit, encode_request, open_store
+from .kvstore import MemoryStore, ProtocolError, open_store, write_read_size
 from .netsim import configure, mix64
 from .qsc import check_one_chain, decide, step2_candidate
 from .tlcb import TlcbConfig, gather
@@ -100,7 +101,9 @@ def qscod_params(
 
 class CountingStore:
     """Store wrapper billing every operation at its line-protocol cost, so
-    in-process measurements reflect what the wire would carry."""
+    in-process measurements reflect what the wire would carry.  The cost is
+    sized from the line format (:func:`kvstore.write_read_size`), not
+    encoded."""
 
     def __init__(self, inner, tally: "ByteTally"):
         self.inner = inner
@@ -108,7 +111,7 @@ class CountingStore:
 
     def write_read(self, key: bytes, value: bytes) -> bytes:
         got = self.inner.write_read(key, value)
-        self.tally.add(len(encode_request("WR", key, value)) + len(encode_hit(got)))
+        self.tally.add(write_read_size(key, value, got))
         return got
 
 
@@ -130,26 +133,34 @@ class WaitCache:
 
     A client waits on its keys in increasing order, so once a key is answered
     it and every smaller key are done: the answer is handed over and dropped,
-    and late columns for them are ignored."""
+    and late columns for them are ignored.
+
+    One thread waits at a time, and it is woken once per key: by the column
+    that brings the key it waits on to the columns it needs."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._got: dict[bytes, dict[int, bytes]] = {}
         self._answered = b""  # sorts below every slot key
+        self._waiting: Optional[tuple[bytes, int]] = None  # (key, need) of the waiter
 
     def put(self, key: bytes, column: int, value: bytes) -> None:
         with self._cond:
             if key <= self._answered:
                 return
-            self._got.setdefault(key, {})[column] = value
-            self._cond.notify_all()
+            cols = self._got.setdefault(key, {})
+            cols[column] = value
+            if (key, len(cols)) == self._waiting:
+                self._cond.notify()
 
     def wait(self, key: bytes, need: int, timeout: float = WAIT_TIMEOUT) -> dict[int, bytes]:
         with self._cond:
+            self._waiting = (key, need)
             ok = self._cond.wait_for(
                 lambda: len(self._got.get(key, ())) >= need, timeout
             )
+            self._waiting = None
             if not ok:
                 have = len(self._got.get(key, ()))
                 raise TimeoutError(f"{have}/{need} columns answered for {key.hex()}")
@@ -449,6 +460,21 @@ def audit(stores, params: TlcbConfig, reports: Iterable[ClientReport]) -> list[s
 # --- command line ------------------------------------------------------------
 
 
+def _store_paths(template: str, n: int) -> list[str]:
+    """The log path of each of n columns, ``template`` formatted with
+    ``i=column``.  Raises ValueError naming the template if it does not
+    format, or if two columns would share a log, whose replay would hand
+    each one the other's writes."""
+    try:
+        paths = [template.format(i=i) for i in range(n)]
+    except (KeyError, IndexError, ValueError, AttributeError, TypeError) as exc:
+        raise ValueError(f"--path-template {template!r} does not format: {exc!r}") from exc
+    if len({os.path.abspath(p) for p in paths}) < n:
+        raise ValueError(f"--path-template {template!r} gives two columns one log; "
+                         "put '{i}' in it")
+    return paths
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="qscod",
@@ -476,11 +502,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         raw = [MemoryStore() for _ in range(args.stores)]
     else:
         try:
-            raw = [
-                open_store("file", args.path_template.format(i=i))
-                for i in range(args.stores)
-            ]
-        except OSError as exc:
+            raw = [open_store("file", p) for p in _store_paths(args.path_template, args.stores)]
+        except (OSError, ValueError, ProtocolError) as exc:
             parser.exit(2, f"{parser.prog}: error: {exc}\n")
     done, problems, dead, tally = run_workload(
         raw, params, args.clients, args.messages, args.rounds, args.seed

@@ -230,6 +230,35 @@ def test_bad_configurations_exit_2_with_the_violation_named():
     assert "needs --path" in got.stderr
 
 
+@pytest.mark.parametrize("template, named", [
+    ("same.log", "gives two columns one log"),
+    ("s{i}/../same.log", "gives two columns one log"),  # distinct text, one file
+    ("s{j}.log", "does not format: KeyError('j')"),
+    ("s{0}.log", "does not format: IndexError"),
+    ("s{i", "does not format: ValueError"),
+])
+def test_qscod_refuses_a_path_template_without_one_log_per_column(
+        capsys, tmp_path, template, named):
+    template = str(tmp_path / template)
+    with pytest.raises(SystemExit) as exit_:
+        qscod.main(["--stores", "3", "--clients", "1", "--messages", "3",
+                    "--backend", "file", "--path-template", template])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"qscod: error: --path-template {template!r} {named}")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert list(tmp_path.iterdir()) == []  # no log was opened
+
+
+def test_qscod_refuses_a_damaged_log(capsys, tmp_path):
+    (tmp_path / "s0.log").write_text("R a2V5\n", encoding="ascii")
+    with pytest.raises(SystemExit) as exit_:
+        qscod.main(["--stores", "3", "--clients", "1", "--messages", "1",
+                    "--backend", "file", "--path-template", str(tmp_path / "s{i}.log")])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err == "qscod: error: log holds a non-write line: 'R a2V5'\n"
+
+
 def test_a_deadlocked_run_exits_1_with_its_report():
     # two of four nodes crash where t_r = 3 needs one of them
     got = cli("quesera.cli", "run", "--layer", "qsc-tlcb", "--n", "4", "--f", "1",

@@ -14,11 +14,13 @@ from quesera.kvstore import (
     MemoryStore,
     ProtocolError,
     b64,
+    encode_hit,
     encode_request,
     open_store,
     parse_request,
     serve,
     unb64,
+    write_read_size,
 )
 
 
@@ -113,6 +115,38 @@ def test_file_store_drops_a_torn_final_line(tmp_path):
         path.write_bytes(whole + damage)
         with pytest.raises(ProtocolError, match=error):
             FileStore(str(path))
+
+
+def test_file_store_appends_whole_lines_through_short_writes(tmp_path):
+    path = tmp_path / "wal"
+    store = FileStore(str(path))
+    log = store._fh
+
+    class Trickle:  # a log that takes at most 3 bytes per write
+        def write(self, data):
+            return log.write(data[:3])
+
+        def close(self):
+            log.close()
+
+    store._fh = Trickle()
+    writes = {b"a": b"1", b"": b"", b"key-two": b"value" * 7}
+    for key, value in writes.items():
+        assert store.write_read(key, value) == value
+    assert store.write_read(b"a", b"again") == b"1"
+    store.close()
+    assert path.read_bytes() == b"".join(
+        encode_request("W", key, value).encode() for key, value in writes.items())
+    again = FileStore(str(path))
+    assert again.snapshot() == writes
+    again.close()
+
+
+@given(st.binary(max_size=64), st.binary(max_size=64), st.binary(max_size=64))
+@example(b"", b"", b"")
+def test_write_read_size_is_the_length_of_both_lines(key, value, got):
+    assert write_read_size(key, value, got) == (
+        len(encode_request("WR", key, value)) + len(encode_hit(got)))
 
 
 @given(st.text(max_size=80))

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given
@@ -183,6 +186,73 @@ def test_wait_cache_drops_answered_keys():
     with pytest.raises(TimeoutError, match="0/1 columns"):
         cache.wait(first, 1, timeout=0.01)
     assert cache.wait(second, 1) == {0: b"early"}
+
+
+class _CountingCondition(threading.Condition):
+    """Counts the waits entered and the wake-ups that ended them."""
+
+    def __init__(self, lock):
+        super().__init__(lock)
+        self.waits = self.wakes = 0
+
+    def wait(self, timeout=None):
+        self.waits += 1
+        try:
+            return super().wait(timeout)
+        finally:
+            self.wakes += 1
+
+
+def test_wait_cache_wakes_the_client_once_its_key_has_the_columns():
+    cache = WaitCache()
+    cache._cond = cond = _CountingCondition(cache._lock)
+    key, later = slot_key(3, 2), slot_key(3, 3)
+    got = []
+    client = threading.Thread(target=lambda: got.append(cache.wait(key, 2, timeout=30)))
+    client.start()
+    deadline = time.monotonic() + 30
+    while cond.waits == 0 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert cond.waits == 1  # the client holds the lock until it sleeps
+    cache.put(key, 4, b"a")  # one column of two
+    cache.put(later, 0, b"ahead")  # a driver running ahead
+    client.join(0.1)
+    assert client.is_alive() and got == [] and cond.wakes == 0
+    driver = threading.Thread(target=cache.put, args=(key, 1, b"b"))
+    driver.start()
+    driver.join(30)
+    client.join(30)
+    assert not client.is_alive()
+    assert got == [{4: b"a", 1: b"b"}]
+    assert (cond.waits, cond.wakes) == (1, 1)
+    assert cache.wait(later, 1) == {0: b"ahead"}
+
+
+def test_wait_cache_loses_no_wake_among_racing_columns():
+    """More driver threads than cores race the client through its keys; a
+    lost wake-up would leave a wait to time out."""
+    cache = WaitCache()
+    columns, rounds, need = 5, 300, 3
+    keys = [slot_key(rnd, 1) for rnd in range(1, rounds + 1)]
+
+    def driver(col):
+        for key in keys:
+            cache.put(key, col, b"%d" % col)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        drivers = [threading.Thread(target=driver, args=(c,)) for c in range(columns)]
+        for d in drivers:
+            d.start()
+        for key in keys:
+            got = cache.wait(key, need, timeout=30)
+            assert len(got) >= need and all(v == b"%d" % c for c, v in got.items())
+        for d in drivers:
+            d.join(30)
+            assert not d.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _slot3_encodings():

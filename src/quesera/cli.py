@@ -84,16 +84,19 @@ def build_config(args: argparse.Namespace, seed: int) -> SimConfig:
     )
 
 
-def _run_qscod(args: argparse.Namespace, seed: int) -> tuple[Metrics, list[str], list[str]]:
+def _run_qscod(
+    args: argparse.Namespace, seed: int
+) -> tuple[Metrics, list[str], list[str], list[str]]:
     """Store-backed client run shaped into the common metrics record, with
-    its problems and one line per store column that raised."""
+    its problems, one line per store column that raised, and one line per
+    client that left messages undelivered."""
     given = _given(args, _SIM_ONLY)
     if given:
         flags = ", ".join("--" + d.replace("_", "-") for d in given)
         raise ConfigError(f"--layer qscod does not take {flags} (simulated layers only)")
     params = qscod.qscod_params(args.n, args.f, args.t_r, args.t_s, args.t_b)
     raw = [qscod.MemoryStore() for _ in range(args.n)]
-    done, problems, dead, tally = qscod.run_workload(
+    done, problems, dead, short, tally = qscod.run_workload(
         raw, params, args.clients, args.messages, args.rounds, seed
     )
     metrics = Metrics(
@@ -106,27 +109,28 @@ def _run_qscod(args: argparse.Namespace, seed: int) -> tuple[Metrics, list[str],
         unicasts=tally.ops,
         bytes=tally.total,
     )
-    return metrics, problems, dead
+    return metrics, problems, dead, short
 
 
 def _run_seed(args: argparse.Namespace, seed: int):
-    """One seed of ``run`` or ``sweep``: prints the metrics line and any
-    dead store columns, and returns the metrics, the problems found, and the
-    simulator's trace (None for qscod)."""
+    """One seed of ``run`` or ``sweep``: prints the metrics line, any dead
+    store columns and any clients that left messages undelivered, and
+    returns the metrics, the problems found, the simulator's trace (None for
+    qscod), and whether every client delivered its workload."""
     if args.layer in netsim.LAYERS:
         result = netsim.run(build_config(args, seed))
-        metrics, trace, notes = result.metrics, result.trace, []
+        metrics, trace, notes, short = result.metrics, result.trace, [], []
         problems = validate_trace(trace, STACKS[args.layer].consensus) if args.validate else []
     else:
-        (metrics, problems, notes), trace = _run_qscod(args, seed), None
+        (metrics, problems, notes, short), trace = _run_qscod(args, seed), None
     print(metrics.line())
-    for note in notes:
+    for note in notes + short:
         print(note)
-    return metrics, problems, trace
+    return metrics, problems, trace, not short
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    _, problems, trace = _run_seed(args, args.seed)
+    _, problems, trace, delivered = _run_seed(args, args.seed)
     if trace is not None and args.trace_out:
         with open(args.trace_out, "w", encoding="ascii") as fh:
             fh.write(trace.serialize())  # only a full trace holds transport records
@@ -134,19 +138,21 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"validate={'ok' if not problems else 'FAIL'}")
         for p in problems:
             print(f"violation: {p}")
-    return 1 if problems else 0
+    return 1 if problems or not delivered else 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     total_rounds = 0
     total_commits = 0
     failures = 0
+    undelivered = 0
     for k in range(args.seeds):
         seed = args.seed + k
-        metrics, problems, trace = _run_seed(args, seed)
+        metrics, problems, trace, delivered = _run_seed(args, seed)
         for p in problems:
             print(f"violation: seed={seed} {p}")
         failures += bool(problems)
+        undelivered += not delivered
         # simulated rounds are per node; qscod counts every client's rounds
         total_rounds += metrics.rounds * (args.n if trace is not None else 1)
         total_commits += metrics.commits
@@ -156,7 +162,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"commits={total_commits} rate={rate:.4f} "
         f"validate={'ok' if not failures else 'FAIL'}"
     )
-    return 1 if failures else 0
+    return 1 if failures or undelivered else 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -170,7 +176,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--layer", required=True, choices=tuple(STACKS))
         p.add_argument("--n", type=int, default=3, help="nodes (or stores for qscod)")
         p.add_argument("--f", type=int, default=0, help="tolerated crashes")
-        p.add_argument("--rounds", type=int, default=10)
+        p.add_argument("--rounds", type=qscod.budget, default=10)
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--t-r", type=int, dest="t_r")
         p.add_argument("--t-b", type=int, dest="t_b")
@@ -180,8 +186,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--crash", action="append", type=parse_crash, metavar="N@Sb|a")
         p.add_argument("--trace-level", choices=netsim.TRACE_LEVELS, help="default: full")
         p.add_argument("--validate", action="store_true")
-        p.add_argument("--clients", type=int, default=1, help="qscod only")
-        p.add_argument("--messages", type=int, default=4, help="qscod only")
+        p.add_argument("--clients", type=qscod.budget, default=1, help="qscod only")
+        p.add_argument("--messages", type=qscod.budget, default=4, help="qscod only")
 
     p_run = sub.add_parser("run", help="one simulation")
     common(p_run)

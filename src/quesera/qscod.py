@@ -10,8 +10,14 @@ collect:
 
     slot 1  the client's fresh proposal            -> row R1 (one per store)
     slot 2  the client's collected R1 columns      -> gossip; tally gives B1
-    slot 3  collected R1, B1 and the best of B1    -> row R2
+    slot 3  the best of B1 (the step-2 candidate)  -> row R2
     slot 4  the collected R2 columns               -> gossip; tally gives B2
+
+A slot-3 value keeps the layout of a step-2 broadcast, R1 and B1 sets
+before the candidate, but a client leaves both sets empty: the
+message-passing layers piggyback them only so a lagging node can catch up,
+and every store already keeps every slot.  Readers take the candidate
+alone, so values written with the sets filled in still read and audit.
 
 The client adopts the best history visible in R2 and commits only when that
 history is its own proposal, appears in B2, and was uniquely best in its R1
@@ -222,7 +228,7 @@ def play_round(step, payload: bytes, proposed: bytes, t_s: int) -> tuple[History
     cols1 = step(1, payload)
     cols2 = step(2, encode_entry_set(cols1.items()))
     r1, b1 = gather(cols1.items(), cols2.values(), t_s)
-    cols3 = step(3, encode_slot3(r1, b1, step2_candidate(b1)))
+    cols3 = step(3, encode_slot3(frozenset(), frozenset(), step2_candidate(b1)))
     row2 = _best_row(cols3)
     cols4 = step(4, encode_entry_set(row2.items()))
     r2, b2 = gather(row2.items(), cols4.values(), t_s)
@@ -382,16 +388,21 @@ def run_clients(
 
 def run_workload(
     raw, params: TlcbConfig, clients: int, messages: int, max_rounds: int, seed: int
-) -> tuple[list[ClientReport], list[str], list[str], ByteTally]:
+) -> tuple[list[ClientReport], list[str], list[str], list[str], ByteTally]:
     """:func:`run_clients` for ``clients`` workloads of ``messages`` messages
     (``c<client>-m<k>``) over the ``raw`` stores, billed to one tally, then
     :func:`audit`.  Returns the finished clients' reports, the problems
-    (clients that raised, then audit findings), the dead columns, the tally."""
+    (clients that raised, then audit findings), the dead columns, one line
+    per finished client that ran out of rounds with messages undelivered,
+    and the tally."""
     tally = ByteTally()
     stores = [CountingStore(s, tally) for s in raw]
     workloads = [[b"c%d-m%d" % (cid, k) for k in range(messages)] for cid in range(clients)]
     done, failed, dead = run_clients(stores, params, workloads, max_rounds, seed)
-    return done, failed + audit(raw, params, done), dead, tally
+    short = [f"client {r.client}: {messages - len(r.delivered)} of {messages} messages "
+             f"undelivered after {r.rounds} rounds"
+             for r in done if len(r.delivered) < messages]
+    return done, failed + audit(raw, params, done), dead, short, tally
 
 
 # --- audit ------------------------------------------------------------------
@@ -475,6 +486,14 @@ def _store_paths(template: str, n: int) -> list[str]:
     return paths
 
 
+def budget(text: str) -> int:
+    """argparse type of a count a run spends: an int, at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="qscod",
@@ -482,9 +501,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         "and report deliveries, commits and protocol bytes.",
     )
     parser.add_argument("--stores", type=int, default=3, help="store count n")
-    parser.add_argument("--clients", type=int, default=2)
-    parser.add_argument("--messages", type=int, default=4, help="workload per client")
-    parser.add_argument("--rounds", type=int, default=200, help="round budget per client")
+    parser.add_argument("--clients", type=budget, default=2)
+    parser.add_argument("--messages", type=budget, default=4, help="workload per client")
+    parser.add_argument("--rounds", type=budget, default=200, help="round budget per client")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--backend", choices=("memory", "file"), default="memory")
     parser.add_argument(
@@ -505,7 +524,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             raw = [open_store("file", p) for p in _store_paths(args.path_template, args.stores)]
         except (OSError, ValueError, ProtocolError) as exc:
             parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    done, problems, dead, tally = run_workload(
+    done, problems, dead, short, tally = run_workload(
         raw, params, args.clients, args.messages, args.rounds, args.seed
     )
     delivered_all = 0
@@ -521,13 +540,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         f"bytes={tally.total} bytes_per_agreement={tally.total // agreements} "
         f"audit={'ok' if not problems else 'FAIL'}"
     )
-    for line in dead:
+    for line in dead + short:
         print(line)
     for p in problems:
         print(f"audit: {p}")
     for s in raw:
         s.close()
-    return 0 if not problems else 1
+    return 1 if problems or short else 0
 
 
 if __name__ == "__main__":

@@ -168,6 +168,54 @@ def test_qscod_tools_name_a_dead_store_column(capsys, monkeypatch):
     assert lines[1:] == [dead, "validate=ok"]
 
 
+@pytest.mark.parametrize("flag,value", [("--clients", "-2"), ("--messages", "-1"),
+                                        ("--rounds", "-1")])
+@pytest.mark.parametrize("tool", ["qscod", "qsc-sim"])
+def test_qscod_tools_refuse_negative_budgets(capsys, tool, flag, value):
+    with pytest.raises(SystemExit) as exited:
+        if tool == "qscod":
+            qscod.main(["--stores", "3", flag, value])
+        else:
+            sim_main(["run", "--layer", "qscod", "--n", "4", "--f", "1", "--validate",
+                      flag, value])
+    assert exited.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith(f"{tool}{' run' if tool == 'qsc-sim' else ''}: error: "
+                            f"argument {flag}: must be >= 0, got {value}\n")
+
+
+def test_qscod_tools_fail_when_messages_are_undelivered(capsys):
+    code = qscod.main(["--stores", "3", "--clients", "1", "--rounds", "0"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].endswith(" delivered=0 bytes=0 bytes_per_agreement=0 audit=ok")
+    assert lines[2:] == ["client 0: 4 of 4 messages undelivered after 0 rounds"]
+
+    # one line per client short of its workload, whoever won the round
+    code = qscod.main(["--stores", "3", "--clients", "2", "--messages", "2",
+                       "--rounds", "1", "--seed", "5"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3:] == [f"client {c}: {2 - d} of 2 messages undelivered after 1 rounds"
+                         for c, d in ((c, int(parse_metrics(lines[c])["delivered"]))
+                                      for c in (0, 1))]
+
+    code = sim_main(["run", "--layer", "qscod", "--n", "4", "--f", "1", "--rounds", "0",
+                     "--validate"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["client 0: 4 of 4 messages undelivered after 0 rounds", "validate=ok"]
+
+    # a lone client commits every round, so one round lands one message
+    code = sim_main(["sweep", "--layer", "qscod", "--n", "3", "--clients", "1",
+                     "--messages", "2", "--rounds", "1", "--seeds", "2", "--validate"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1::2][:2] == ["client 0: 1 of 2 messages undelivered after 1 rounds"] * 2
+    assert lines[-1].endswith(" validate=ok")
+
+
 def test_panel_checks_b_within_r_where_the_stack_claims_it():
     trace = run(SimConfig(layer="qsc-tlcf", n=4, f=1, seed=3, rounds=2)).trace
     assert validate_trace(trace, True) == []

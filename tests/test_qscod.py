@@ -14,18 +14,22 @@ from hypothesis import strategies as st
 from quesera.chain import GENESIS, History, Proposal
 from quesera.kvstore import MemoryStore, encode_hit, encode_request
 from quesera.qscod import (
+    ClientReport,
     CountingStore,
     ByteTally,
+    RoundLog,
     WaitCache,
     audit,
     decode_slot3,
     encode_slot3,
+    play_round,
     qscod_params,
     run_clients,
     slot_key,
 )
+from quesera.tlcb import gather
 from quesera.tlcr import ConfigError
-from quesera.wire import DECODE_MEMO_SIZE, WireError, encode_history
+from quesera.wire import DECODE_MEMO_SIZE, WireError, encode_entry_set, encode_history
 
 
 def test_params_defaults_and_admission():
@@ -45,6 +49,91 @@ def test_slot_keys_and_slot3_codec():
     r1 = frozenset({(0, b"x"), (2, b"yy")})
     b1 = frozenset({(2, b"yy")})
     assert decode_slot3(encode_slot3(r1, b1, h)) == (r1, b1, h)
+
+
+MINE = GENESIS.extend(Proposal(proposer=0, message=b"mine", priority=5, prev=GENESIS.digest))
+RIVAL = GENESIS.extend(Proposal(proposer=0, message=b"rival", priority=9, prev=GENESIS.digest))
+
+
+def scripted(columns):
+    """A :func:`play_round` step over three columns and no stores: a slot
+    in ``columns`` answers its scripted columns, any other slot the offered
+    value in every column, as a lone writer would see.  Also returns what
+    was offered for each slot."""
+    offered = {}
+
+    def step(slot, value):
+        offered[slot] = value
+        return columns.get(slot) or {col: value for col in range(3)}
+
+    return step, offered
+
+
+def test_slot3_offers_only_the_step2_candidate():
+    # a lone writer: its proposal fills R1 and B1 and is committed
+    step, offered = scripted({})
+    chosen, committed = play_round(step, encode_history(MINE), MINE.digest, 2)
+    assert (chosen.digest, committed) == (MINE.digest, True)
+    assert offered[3] == encode_slot3(frozenset(), frozenset(), MINE)
+
+    # a rival's higher-priority proposal holds one column and every gossip:
+    # it is B1's best, so slot 3 offers it, and it is adopted, not committed
+    cols1 = {0: encode_history(MINE), 1: encode_history(RIVAL), 2: encode_history(MINE)}
+    step, offered = scripted({1: cols1, 2: dict.fromkeys(range(3), encode_entry_set(cols1.items()))})
+    chosen, committed = play_round(step, encode_history(MINE), MINE.digest, 2)
+    assert (chosen.digest, committed) == (RIVAL.digest, False)
+    assert offered[3] == encode_slot3(frozenset(), frozenset(), RIVAL)
+
+
+entry_sets = st.frozensets(st.tuples(st.integers(0, 2**32 - 1), st.binary(max_size=40)),
+                           min_size=1, max_size=4)
+
+
+@given(st.lists(st.tuples(entry_sets, entry_sets), min_size=3, max_size=3))
+def test_slot3_sets_never_change_a_decision(sets):
+    """Columns whose slot-3 values carry R1 and B1 sets, as clients wrote
+    them before, adopt and commit exactly as columns carrying empty ones."""
+    cols1 = {0: encode_history(MINE), 1: encode_history(RIVAL), 2: encode_history(MINE)}
+    cols2 = dict.fromkeys(range(3), encode_entry_set(cols1.items()))
+    best = {0: RIVAL, 1: MINE, 2: RIVAL}
+    outcomes = []
+    for r1_b1 in ([(frozenset(), frozenset())] * 3, sets):
+        cols3 = {col: encode_slot3(r1, b1, best[col]) for col, (r1, b1) in enumerate(r1_b1)}
+        step, offered = scripted({1: cols1, 2: cols2, 3: cols3})
+        chosen, committed = play_round(step, encode_history(MINE), RIVAL.digest, 2)
+        outcomes.append((chosen.digest, committed, offered[4]))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][:2] == (RIVAL.digest, True)
+
+
+def test_audit_accepts_slot3_values_in_the_full_form():
+    """Stores and round logs holding the slot-3 values clients wrote before
+    (R1 and B1 filled in) still audit clean."""
+    stores = [MemoryStore() for _ in range(3)]
+    params = qscod_params(3)
+    history, log = GENESIS, []
+    for rnd, message in enumerate([b"a", b"b"], 1):
+        mine = history.extend(Proposal(proposer=0, message=message, priority=rnd,
+                                       prev=history.digest))
+        views = {}
+
+        def step(slot, value):
+            if slot == 3:
+                r1, b1 = gather(views[1].items(), views[2].values(), params.t_s)
+                value = encode_slot3(r1, b1, decode_slot3(value)[2])
+            key = slot_key(rnd, slot)
+            views[slot] = {col: s.write_read(key, value) for col, s in enumerate(stores)}
+            return views[slot]
+
+        chosen, committed = play_round(step, encode_history(mine), mine.digest, params.t_s)
+        assert (chosen.digest, committed) == (mine.digest, True)
+        assert all(len(decode_slot3(v)[0]) == 3 for v in views[3].values())
+        log.append(RoundLog(round=rnd, message=message, proposed=mine.digest,
+                            adopted=chosen.digest, length=chosen.length,
+                            committed=committed, views=views))
+        history = chosen
+    report = ClientReport(client=0, rounds=2, commits=2, delivered=[b"a", b"b"], log=log)
+    assert audit(stores, params, [report]) == []
 
 
 def race(workloads, budget, seed=7, stores=None):

@@ -44,12 +44,11 @@ def validate_trace(trace: RunTrace, consensus: bool) -> list[str]:
     problems: list[str] = []
     if trace.rets:
         index = index_rets(trace)
-        for name, params in trace.layers.items():
-            problems += validate_layer(trace, name, full_spread=params.t_s == trace.n,
-                                       b_in_r=STACKS[name].b_in_r, index=index)
-        top = trace.top_layer
-        for _, inner, per_call in STACKS[top].subs:
-            problems += validate_substeps(trace, top, inner, per_call, index)
+        for name in trace.layers:
+            problems += validate_layer(trace, name, index)
+        top = trace.top_layer  # a bare layer's row in STACKS bears its recorded name
+        for _, sub, per_call in STACKS[top].layer.subs:
+            problems += validate_substeps(trace, top, sub.name, per_call, index)
     if trace.xmits:
         problems += validate_fifo(trace)
         problems += validate_delivery(trace)
@@ -142,6 +141,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
     total_rounds = 0
     total_commits = 0
     failures = 0

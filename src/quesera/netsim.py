@@ -21,17 +21,19 @@ the validators check eventual delivery.
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 from .qsc import DeliveryRecord, QscState, run_qsc_node
-from .tlcb import Tlcb, tlcb_check_config
-from .tlcf import Tlcf, tlcf_configure
-from .tlcr import ConfigError, StepCollector, Tlcr, tlcr_configure
-from .tlcw import Tlcw, tlcw_configure
-from .tsb import ProposalInfo, RunTrace, TsbParams
+from .tlcb import Tlcb, spread_fault_budget
+from .tlcf import Tlcf
+from .tlcr import ConfigError, StepCollector, Tlcr
+from .tlcw import Tlcw
+from .tsb import ProposalInfo, RunTrace, Thresholds, TsbParams
 from .wire import StepMessage, frame_size
 
 DELAY_POLICIES = ("fixed", "random", "adversarial")
@@ -160,70 +162,66 @@ def make_delay_policy(name: str, seed: int, n: int, scale: int = 4):
 # --- the stack table --------------------------------------------------------
 
 
+# the admission inequalities by name, each over the thresholds and the spread
+# fault budget f_b (None unless 0 < t_s <= t_r, a rule of its own); a
+# violation is reported with the values of the quantities its text names
+RULES: dict[str, Callable[[SimpleNamespace], bool]] = {
+    "0 <= f": lambda q: 0 <= q.f,
+    "0 <= t_r <= n": lambda q: 0 <= q.t_r <= q.n,
+    "f <= n - t_r": lambda q: q.f <= q.n - q.t_r,
+    "0 < t_r <= n - f": lambda q: 0 < q.t_r <= q.n - q.f,
+    "0 < t_b <= n - f": lambda q: 0 < q.t_b <= q.n - q.f,
+    "0 < t_s <= n - f": lambda q: 0 < q.t_s <= q.n - q.f,
+    "0 < t_s <= t_r": lambda q: 0 < q.t_s <= q.t_r,
+    "0 < t_b": lambda q: 0 < q.t_b,
+    "t_b <= n - f_b": lambda q: q.f_b is None or q.t_b <= q.n - q.f_b,  # exact: a Fraction
+    "t_r + t_s > n": lambda q: q.t_r + q.t_s > q.n,
+}
+
+
 @dataclass(frozen=True)
 class Stack:
-    """One row of the stack table.  Each ``(attribute, name, per_call)`` of
-    ``subs`` is a sub-layer held at that attribute by both the top layer and
-    its config, recorded as ``name`` and stepped ``per_call`` times per call
-    of the top layer."""
+    """One row of the stack table: the admission rules its thresholds must
+    meet, and the layer built over them."""
 
-    configure: Callable  # (n, f, t_r, t_b, t_s) -> top-layer config
+    rules: tuple[str, ...]  # names in RULES
     witnessed: bool  # default thresholds: n - f throughout, else the gossip scheme
     layer: Optional[type] = None  # the top layer; None where stores replace nodes
-    records: str = ""  # the name the top layer is recorded under
-    subs: tuple[tuple[str, str, int], ...] = ()
-    b_in_r: bool = False  # claims every returned B lies within the call's R
     consensus: bool = False  # QSC rounds run on top
 
-    def claims(self, config) -> dict[str, TsbParams]:
+    def claims(self, th: Thresholds) -> dict[str, TsbParams]:
         """Recorded layer names -> claimed thresholds, top of the stack first."""
-        claims = {self.records: config.claim}
-        for attr, name, _ in self.subs:
-            claims[name] = getattr(config, attr).claim
+        claims = {self.layer.name: self.layer.claim(th)}
+        for _, sub, _ in self.layer.subs:
+            claims[sub.name] = sub.claim(th)
         return claims
 
     def build(self, sim: "Simulator", node: int) -> "_Recorder":
         """One node's stack, every recorded layer wrapped in a recorder."""
-        top = self.layer(sim.ctxs[node], node, sim.layer_config)
-        for attr, name, _ in self.subs:
-            setattr(top, attr, _Recorder(sim, name, node, getattr(top, attr)))
-        return _Recorder(sim, self.records, node, top)
+        top = self.layer(sim.ctxs[node], node, sim.thresholds)
+        for attr, sub, _ in self.layer.subs:
+            setattr(top, attr, _Recorder(sim, sub.name, node, getattr(top, attr)))
+        return _Recorder(sim, self.layer.name, node, top)
 
 
-def _tlcr(n, f, t_r, t_b, t_s):
-    return tlcr_configure(n, t_r, f)
-
-
-def _tlcb(n, f, t_r, t_b, t_s):
-    return tlcb_check_config(n, t_r, t_s, t_b, f)
-
-
-def _tlcb_full(n, f, t_r, t_b, t_s):
-    return tlcb_check_config(n, t_r, t_s, t_b, f, require_full_spread=True)
-
-
-def _tlcw(n, f, t_r, t_b, t_s):
-    return tlcw_configure(n, t_b, t_s, f)
-
-
-def _tlcf(n, f, t_r, t_b, t_s):
-    return tlcf_configure(n, t_r, t_b, t_s, f)
-
-
-_GOSSIP_SUBS = (("inner", "tlcr", 2),)
-_WITNESS_SUBS = (("witness", "tlcw", 1), ("gossip", "tlcr", 1))
+_TLCR = ("0 <= f", "0 <= t_r <= n", "f <= n - t_r")
+_TLCB = ("0 <= f", "0 < t_r <= n - f", "0 < t_s <= t_r", "0 < t_b", "t_b <= n - f_b")
+_TLCB_FULL = _TLCB + ("t_r + t_s > n",)
+_TLCW = ("0 <= f", "0 < t_b <= n - f", "0 < t_s <= n - f")
+_TLCF = ("0 <= f", "0 < t_r <= n - f", "0 < t_b <= n - f", "0 < t_s <= n - f",
+         "t_r + t_s > n")
 
 STACKS: dict[str, Stack] = {
-    # configure, witnessed, layer, records, subs, b_in_r, consensus
-    "tlcr": Stack(_tlcr, False, Tlcr, "tlcr"),
-    "tlcb": Stack(_tlcb, False, Tlcb, "tlcb", _GOSSIP_SUBS, True),
-    "tlcb-full": Stack(_tlcb_full, False, Tlcb, "tlcb", _GOSSIP_SUBS, True),
-    "tlcw": Stack(_tlcw, True, Tlcw, "tlcw", (), True),
-    "tlcf": Stack(_tlcf, True, Tlcf, "tlcf", _WITNESS_SUBS, True),
-    "qsc-tlcb": Stack(_tlcb_full, False, Tlcb, "tlcb", _GOSSIP_SUBS, True, True),
-    "qsc-tlcf": Stack(_tlcf, True, Tlcf, "tlcf", _WITNESS_SUBS, True, True),
+    # rules, witnessed, layer, consensus
+    "tlcr": Stack(_TLCR, False, Tlcr),
+    "tlcb": Stack(_TLCB, False, Tlcb),
+    "tlcb-full": Stack(_TLCB_FULL, False, Tlcb),
+    "tlcw": Stack(_TLCW, True, Tlcw),
+    "tlcf": Stack(_TLCF, True, Tlcf),
+    "qsc-tlcb": Stack(_TLCB_FULL, False, Tlcb, True),
+    "qsc-tlcf": Stack(_TLCF, True, Tlcf, True),
     # the same rounds over write-once store columns (quesera.qscod)
-    "qscod": Stack(_tlcb_full, False, consensus=True),
+    "qscod": Stack(_TLCB_FULL, False, consensus=True),
 }
 
 # the stacks the simulator runs
@@ -231,17 +229,26 @@ LAYERS = tuple(name for name, stack in STACKS.items() if stack.layer is not None
 
 
 def configure(layer: str, n: int, f: int, t_r: Optional[int] = None,
-              t_b: Optional[int] = None, t_s: Optional[int] = None):
-    """The top-layer config of a stack (raises ConfigError).  Unset t_r
-    defaults to n - f, and so do t_b and t_s on witnessed stacks; elsewhere
-    they default to the gossip scheme t_b = f (floor 1), t_s = f + 1 (at
-    most n - f)."""
+              t_b: Optional[int] = None, t_s: Optional[int] = None) -> Thresholds:
+    """A stack's thresholds, admitted by its rules (else ConfigError naming
+    every violated one).  Unset t_r defaults to n - f, and so do t_b and t_s
+    on witnessed stacks; elsewhere they default to the gossip scheme
+    t_b = f (floor 1), t_s = f + 1 (at most n - f)."""
     stack = STACKS[layer]
     d_b, d_s = (n - f, n - f) if stack.witnessed else (max(1, f), min(n - f, f + 1))
-    t_r = n - f if t_r is None else t_r
-    t_b = d_b if t_b is None else t_b
-    t_s = d_s if t_s is None else t_s
-    return stack.configure(n, f, t_r, t_b, t_s)
+    th = Thresholds(n, f, n - f if t_r is None else t_r, d_b if t_b is None else t_b,
+                    d_s if t_s is None else t_s)
+    f_b = spread_fault_budget(n, th.t_r, th.t_s) if 0 < th.t_s <= th.t_r else None
+    q = SimpleNamespace(**asdict(th), f_b=f_b)
+    bad = [
+        f"{rule} violated ("
+        + ", ".join(f"{k}={getattr(q, k)}" for k in re.findall("[a-z_]+", rule)) + ")"
+        for rule in stack.rules
+        if not RULES[rule](q)
+    ]
+    if bad:
+        raise ConfigError("; ".join(bad))
+    return th
 
 
 # --- run configuration ----------------------------------------------------
@@ -276,8 +283,8 @@ class SimConfig:
             raise ConfigError(f"unknown layer {self.layer!r} (choose from {LAYERS})")
         if self.trace_level not in TRACE_LEVELS:
             raise ConfigError(f"unknown trace level {self.trace_level!r}")
-        if self.n < 1 or self.rounds < 0 or self.f < 0:
-            raise ConfigError("n must be >= 1, rounds and f >= 0")
+        if self.n < 1 or self.rounds < 0:  # f is admitted by the row's rules
+            raise ConfigError("n must be >= 1, rounds >= 0")
         for node, step, phase in self.crashes:
             if not 0 <= node < self.n:
                 raise ConfigError(f"crash node {node} out of range")
@@ -410,8 +417,8 @@ class Simulator:
         self.seed = cfg.seed
         self.policy = make_delay_policy(cfg.delay, cfg.seed, cfg.n, cfg.delay_scale)
         self.stack = STACKS[cfg.layer]
-        self.layer_config = configure(cfg.layer, cfg.n, cfg.f, cfg.t_r, cfg.t_b, cfg.t_s)
-        self.trace = RunTrace(n=cfg.n, layers=self.stack.claims(self.layer_config))
+        self.thresholds = configure(cfg.layer, cfg.n, cfg.f, cfg.t_r, cfg.t_b, cfg.t_s)
+        self.trace = RunTrace(n=cfg.n, layers=self.stack.claims(self.thresholds))
         self.level = cfg.trace_level
         self._full = cfg.trace_level == "full"
         self.now = 0

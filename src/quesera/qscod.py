@@ -50,8 +50,9 @@ from .chain import GENESIS, ChainError, History, Proposal
 from .kvstore import MemoryStore, ProtocolError, open_store, write_read_size
 from .netsim import configure, mix64
 from .qsc import check_one_chain, decide, step2_candidate
-from .tlcb import TlcbConfig, gather
+from .tlcb import gather
 from .tlcr import ConfigError
+from .tsb import Thresholds
 from .wire import (
     DECODE_MEMO_SIZE,
     EntrySet,
@@ -98,7 +99,7 @@ def qscod_params(
     t_r: Optional[int] = None,
     t_s: Optional[int] = None,
     t_b: Optional[int] = None,
-) -> TlcbConfig:
+) -> Thresholds:
     """Thresholds over the store columns: the gossip stack's admission with
     full spread required (t_r + t_s > n) and its defaults, from the stack
     table's qscod row; f defaults to n // 3."""
@@ -261,7 +262,7 @@ class ClientReport:
 class Client:
     """One consensus client; drives its stores until its workload lands."""
 
-    def __init__(self, client_id: int, stores, params: TlcbConfig, seed: int):
+    def __init__(self, client_id: int, stores, params: Thresholds, seed: int):
         if len(stores) != params.n:
             raise ValueError("one store per column expected")
         self.id = client_id
@@ -344,7 +345,7 @@ class Client:
 
 
 def run_clients(
-    stores, params: TlcbConfig, workloads: list[list[bytes]], max_rounds: int, seed: int
+    stores, params: Thresholds, workloads: list[list[bytes]], max_rounds: int, seed: int
 ) -> tuple[list[ClientReport], list[str], list[str]]:
     """Race one client per workload over the shared stores, each on its own
     thread and seeded ``mix64(seed, client)``, then stop their drivers.
@@ -387,7 +388,7 @@ def run_clients(
 
 
 def run_workload(
-    raw, params: TlcbConfig, clients: int, messages: int, max_rounds: int, seed: int
+    raw, params: Thresholds, clients: int, messages: int, max_rounds: int, seed: int
 ) -> tuple[list[ClientReport], list[str], list[str], list[str], ByteTally]:
     """:func:`run_clients` for ``clients`` workloads of ``messages`` messages
     (``c<client>-m<k>``) over the ``raw`` stores, billed to one tally, then
@@ -408,7 +409,7 @@ def run_workload(
 # --- audit ------------------------------------------------------------------
 
 
-def audit(stores, params: TlcbConfig, reports: Iterable[ClientReport]) -> list[str]:
+def audit(stores, params: Thresholds, reports: Iterable[ClientReport]) -> list[str]:
     """Replay the decision arithmetic of every logged round against the
     canonical store contents.  Deterministic given the final stores; returns
     violation strings (empty list = clean).

@@ -13,12 +13,11 @@ set, upgrading the spread promise to all n nodes (full spread).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .tlcr import ConfigError, Tlcr, TlcrConfig
-from .tsb import TsbParams, TsbResult
+from .tlcr import ConfigError, Tlcr
+from .tsb import Thresholds, TsbParams, TsbResult
 from .wire import Entry, EntrySet, encode_entry_set, entry_set_bytes
 
 
@@ -28,58 +27,6 @@ def spread_fault_budget(n: int, t_r: int, t_s: int) -> Fraction:
     if not 0 < t_s <= t_r:
         raise ConfigError(f"0 < t_s <= t_r violated (t_s={t_s}, t_r={t_r})")
     return Fraction(t_r * (n - t_r), t_r - t_s + 1)
-
-
-@dataclass(frozen=True, slots=True)
-class TlcbConfig:
-    n: int
-    t_r: int
-    t_s: int
-    t_b: int
-    f: int = 0
-    full_spread: bool = False
-
-    @property
-    def claim(self) -> TsbParams:
-        return TsbParams(self.n, self.t_r, self.t_b, self.n if self.full_spread else self.t_s)
-
-    @property
-    def inner(self) -> TlcrConfig:
-        return TlcrConfig(n=self.n, t_r=self.t_r, f=self.f)
-
-
-def tlcb_check_config(
-    n: int,
-    t_r: int,
-    t_s: int,
-    t_b: int,
-    f: int = 0,
-    require_full_spread: bool = False,
-) -> TlcbConfig:
-    """Validate every admission inequality, naming each violation.
-
-    The t_b bound is checked with exact rational arithmetic so integer configs
-    sitting exactly on the boundary are admitted.
-    """
-    bad = []
-    if not 0 < t_r <= n - f:
-        bad.append(f"0 < t_r <= n - f violated (t_r={t_r}, n={n}, f={f})")
-    if not 0 < t_s <= t_r:
-        bad.append(f"0 < t_s <= t_r violated (t_s={t_s}, t_r={t_r})")
-    if t_b <= 0:
-        bad.append(f"0 < t_b violated (t_b={t_b})")
-    elif 0 < t_s <= t_r:
-        f_b = spread_fault_budget(n, t_r, t_s)
-        if Fraction(t_b) > n - f_b:
-            bad.append(
-                f"t_b <= n - f_b violated (t_b={t_b}, n={n}, f_b={f_b})"
-            )
-    full = t_r + t_s > n
-    if require_full_spread and not full:
-        bad.append(f"t_r + t_s > n violated (t_r={t_r}, t_s={t_s}, n={n})")
-    if bad:
-        raise ConfigError("; ".join(bad))
-    return TlcbConfig(n=n, t_r=t_r, t_s=t_s, t_b=t_b, f=f, full_spread=full)
 
 
 def gather(
@@ -101,12 +48,21 @@ class Tlcb:
     """Two receive-threshold steps per call; shares one inner layer instance
     so its step counter runs across both."""
 
-    def __init__(self, ctx, node: int, config: TlcbConfig, tag: str = "r"):
-        self.config = config
-        self.inner = Tlcr(ctx, node, config.inner, tag=tag)
+    name = "tlcb"
+    subs = (("inner", Tlcr, 2),)
+
+    @staticmethod
+    def claim(th: Thresholds) -> TsbParams:
+        """B lies within R; with t_r + t_s > n the spread is full."""
+        t_s = th.n if th.t_r + th.t_s > th.n else th.t_s
+        return TsbParams(th.n, th.t_r, th.t_b, t_s, b_in_r=True)
+
+    def __init__(self, ctx, node: int, th: Thresholds):
+        self.t_s = th.t_s
+        self.inner = Tlcr(ctx, node, th)
 
     def broadcast(self, m: bytes):
         first = yield from self.inner.broadcast(m)
         second = yield from self.inner.broadcast(encode_entry_set(first.r))
-        r, b = gather(first.r, (payload for _, payload in second.r), self.config.t_s)
+        r, b = gather(first.r, (payload for _, payload in second.r), self.t_s)
         return TsbResult(r=r, b=b)

@@ -9,57 +9,25 @@ round over n = 2f + 1 nodes succeed with probability >= 1/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .tlcr import ConfigError, Tlcr, TlcrConfig
-from .tlcw import Tlcw, TlcwConfig
-from .tsb import TsbParams, TsbResult
+from .tlcr import Tlcr
+from .tlcw import Tlcw
+from .tsb import Thresholds, TsbParams, TsbResult
 from .wire import encode_entry_set, entry_set_bytes
-
-
-@dataclass(frozen=True, slots=True)
-class TlcfConfig:
-    n: int
-    t_r: int
-    t_b: int
-    t_s: int
-    f: int = 0
-
-    @property
-    def claim(self) -> TsbParams:
-        return TsbParams(self.n, self.t_r, self.t_b, self.n)
-
-    @property
-    def witness(self) -> TlcwConfig:
-        return TlcwConfig(n=self.n, t_b=self.t_b, t_s=self.t_s, f=self.f)
-
-    @property
-    def gossip(self) -> TlcrConfig:
-        return TlcrConfig(n=self.n, t_r=self.t_r, f=self.f)
-
-
-def tlcf_configure(n: int, t_r: int, t_b: int, t_s: int, f: int = 0) -> TlcfConfig:
-    bad = []
-    if not 0 < t_r <= n - f:
-        bad.append(f"0 < t_r <= n - f violated (t_r={t_r}, n={n}, f={f})")
-    if not 0 < t_b <= n - f:
-        bad.append(f"0 < t_b <= n - f violated (t_b={t_b}, n={n}, f={f})")
-    if not 0 < t_s <= n - f:
-        bad.append(f"0 < t_s <= n - f violated (t_s={t_s}, n={n}, f={f})")
-    if not t_r + t_s > n:
-        bad.append(f"t_r + t_s > n violated (t_r={t_r}, t_s={t_s}, n={n})")
-    if bad:
-        raise ConfigError("; ".join(bad))
-    return TlcfConfig(n=n, t_r=t_r, t_b=t_b, t_s=t_s, f=f)
 
 
 class Tlcf:
     """One witnessing sub-step then one gossip sub-step per call."""
 
-    def __init__(self, ctx, node: int, config: TlcfConfig):
-        self.config = config
-        self.witness = Tlcw(ctx, node, config.witness, tag="w")
-        self.gossip = Tlcr(ctx, node, config.gossip, tag="r")
+    name = "tlcf"
+    subs = (("witness", Tlcw, 1), ("gossip", Tlcr, 1))
+
+    @staticmethod
+    def claim(th: Thresholds) -> TsbParams:
+        return TsbParams(th.n, th.t_r, th.t_b, th.n, b_in_r=True)
+
+    def __init__(self, ctx, node: int, th: Thresholds):
+        self.witness = Tlcw(ctx, node, th)
+        self.gossip = Tlcr(ctx, node, th)
 
     def broadcast(self, m: bytes):
         first = yield from self.witness.broadcast(m)

@@ -28,9 +28,7 @@ deterministic scheduler; it yields at most once per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .tsb import TsbParams, TsbResult
+from .tsb import Thresholds, TsbParams, TsbResult
 from .wire import PLAIN, StepMessage
 
 
@@ -42,42 +40,25 @@ class TransportIntegrityError(Exception):
     """The transport broke a promise (FIFO gap, malformed piggyback)."""
 
 
-@dataclass(frozen=True, slots=True)
-class TlcrConfig:
-    n: int
-    t_r: int
-    f: int = 0
-
-    @property
-    def claim(self) -> TsbParams:
-        return TsbParams(self.n, self.t_r, 0, 0)
-
-
-def tlcr_configure(n: int, t_r: int, f: int = 0) -> TlcrConfig:
-    """Validate the receive-threshold admission: 0 <= t_r <= n and enough
-    live nodes to meet it (f <= n - t_r)."""
-    bad = []
-    if not 0 <= t_r <= n:
-        bad.append(f"0 <= t_r <= n violated (t_r={t_r}, n={n})")
-    if not 0 <= f <= n - t_r:
-        bad.append(f"f <= n - t_r violated (f={f}, n={n}, t_r={t_r})")
-    if bad:
-        raise ConfigError("; ".join(bad))
-    return TlcrConfig(n=n, t_r=t_r, f=f)
-
-
 class StepCollector:
     """The step skeleton of one lane, shared by the receive-threshold and
-    witnessing layers.  A subclass keeps its step's sets and supplies
-    ``need``, ``have()`` (the count that must reach it), ``on_current(msg)``
-    for a message of the current step, and ``adopt(msg)``, which merges the
-    piggybacked sets of a message one step ahead.  While a step waits, the
-    node context runs :meth:`handle` on each delivery of the lane."""
+    witnessing layers.  A subclass names its lane ``tag``, keeps its step's
+    sets and supplies ``need``, ``have()`` (the count that must reach it),
+    ``on_current(msg)`` for a message of the current step, and
+    ``adopt(msg)``, which merges the piggybacked sets of a message one step
+    ahead.  While a step waits, the node context runs :meth:`handle` on each
+    delivery of the lane.
 
-    def __init__(self, ctx, node: int, tag: str, need: int):
+    Like every layer class, a subclass states the ``name`` it is recorded
+    under, its ``claim(th)`` over the stack's thresholds, and ``subs``, the
+    ``(attribute, layer class, steps per call)`` of each sub-layer it holds;
+    layers built on this skeleton hold none."""
+
+    subs: tuple = ()
+
+    def __init__(self, ctx, node: int, need: int):
         self.ctx = ctx
         self.node = node
-        self.tag = tag
         self.need = need
         self.step = 0
         self._replay: list[StepMessage] = []
@@ -113,8 +94,15 @@ class StepCollector:
 class Tlcr(StepCollector):
     """Per-node state machine for the receive-threshold layer."""
 
-    def __init__(self, ctx, node: int, config: TlcrConfig, tag: str = "r"):
-        super().__init__(ctx, node, tag, config.t_r)
+    name = "tlcr"
+    tag = "r"
+
+    @staticmethod
+    def claim(th: Thresholds) -> TsbParams:
+        return TsbParams(th.n, th.t_r, 0, 0)
+
+    def __init__(self, ctx, node: int, th: Thresholds):
+        super().__init__(ctx, node, th.t_r)
         self._prev: frozenset[tuple[int, bytes]] = frozenset()
         self._cur: set[tuple[int, bytes]] = set()
 

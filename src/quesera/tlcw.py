@@ -16,44 +16,26 @@ receive set before any of its announcements (keeping B within R).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .tlcr import ConfigError, StepCollector, TransportIntegrityError
-from .tsb import TsbParams, TsbResult
+from .tlcr import StepCollector, TransportIntegrityError
+from .tsb import Thresholds, TsbParams, TsbResult
 from .wire import ACK, REQ, WIT, StepMessage
-
-
-@dataclass(frozen=True, slots=True)
-class TlcwConfig:
-    n: int
-    t_b: int
-    t_s: int
-    f: int = 0
-
-    @property
-    def claim(self) -> TsbParams:
-        # receive threshold matches t_b: B is within R, so t_b senders in B
-        # means at least that many in R
-        return TsbParams(self.n, self.t_b, self.t_b, self.t_s)
-
-
-def tlcw_configure(n: int, t_b: int, t_s: int, f: int = 0) -> TlcwConfig:
-    bad = []
-    if not 0 < t_b <= n - f:
-        bad.append(f"0 < t_b <= n - f violated (t_b={t_b}, n={n}, f={f})")
-    if not 0 < t_s <= n - f:
-        bad.append(f"0 < t_s <= n - f violated (t_s={t_s}, n={n}, f={f})")
-    if bad:
-        raise ConfigError("; ".join(bad))
-    return TlcwConfig(n=n, t_b=t_b, t_s=t_s, f=f)
 
 
 class Tlcw(StepCollector):
     """Per-node state machine for the witnessing layer."""
 
-    def __init__(self, ctx, node: int, config: TlcwConfig, tag: str = "w"):
-        super().__init__(ctx, node, tag, config.t_b)
-        self.config = config
+    name = "tlcw"
+    tag = "w"
+
+    @staticmethod
+    def claim(th: Thresholds) -> TsbParams:
+        # receive threshold matches t_b: B is within R, so t_b senders in B
+        # means at least that many in R
+        return TsbParams(th.n, th.t_b, th.t_b, th.t_s, b_in_r=True)
+
+    def __init__(self, ctx, node: int, th: Thresholds):
+        super().__init__(ctx, node, th.t_b)
+        self.t_s = th.t_s
         self._prev_r: frozenset[tuple[int, bytes]] = frozenset()
         self._prev_b: frozenset[tuple[int, bytes]] = frozenset()
         self._start(b"")
@@ -95,7 +77,7 @@ class Tlcw(StepCollector):
         elif msg.kind == ACK:
             if msg.payload == self._m:
                 self._acks.add(msg.sender)
-                if len(self._acks) == self.config.t_s and not self._wit_sent:
+                if len(self._acks) == self.t_s and not self._wit_sent:
                     self._wit_sent = True
                     self.ctx.broadcast(self._msg(WIT, self._m))
         elif msg.kind == WIT:

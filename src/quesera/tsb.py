@@ -23,13 +23,27 @@ RetIndex = dict[str, dict[int, list[tuple[int, int, tuple[Entry, ...], tuple[Ent
 
 
 @dataclass(frozen=True, slots=True)
+class Thresholds:
+    """One stack's admitted thresholds over n nodes with up to f faults.
+    Every layer of the stack reads the ones it needs."""
+
+    n: int
+    f: int
+    t_r: int
+    t_b: int
+    t_s: int
+
+
+@dataclass(frozen=True, slots=True)
 class TsbParams:
-    """Claimed thresholds of one layer: TSB(t_r, t_b, t_s) over n nodes."""
+    """Claimed thresholds of one layer: TSB(t_r, t_b, t_s) over n nodes, and
+    whether every returned B lies within the same call's R."""
 
     n: int
     t_r: int
     t_b: int
     t_s: int
+    b_in_r: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -296,7 +310,7 @@ def validate_b_in_r(
     trace: RunTrace, layer: Optional[str] = None, index: Optional[RetIndex] = None
 ) -> list[str]:
     """Layer-local containment check: every returned B is a subset of the
-    same call's R (claimed per layer by the stack table in netsim)."""
+    same call's R (claimed by the layers that set ``TsbParams.b_in_r``)."""
     layer = layer or trace.top_layer
     bad: list[str] = []
     for node, seq in sorted(_layer_rets(trace, layer, index).items()):
@@ -381,21 +395,18 @@ def validate_delivery(trace: RunTrace) -> list[str]:
 
 
 def validate_layer(
-    trace: RunTrace,
-    layer: str,
-    full_spread: bool,
-    b_in_r: bool = False,
-    index: Optional[RetIndex] = None,
+    trace: RunTrace, layer: str, index: Optional[RetIndex] = None
 ) -> list[str]:
     """Run panel of contract checks for one recorded layer at its claim,
-    over one index of the trace's returns."""
+    over one index of the trace's returns: full spread where it claims
+    t_s = n, and containment where it claims B within R."""
     if index is None:
         index = index_rets(trace)
     params = trace.layers[layer]
     bad = validate_lockstep(trace, layer, index)
     bad += validate_thresholds(trace, params, layer, index)
-    if full_spread:
+    if params.t_s == trace.n:
         bad += validate_fullspread(trace, layer, index)
-    if b_in_r:
+    if params.b_in_r:
         bad += validate_b_in_r(trace, layer, index)
     return bad

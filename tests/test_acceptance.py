@@ -15,10 +15,10 @@ import time
 from itertools import combinations, product
 
 from quesera.kvstore import FileStore, MemoryStore
-from quesera.netsim import STACKS, SimConfig, mix64, run
+from quesera.netsim import STACKS, SimConfig, configure, mix64, run
 from quesera.qsc import check_consensus, check_validity
 from quesera.qscod import ByteTally, Client, CountingStore, audit, qscod_params, run_clients
-from quesera.tlcb import spread_fault_budget, tlcb_check_config
+from quesera.tlcb import spread_fault_budget
 from quesera.tlcr import ConfigError
 from quesera.tsb import validate_fullspread, validate_layer
 
@@ -191,11 +191,11 @@ def test_a4_pigeonhole_bound_is_exact_over_all_matrices():
                         t_r=4, t_b=3, t_s=2, delay="random",
                         trace_level="steps")
     res = run(partial)
-    assert validate_layer(res.trace, "tlcb", full_spread=False) == []
+    assert validate_layer(res.trace, "tlcb") == []
     broken = validate_fullspread(res.trace, "tlcb")
     assert broken
     try:
-        tlcb_check_config(6, 4, 2, 3, 2, require_full_spread=True)
+        configure("tlcb-full", 6, 2, t_r=4, t_b=3, t_s=2)
         rejected = False
     except ConfigError:
         rejected = True

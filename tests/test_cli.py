@@ -185,6 +185,28 @@ def test_qscod_tools_refuse_negative_budgets(capsys, tool, flag, value):
                             f"argument {flag}: must be >= 0, got {value}\n")
 
 
+@pytest.mark.parametrize("layer", ["qscod", "qsc-tlcb"])
+def test_a_negative_f_exits_2_naming_the_rule(capsys, layer):
+    # over 3 stores, f = -1 would default t_r to 4 and wait out every slot
+    with pytest.raises(SystemExit) as exited:
+        sim_main(["run", "--layer", layer, "--n", "3", "--f", "-1", "--t-s", "2",
+                  "--t-b", "1", "--rounds", "2", "--messages", "1", "--validate"])
+    assert exited.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "qsc-sim: error: 0 <= f violated (f=-1)\n"
+
+
+@pytest.mark.parametrize("layer,seeds", [("qsc-tlcb", "-1"), ("qscod", "0")])
+def test_a_sweep_of_no_seeds_exits_2_naming_the_flag(capsys, layer, seeds):
+    with pytest.raises(SystemExit) as exited:
+        sim_main(["sweep", "--layer", layer, "--seeds", seeds, "--validate"])
+    assert exited.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"qsc-sim: error: --seeds must be >= 1, got {seeds}\n"
+
+
 def test_qscod_tools_fail_when_messages_are_undelivered(capsys):
     code = qscod.main(["--stores", "3", "--clients", "1", "--rounds", "0"])
     assert code == 1

@@ -158,7 +158,7 @@ def test_crash_before_suppresses_the_wire_send():
     assert res.trace.crashes == {2: (3, "before")}
     assert xmits_from(res.trace, 2) == 2 * 4  # steps 1-2 only, 4 dests each
     assert [s for _, l, s, node, *_ in res.trace.rets if node == 2] == [1, 2]
-    assert validate_layer(res.trace, "tlcr", full_spread=False) == []
+    assert validate_layer(res.trace, "tlcr") == []
 
 
 def test_crash_after_sends_then_dies():
@@ -168,7 +168,7 @@ def test_crash_after_sends_then_dies():
     assert res.trace.crashes == {2: (3, "after")}
     assert xmits_from(res.trace, 2) == 3 * 4  # step 3's frame did get out
     assert [s for _, l, s, node, *_ in res.trace.rets if node == 2] == [1, 2]
-    assert validate_layer(res.trace, "tlcr", full_spread=False) == []
+    assert validate_layer(res.trace, "tlcr") == []
 
 
 def test_every_transmission_is_eventually_delivered():

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quesera.netsim import SimConfig, run
-from quesera.tlcb import Tlcb, spread_fault_budget, tlcb_check_config
+from quesera.netsim import SimConfig, configure, run
+from quesera.tlcb import Tlcb, spread_fault_budget
 from quesera.tlcr import ConfigError
 from quesera.tsb import validate_fullspread, validate_layer
 from quesera.wire import PLAIN, StepMessage, encode_entry_set
@@ -28,21 +28,21 @@ def test_fault_budget_frozen_values():
 
 
 def test_admission_table():
-    ok = tlcb_check_config(3, 2, 2, 1, f=1)
-    assert ok.full_spread  # 2 + 2 > 3
-    assert ok.claim.t_s == 3  # upgraded to all-n spread
-    assert tlcb_check_config(6, 4, 3, 2, f=2).full_spread
+    ok = configure("tlcb", 3, 1, t_r=2, t_b=1, t_s=2)
+    assert Tlcb.claim(ok).t_s == ok.n  # 2 + 2 > 3
+    assert Tlcb.claim(ok).t_s == 3  # upgraded to all-n spread
+    assert Tlcb.claim(configure("tlcb", 6, 2, t_r=4, t_b=2, t_s=3)).t_s == 6
     # boundary: t_b == n - f_b with fractional f_b (4 - 3/2 = 5/2, t_b=2 fits)
-    assert tlcb_check_config(4, 3, 2, 2, f=1).t_b == 2
+    assert configure("tlcb", 4, 1, t_r=3, t_b=2, t_s=2).t_b == 2
 
     with pytest.raises(ConfigError, match="t_b <= n - f_b"):
-        tlcb_check_config(3, 2, 2, 2)  # budget 2 leaves room for only 1
+        configure("tlcb", 3, 0, t_r=2, t_b=2, t_s=2)  # budget 2 leaves room for only 1
     with pytest.raises(ConfigError, match="t_s <= t_r"):
-        tlcb_check_config(3, 2, 3, 1)
+        configure("tlcb", 3, 0, t_r=2, t_b=1, t_s=3)
     with pytest.raises(ConfigError, match="t_r <= n - f"):
-        tlcb_check_config(4, 4, 2, 1, f=1)
+        configure("tlcb", 4, 1, t_r=4, t_b=1, t_s=2)
     with pytest.raises(ConfigError, match="0 < t_b"):
-        tlcb_check_config(3, 2, 2, 0)
+        configure("tlcb", 3, 0, t_r=2, t_b=0, t_s=2)
 
 
 def test_gossip_tally_builds_b():
@@ -58,7 +58,7 @@ def test_gossip_tally_builds_b():
         StepMessage(layer="r", kind=PLAIN, sender=2, step=2,
                     payload=encode_entry_set(set_12)),
     ])
-    layer = Tlcb(ctx, 0, tlcb_check_config(3, 2, 2, 1))
+    layer = Tlcb(ctx, 0, configure("tlcb", 3, 0, t_r=2, t_b=1, t_s=2))
     res = drive(layer.broadcast(m0))
     assert res.r == set_01 | set_12
     assert res.b == {(1, m1)}
@@ -93,12 +93,12 @@ def test_partial_spread_config_really_is_weaker():
                     trace_level="steps", **_PARTIAL)
     res = run(cfg)
     # the promises it does make all hold...
-    assert validate_layer(res.trace, "tlcb", full_spread=False) == []
+    assert validate_layer(res.trace, "tlcb") == []
     # ...but messages land in B without reaching every receive set
     assert validate_fullspread(res.trace, "tlcb")
     # and the strict admission refuses the same thresholds
     with pytest.raises(ConfigError, match="t_r [+] t_s > n"):
-        tlcb_check_config(6, 4, 2, 3, f=2, require_full_spread=True)
+        configure("tlcb-full", 6, 2, t_r=4, t_b=3, t_s=2)
     with pytest.raises(ConfigError, match="t_r [+] t_s > n"):
         run(SimConfig(layer="tlcb-full", seed=5, rounds=2, **_PARTIAL))
 
@@ -109,4 +109,4 @@ def test_full_spread_config_holds_under_stress(seed):
                     delay="adversarial", crashes=((4, 3, "after"),),
                     trace_level="steps")
     res = run(cfg)
-    assert validate_layer(res.trace, "tlcb", full_spread=True) == []
+    assert validate_layer(res.trace, "tlcb") == []

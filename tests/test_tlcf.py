@@ -4,20 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from quesera.netsim import SimConfig, run
-from quesera.tlcf import tlcf_configure
+from quesera.netsim import SimConfig, configure, run
+from quesera.tlcf import Tlcf
 from quesera.tlcr import ConfigError
 from quesera.tsb import validate_b_in_r, validate_layer, validate_substeps
 
 
 def test_configure_requires_overlap():
-    cfg = tlcf_configure(3, 2, 2, 2, f=1)
-    assert cfg.claim.t_s == 3  # spread promise covers every node
-    tlcf_configure(5, 3, 3, 3, f=2)
+    cfg = configure("tlcf", 3, 1, t_r=2, t_b=2, t_s=2)
+    assert Tlcf.claim(cfg).t_s == 3  # spread promise covers every node
+    configure("tlcf", 5, 2, t_r=3, t_b=3, t_s=3)
     with pytest.raises(ConfigError, match="t_r [+] t_s > n"):
-        tlcf_configure(6, 3, 3, 3, f=2)
+        configure("tlcf", 6, 2, t_r=3, t_b=3, t_s=3)
     with pytest.raises(ConfigError, match="t_b <= n - f"):
-        tlcf_configure(3, 2, 3, 2, f=1)
+        configure("tlcf", 3, 1, t_r=2, t_b=3, t_s=2)
 
 
 CRASH_MENU = {
@@ -36,7 +36,7 @@ def test_full_spread_survives_minority_crashes(n, f, seed, delay):
     cfg = SimConfig(layer="tlcf", n=n, seed=seed, rounds=6, f=f, delay=delay,
                     crashes=CRASH_MENU[n][seed], trace_level="steps")
     res = run(cfg)
-    assert validate_layer(res.trace, "tlcf", full_spread=True) == []
+    assert validate_layer(res.trace, "tlcf") == []
     assert validate_b_in_r(res.trace, "tlcf") == []
 
 
@@ -45,5 +45,5 @@ def test_each_call_uses_one_witness_and_one_gossip_substep():
                         trace_level="steps"))
     assert validate_substeps(res.trace, "tlcf", "tlcw", 1) == []
     assert validate_substeps(res.trace, "tlcf", "tlcr", 1) == []
-    assert validate_layer(res.trace, "tlcw", full_spread=False) == []
-    assert validate_layer(res.trace, "tlcr", full_spread=False) == []
+    assert validate_layer(res.trace, "tlcw") == []
+    assert validate_layer(res.trace, "tlcr") == []

@@ -6,7 +6,8 @@ from collections import deque
 
 import pytest
 
-from quesera.tlcr import ConfigError, Tlcr, TransportIntegrityError, tlcr_configure
+from quesera.netsim import configure
+from quesera.tlcr import ConfigError, Tlcr, TransportIntegrityError
 from quesera.wire import PLAIN, StepMessage
 
 
@@ -51,11 +52,11 @@ def plain(sender, step, payload, prior=None):
 
 
 def test_configure_names_violations():
-    tlcr_configure(4, 3, f=1)
+    configure("tlcr", 4, 1, t_r=3)
     with pytest.raises(ConfigError, match="t_r <= n"):
-        tlcr_configure(3, 4)
+        configure("tlcr", 3, 0, t_r=4)
     with pytest.raises(ConfigError, match="n - t_r"):
-        tlcr_configure(4, 3, f=2)
+        configure("tlcr", 4, 2, t_r=3)
 
 
 def test_step_collects_until_threshold_and_drops_stale():
@@ -66,7 +67,7 @@ def test_step_collects_until_threshold_and_drops_stale():
         plain(9, 1, b"old"),  # late step-1 message, read during step 2
         plain(0, 2, b"self2"), plain(2, 2, b"m2"),
     ])
-    layer = Tlcr(ctx, 0, tlcr_configure(3, 2))
+    layer = Tlcr(ctx, 0, configure("tlcr", 3, 0, t_r=2))
     res1 = drive(layer.broadcast(b"self"))
     assert res1.r == {(0, b"self"), (1, b"m1")}
     assert res1.b == frozenset()
@@ -85,7 +86,7 @@ def test_viral_adoption_completes_step_and_replays_trigger():
         plain(1, 2, b"next1", prior=peer_set),  # node 1 raced ahead
         plain(2, 2, b"next2", prior=peer_set),  # only one more needed in step 2
     ])
-    layer = Tlcr(ctx, 0, tlcr_configure(3, 2))
+    layer = Tlcr(ctx, 0, configure("tlcr", 3, 0, t_r=2))
     res1 = drive(layer.broadcast(b"mine"))
     assert res1.r == peer_set  # adopted wholesale; own message was too slow
     res2 = drive(layer.broadcast(b"mine2"))
@@ -94,17 +95,17 @@ def test_viral_adoption_completes_step_and_replays_trigger():
 
 def test_future_gap_and_missing_piggyback_are_transport_errors():
     layer = Tlcr(ScriptedCtx([plain(1, 3, b"x", prior=frozenset())]),
-                 0, tlcr_configure(3, 2))
+                 0, configure("tlcr", 3, 0, t_r=2))
     with pytest.raises(TransportIntegrityError, match="step 3"):
         drive(layer.broadcast(b"m"))
 
     layer = Tlcr(ScriptedCtx([plain(1, 2, b"x", prior=None)]),
-                 0, tlcr_configure(3, 2))
+                 0, configure("tlcr", 3, 0, t_r=2))
     with pytest.raises(TransportIntegrityError, match="piggyback"):
         drive(layer.broadcast(b"m"))
 
 
 def test_zero_threshold_returns_immediately():
-    layer = Tlcr(ScriptedCtx(), 0, tlcr_configure(3, 0))
+    layer = Tlcr(ScriptedCtx(), 0, configure("tlcr", 3, 0, t_r=0))
     res = drive(layer.broadcast(b"m"))
     assert res.r == frozenset()

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from quesera.netsim import SimConfig, run
+from quesera.netsim import SimConfig, configure, run
 from quesera.tlcr import ConfigError
-from quesera.tlcw import Tlcw, tlcw_configure
+from quesera.tlcw import Tlcw
 from quesera.tsb import validate_b_in_r, validate_layer
 from quesera.wire import ACK, REQ, WIT, StepMessage
 
@@ -19,13 +19,13 @@ def wmsg(kind, sender, step, payload, prior_r=frozenset(), prior_b=frozenset()):
 
 
 def test_configure_names_violations():
-    tlcw_configure(4, 3, 3, f=1)
+    configure("tlcw", 4, 1, t_b=3, t_s=3)
     with pytest.raises(ConfigError, match="t_b <= n - f"):
-        tlcw_configure(3, 3, 2, f=1)
+        configure("tlcw", 3, 1, t_b=3, t_s=2)
     with pytest.raises(ConfigError, match="t_s <= n - f"):
-        tlcw_configure(3, 2, 3, f=1)
+        configure("tlcw", 3, 1, t_b=2, t_s=3)
     with pytest.raises(ConfigError, match="0 < t_b"):
-        tlcw_configure(3, 0, 2)
+        configure("tlcw", 3, 0, t_b=0, t_s=2)
 
 
 def test_step_choreography():
@@ -42,7 +42,7 @@ def test_step_choreography():
         wmsg(WIT, 0, 1, m),
         wmsg(WIT, 1, 1, b"theirs"),    # t_b=2 announcements: step done
     ])
-    layer = Tlcw(ctx, 0, tlcw_configure(3, 2, 2))
+    layer = Tlcw(ctx, 0, configure("tlcw", 3, 0, t_b=2, t_s=2))
     res = drive(layer.broadcast(m))
     assert res.r == {(0, m), (1, b"theirs")}
     assert res.b == {(0, m), (1, b"theirs")}
@@ -59,7 +59,7 @@ def test_stale_req_is_never_acked():
         wmsg(REQ, 2, 1, b"late"),  # arrives while node is in step 2
         wmsg(REQ, 0, 2, b"b"), wmsg(ACK, 0, 2, b"b"), wmsg(WIT, 0, 2, b"b"),
     ])
-    layer = Tlcw(ctx, 0, tlcw_configure(3, 1, 1))
+    layer = Tlcw(ctx, 0, configure("tlcw", 3, 0, t_b=1, t_s=1))
     drive(layer.broadcast(b"a"))
     drive(layer.broadcast(b"b"))
     assert all(x.payload != b"late" for _, x in ctx.unicasts)
@@ -75,7 +75,7 @@ def test_viral_adoption_replays_req_before_wit():
         wmsg(REQ, 1, 2, b"next1", prior_r=peer_r, prior_b=peer_b),
         wmsg(WIT, 1, 2, b"next1"),
     ])
-    layer = Tlcw(ctx, 0, tlcw_configure(3, 1, 2))
+    layer = Tlcw(ctx, 0, configure("tlcw", 3, 0, t_b=1, t_s=2))
     res1 = drive(layer.broadcast(b"mine"))
     assert (res1.r, res1.b) == (peer_r, peer_b)
     res2 = drive(layer.broadcast(b"mine2"))
@@ -92,5 +92,5 @@ def test_contract_holds_under_stress(seed, delay):
                     crashes=((seed % 4, 4, "after"),) if seed % 2 else (),
                     trace_level="steps")
     res = run(cfg)
-    assert validate_layer(res.trace, "tlcw", full_spread=False) == []
+    assert validate_layer(res.trace, "tlcw") == []
     assert validate_b_in_r(res.trace, "tlcw") == []

@@ -28,7 +28,7 @@ def d(payload: bytes) -> bytes:
 def two_node_trace() -> RunTrace:
     """Two nodes, one step, everyone receives everything, node 0's message
     witnessed by both."""
-    t = RunTrace(n=2, layers={"x": TsbParams(2, 2, 1, 2)})
+    t = RunTrace(n=2, layers={"x": TsbParams(2, 2, 1, 2, b_in_r=True)})
     t.sends = [(1, "x", 1, 0, d(b"m0")), (2, "x", 1, 1, d(b"m1"))]
     full = ((0, d(b"m0")), (1, d(b"m1")))
     t.rets = [
@@ -44,9 +44,9 @@ def panel(t: RunTrace) -> list[str]:
     itself, whether the panel is handed an index or builds its own."""
     singles = (validate_lockstep(t, "x") + validate_thresholds(t, layer="x")
                + validate_fullspread(t, "x") + validate_b_in_r(t, "x"))
-    shared = validate_layer(t, "x", full_spread=True, b_in_r=True, index=index_rets(t))
+    shared = validate_layer(t, "x", index=index_rets(t))
     assert shared == singles
-    assert validate_layer(t, "x", full_spread=True, b_in_r=True) == singles
+    assert validate_layer(t, "x") == singles
     return shared
 
 

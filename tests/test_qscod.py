@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from quesera.chain import GENESIS, History, Proposal
 from quesera.kvstore import MemoryStore, encode_hit, encode_request
 from quesera.qscod import (
+    Client,
     ClientReport,
     CountingStore,
     ByteTally,
@@ -195,6 +196,35 @@ def test_dead_column_does_not_stall_the_client():
     # ...to the audit, but run_clients counts its four failed writes a round
     assert raised == [f"column 1: {4 * report.rounds} store operations raised, "
                       "last RuntimeError('disk on fire')"]
+
+
+def test_hung_column_does_not_stall_the_client():
+    """A column whose store never answers until the run is over: the client
+    proceeds on the other t_r, and once the column answers, what it wrote
+    late still audits clean."""
+    release = threading.Event()
+
+    class HungStore(MemoryStore):
+        def write_read(self, key, value):
+            release.wait(30)
+            return super().write_read(key, value)
+
+    stores = [MemoryStore(), MemoryStore(), HungStore(), MemoryStore()]
+    params = qscod_params(4)
+    assert (params.f, params.t_r) == (1, 3)
+    client = Client(0, stores, params, seed=5)
+    try:
+        report = client.run([b"x", b"y", b"z"], 20)
+    finally:
+        release.set()
+        client.close()
+        for d in client.drivers:
+            d.join(30)
+            assert not d.is_alive()
+    assert report.delivered == [b"x", b"y", b"z"]
+    assert all(2 not in view for e in report.log for view in e.views.values())
+    assert stores[2].snapshot() == stores[0].snapshot()  # the late writes landed
+    assert audit(stores, params, [report]) == []
 
 
 def test_audit_rejects_tampered_logs():

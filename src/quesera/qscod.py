@@ -26,13 +26,19 @@ restricted to the client's own proposal because nobody else will retry a
 foreign message.
 
 Each client drives its n stores from n dedicated threads so one slow or dead
-store never stalls a round; progress needs any t_r columns, and the store
-operations that raised are counted per column.  Lost proposals
-are retried after a randomized, exponentially growing number of back-off
-rounds in which the client plays an empty proposal (it must keep proposing to
-keep the lottery fair, but an empty win changes nothing).  Delivery is
-at-least-once: a client that fails to observe its own win retries, so a
-message can land in the chain twice; it can never be lost.
+store never stalls a round: progress needs any t_r columns, and the store
+operations that raised are counted per column.  The round is one generator
+(:func:`round_offers`).  The column whose answer completes a slot takes
+exactly its t_r columns, sends them into the round and offers the next slot
+to every store, all in its own driver thread; the client thread sleeps once
+per round, until the round returns or raises.  So slots 2 and 4 gossip
+exactly t_r columns.
+
+Lost proposals are retried after a randomized, exponentially growing number
+of back-off rounds in which the client plays an empty proposal (it must keep
+proposing to keep the lottery fair, but an empty win changes nothing).
+Delivery is at-least-once: a client that fails to observe its own win
+retries, so a message can land in the chain twice; it can never be lost.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import queue
 import struct
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Generator, Iterable, Optional
 
 from .chain import GENESIS, ChainError, History, Proposal
 from .kvstore import MemoryStore, ProtocolError, open_store, write_read_size
@@ -136,49 +142,68 @@ class ByteTally:
 
 class WaitCache:
     """Collects (key, column) -> value reports from the driver threads and
-    lets the client block until enough columns answered for a key.
+    runs a client's round on from them.
 
-    A client waits on its keys in increasing order, so once a key is answered
-    it and every smaller key are done: the answer is handed over and dropped,
-    and late columns for them are ignored.
+    The round expects one slot key at a time.  The report that brings that
+    key to the columns it needs takes exactly those columns, marks the key
+    answered and, outside the lock, hands them to the slot's continuation in
+    the reporting thread.  Reports for any other key, or for an answered
+    one, are dropped.
 
-    One thread waits at a time, and it is woken once per key: by the column
-    that brings the key it waits on to the columns it needs."""
+    The client thread sleeps in :meth:`wait` once per round, and is woken
+    once, when the round ends."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        self._got: dict[bytes, dict[int, bytes]] = {}
-        self._answered = b""  # sorts below every slot key
-        self._waiting: Optional[tuple[bytes, int]] = None  # (key, need) of the waiter
+        self._key, self._need = b"", 0  # the slot the round waits on
+        self._cols: dict[int, bytes] = {}  # its columns so far
+        self._then: Optional[Callable[[dict[int, bytes]], None]] = None  # None once answered
+        self._outcome: Optional[tuple] = None  # (result, exception) of the ended round
+
+    def expect(self, key: bytes, need: int, then: Callable[[dict[int, bytes]], None]) -> None:
+        """Run ``then(columns)`` once ``key`` has ``need`` columns.  Call it
+        before the key's commands go out."""
+        with self._lock:
+            self._key, self._need, self._cols, self._then = key, need, {}, then
 
     def put(self, key: bytes, column: int, value: bytes) -> None:
-        with self._cond:
-            if key <= self._answered:
+        with self._lock:
+            if key != self._key or self._then is None:
                 return
-            cols = self._got.setdefault(key, {})
-            cols[column] = value
-            if (key, len(cols)) == self._waiting:
-                self._cond.notify()
+            self._cols[column] = value
+            if len(self._cols) < self._need:
+                return
+            then, cols, self._then = self._then, self._cols, None
+        then(cols)
 
-    def wait(self, key: bytes, need: int, timeout: float = WAIT_TIMEOUT) -> dict[int, bytes]:
+    def finish(self, result=None, error: Optional[Exception] = None) -> None:
+        """End the round with what it returned, or with the exception it
+        raised, and wake the client."""
         with self._cond:
-            self._waiting = (key, need)
-            ok = self._cond.wait_for(
-                lambda: len(self._got.get(key, ())) >= need, timeout
-            )
-            self._waiting = None
-            if not ok:
-                have = len(self._got.get(key, ()))
-                raise TimeoutError(f"{have}/{need} columns answered for {key.hex()}")
-            self._answered = key
-            return self._got.pop(key)
+            self._outcome = (result, error)
+            self._cond.notify()
+
+    def wait(self, timeout: float):
+        """Sleep until the round ends, then return what it returned or raise
+        what it raised.  On timeout the round is abandoned, and the
+        TimeoutError names the slot key it stalled on and its columns."""
+        with self._cond:
+            if not self._cond.wait_for(lambda: self._outcome is not None, timeout):
+                self._then = None  # a late column resumes nothing
+                raise TimeoutError(f"{len(self._cols)}/{self._need} columns answered "
+                                   f"for {self._key.hex()}")
+            (result, error), self._outcome = self._outcome, None
+        if error is not None:
+            raise error
+        return result
 
 
 class _Driver(threading.Thread):
     """One store's dedicated writer: performs write_read commands in order
-    and reports winners to the cache.  A broken store kills only this column;
-    its failed operations are counted, and the last one kept."""
+    and reports winners to the cache; the report that completes a slot runs
+    the round on in this thread.  A broken store kills only this column; its
+    failed operations are counted, and the last one kept."""
 
     def __init__(self, column: int, store, cache: WaitCache):
         super().__init__(daemon=True)
@@ -218,23 +243,41 @@ def _best_row(cols3: dict[int, bytes]) -> dict[int, bytes]:
     return {col: encode_history(decode_slot3(value)[2]) for col, value in cols3.items()}
 
 
-def play_round(step, payload: bytes, proposed: bytes, t_s: int) -> tuple[History, bool]:
-    """One round's four slots and its decision.  ``step(slot, value)`` offers
-    ``value`` for the slot and returns the columns collected for it; slot 1
+def round_offers(
+    payload: bytes, proposed: bytes, t_s: int
+) -> Generator[tuple[int, Callable[[], bytes]], dict[int, bytes], tuple[History, bool]]:
+    """One round's four slots and its decision.  Yields ``(slot, offer)``,
+    where ``offer()`` encodes the value to write in the slot, so a replay
+    that already holds the columns encodes nothing; is sent the columns
+    collected for the slot; and returns ``(history, committed)``.  Slot 1
     is offered ``payload``, the encoded history whose digest is
     ``proposed``.  The round adopts and commits by :func:`qsc.decide` over
     R1 (slots 1-2), R2 and B2 (slots 3-4), each gathered like a
     :class:`tlcb.Tlcb` step, and commits only the client's own proposal,
     because nobody else will retry a foreign one."""
-    cols1 = step(1, payload)
-    cols2 = step(2, encode_entry_set(cols1.items()))
+    cols1 = yield 1, lambda: payload
+    cols2 = yield 2, functools.partial(encode_entry_set, cols1.items())
     r1, b1 = gather(cols1.items(), cols2.values(), t_s)
-    cols3 = step(3, encode_slot3(frozenset(), frozenset(), step2_candidate(b1)))
+    cols3 = yield 3, functools.partial(encode_slot3, frozenset(), frozenset(),
+                                       step2_candidate(b1))
     row2 = _best_row(cols3)
-    cols4 = step(4, encode_entry_set(row2.items()))
+    cols4 = yield 4, functools.partial(encode_entry_set, row2.items())
     r2, b2 = gather(row2.items(), cols4.values(), t_s)
     chosen, committed = decide(r1, r2, b2)
     return chosen, committed and chosen.digest == proposed
+
+
+def play_round(step, payload: bytes, proposed: bytes, t_s: int) -> tuple[History, bool]:
+    """:func:`round_offers` played in this thread: ``step(slot, offer)``
+    returns the columns collected for each slot."""
+    offers = round_offers(payload, proposed, t_s)
+    cols = None
+    while True:
+        try:
+            slot, offer = offers.send(cols)
+        except StopIteration as stop:
+            return stop.value
+        cols = step(slot, offer)
 
 
 @dataclass
@@ -282,21 +325,18 @@ class Client:
     # -- round machinery --
 
     def run_round(self, message: bytes, priority: int) -> RoundLog:
+        """Play one round of :func:`round_offers`.  The column that completes
+        a slot runs the round on, so this thread sleeps once, until the
+        round returns or raises."""
         self.round += 1
         proposal = Proposal(
             proposer=0, message=message, priority=priority, prev=self.history.digest
         )
         mine = self.history.extend(proposal)
+        offers = round_offers(encode_history(mine), mine.digest, self.params.t_s)
         views: dict[int, dict[int, bytes]] = {}
-
-        def step(slot: int, value: bytes) -> dict[int, bytes]:
-            key = slot_key(self.round, slot)
-            for d in self.drivers:
-                d.submit(key, value)
-            views[slot] = self.cache.wait(key, self.params.t_r)
-            return views[slot]
-
-        chosen, committed = play_round(step, encode_history(mine), mine.digest, self.params.t_s)
+        self._offer_next(offers, views, None)
+        chosen, committed = self.cache.wait(WAIT_TIMEOUT)
         self.history = chosen
         return RoundLog(
             round=self.round,
@@ -307,6 +347,28 @@ class Client:
             committed=committed,
             views=views,
         )
+
+    def _offer_next(self, offers: Generator, views: dict, cols: Optional[dict]) -> None:
+        """Send the answered slot's columns into the round and offer its next
+        slot to every driver.  Runs in the thread that answered the slot; the
+        round's result, or what it raised, goes to the client thread."""
+        try:
+            slot, offer = offers.send(cols)
+            key, value = slot_key(self.round, slot), offer()
+        except StopIteration as stop:
+            self.cache.finish(stop.value)
+            return
+        except Exception as exc:
+            self.cache.finish(error=exc)
+            return
+        self.cache.expect(key, self.params.t_r,
+                          functools.partial(self._answered, offers, views, slot))
+        for d in self.drivers:
+            d.submit(key, value)
+
+    def _answered(self, offers: Generator, views: dict, slot: int, cols: dict) -> None:
+        views[slot] = cols
+        self._offer_next(offers, views, cols)
 
     def run(self, messages: Iterable[bytes], max_rounds: int) -> ClientReport:
         """Push a workload through, retrying lost proposals with randomized

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quesera import qscod
 from quesera.chain import GENESIS, History, Proposal
 from quesera.kvstore import MemoryStore, encode_hit, encode_request
 from quesera.qscod import (
@@ -20,12 +21,14 @@ from quesera.qscod import (
     ByteTally,
     RoundLog,
     WaitCache,
+    _Driver,
     audit,
     decode_slot3,
     encode_slot3,
     play_round,
     qscod_params,
     run_clients,
+    run_workload,
     slot_key,
 )
 from quesera.tlcb import gather
@@ -63,8 +66,8 @@ def scripted(columns):
     was offered for each slot."""
     offered = {}
 
-    def step(slot, value):
-        offered[slot] = value
+    def step(slot, offer):
+        offered[slot] = value = offer()
         return columns.get(slot) or {col: value for col in range(3)}
 
     return step, offered
@@ -118,7 +121,8 @@ def test_audit_accepts_slot3_values_in_the_full_form():
                                        prev=history.digest))
         views = {}
 
-        def step(slot, value):
+        def step(slot, offer):
+            value = offer()
             if slot == 3:
                 r1, b1 = gather(views[1].items(), views[2].values(), params.t_s)
                 value = encode_slot3(r1, b1, decode_slot3(value)[2])
@@ -227,6 +231,130 @@ def test_hung_column_does_not_stall_the_client():
     assert audit(stores, params, [report]) == []
 
 
+def test_the_client_sleeps_once_per_round(monkeypatch):
+    """The column that completes a slot runs the round on, so the client
+    thread enters the cache's wait once a round, not once a slot."""
+    entered = []
+    wait = WaitCache.wait
+
+    def counted(self, *args):
+        entered.append(threading.get_ident())
+        return wait(self, *args)
+
+    monkeypatch.setattr(WaitCache, "wait", counted)
+    client = Client(0, [MemoryStore() for _ in range(3)], qscod_params(3), seed=2)
+    client.cache._cond = cond = _CountingCondition(client.cache._lock)
+    try:
+        report = client.run([b"a", b"b", b"c", b"d"], 20)
+    finally:
+        client.close()
+        for d in client.drivers:
+            d.join(30)
+            assert not d.is_alive()
+    assert report.rounds == len(report.delivered) == 4
+    assert entered == [threading.get_ident()] * 4
+    assert cond.waits == cond.wakes <= 4  # a round may end before the wait
+
+
+class SlotTwoJunk(MemoryStore):
+    """A store that answers every slot-2 write of the first ``rounds``
+    rounds with a value that is no entry set."""
+
+    def __init__(self, rounds=2**32):
+        super().__init__()
+        self.rounds = rounds
+
+    def write_read(self, key, value):
+        got = super().write_read(key, value)
+        return b"junk" if key[-1] == 2 and int.from_bytes(key[:4], "big") <= self.rounds else got
+
+
+def test_a_column_that_does_not_decode_fails_the_client_at_once():
+    t0 = time.monotonic()
+    stores = [SlotTwoJunk() for _ in range(3)]
+    reports, failed, dead = run_clients(stores, qscod_params(3), [[b"a"]], 20, 7)
+    assert (reports, dead) == ([], [])
+    assert failed == ["client 0 raised WireError('truncated set entry')"]
+    assert time.monotonic() - t0 < 10  # not after WAIT_TIMEOUT (60 s)
+
+
+def test_a_round_that_raises_leaves_the_drivers_running():
+    stores = [SlotTwoJunk(rounds=1) for _ in range(3)]
+    client = Client(0, stores, qscod_params(3), seed=4)
+    try:
+        with pytest.raises(WireError, match="truncated set entry"):
+            client.run_round(b"lost", 1)
+        assert all(d.is_alive() for d in client.drivers)
+        entry = client.run_round(b"kept", 2)
+    finally:
+        client.close()
+        for d in client.drivers:
+            d.join(30)
+            assert not d.is_alive()
+    assert entry.round == 2 and entry.committed and entry.adopted == entry.proposed
+    assert sum(d.errors for d in client.drivers) == 0
+
+
+def test_a_stalled_round_names_its_slot_key_and_columns(monkeypatch):
+    release = threading.Event()
+
+    class SlotTwoHangs(MemoryStore):
+        def write_read(self, key, value):
+            if key[-1] == 2:
+                release.wait(30)
+            return super().write_read(key, value)
+
+    monkeypatch.setattr(qscod, "WAIT_TIMEOUT", 0.2)
+    stores = [MemoryStore(), SlotTwoHangs(), SlotTwoHangs()]
+    client = Client(0, stores, qscod_params(3), seed=4)
+    try:
+        with pytest.raises(TimeoutError) as err:
+            client.run_round(b"m", 1)
+    finally:
+        release.set()
+        client.close()
+        for d in client.drivers:
+            d.join(30)
+            assert not d.is_alive()
+    assert str(err.value) == f"1/2 columns answered for {slot_key(1, 2).hex()}"
+
+
+def test_lone_client_bytes_are_a_function_of_the_seed():
+    """At the default f the client reads t_r of n columns, which ones
+    varying with thread timing; the gossip it writes holds exactly t_r
+    entries all the same, so its bytes repeat."""
+    params = qscod_params(5)
+    assert (params.f, params.t_r) == (1, 4)
+    totals = []
+    for _ in range(2):
+        done, problems, dead, short, tally = run_workload(
+            [MemoryStore() for _ in range(5)], params, 1, 20, 40, seed=9)
+        assert (problems, dead, short) == ([], [], [])
+        (report,) = done
+        assert all(len(view) == params.t_r for e in report.log for view in e.views.values())
+        totals.append(tally.total)
+    assert totals[0] == totals[1]
+
+
+def test_audit_replays_without_encoding_offers(monkeypatch):
+    params, stores, (report,), _ = race([[b"m%d" % k for k in range(500)]], 500)
+    assert report.rounds == 500
+    calls = []
+
+    def counted(entries):
+        calls.append(1)
+        return encode_entry_set(entries)
+
+    monkeypatch.setattr(qscod, "encode_entry_set", counted)
+    assert audit(stores, params, [report]) == []
+    assert calls == []
+    # the same round played with its offers encodes four sets: slots 2 and 4,
+    # and slot 3's two empty ones
+    step, _ = scripted({})
+    play_round(step, encode_history(MINE), MINE.digest, 2)
+    assert len(calls) == 4
+
+
 def test_audit_rejects_tampered_logs():
     params, stores, (report,), _ = race([[b"a", b"b"]], 20)
     assert audit(stores, params, [report]) == []
@@ -296,15 +424,20 @@ def test_run_clients_reports_a_client_that_raises():
 def test_wait_cache_drops_answered_keys():
     cache = WaitCache()
     first, second = slot_key(1, 4), slot_key(2, 1)
-    assert first < second  # byte order is use order
-    cache.put(second, 0, b"early")  # a driver may run ahead of the client
+    got = []
+    cache.expect(first, 2, got.append)
     cache.put(first, 0, b"x")
     cache.put(first, 1, b"y")
-    assert cache.wait(first, 2) == {0: b"x", 1: b"y"}
+    assert got == [{0: b"x", 1: b"y"}]  # exactly the columns it needs
     cache.put(first, 2, b"late")  # the third column of an answered key
-    with pytest.raises(TimeoutError, match="0/1 columns"):
-        cache.wait(first, 1, timeout=0.01)
-    assert cache.wait(second, 1) == {0: b"early"}
+    cache.expect(second, 2, got.append)
+    cache.put(first, 3, b"later")
+    cache.put(second, 0, b"next")
+    assert got == [{0: b"x", 1: b"y"}]
+    with pytest.raises(TimeoutError, match=f"^1/2 columns answered for {second.hex()}$"):
+        cache.wait(0.01)  # nothing ended the round
+    cache.put(second, 1, b"too late")  # the round was abandoned
+    assert got == [{0: b"x", 1: b"y"}]
 
 
 class _CountingCondition(threading.Condition):
@@ -323,18 +456,20 @@ class _CountingCondition(threading.Condition):
 
 
 def test_wait_cache_wakes_the_client_once_its_key_has_the_columns():
+    """The client sleeps through a slot's columns and the continuation they
+    run; the thread that ends the round wakes it, once."""
     cache = WaitCache()
     cache._cond = cond = _CountingCondition(cache._lock)
-    key, later = slot_key(3, 2), slot_key(3, 3)
+    key = slot_key(3, 2)
+    cache.expect(key, 2, lambda cols: cache.finish(sorted(cols.items())))
     got = []
-    client = threading.Thread(target=lambda: got.append(cache.wait(key, 2, timeout=30)))
+    client = threading.Thread(target=lambda: got.append(cache.wait(30)))
     client.start()
     deadline = time.monotonic() + 30
     while cond.waits == 0 and time.monotonic() < deadline:
         time.sleep(0.001)
     assert cond.waits == 1  # the client holds the lock until it sleeps
     cache.put(key, 4, b"a")  # one column of two
-    cache.put(later, 0, b"ahead")  # a driver running ahead
     client.join(0.1)
     assert client.is_alive() and got == [] and cond.wakes == 0
     driver = threading.Thread(target=cache.put, args=(key, 1, b"b"))
@@ -342,36 +477,56 @@ def test_wait_cache_wakes_the_client_once_its_key_has_the_columns():
     driver.join(30)
     client.join(30)
     assert not client.is_alive()
-    assert got == [{4: b"a", 1: b"b"}]
+    assert got == [[(1, b"b"), (4, b"a")]]
     assert (cond.waits, cond.wakes) == (1, 1)
-    assert cache.wait(later, 1) == {0: b"ahead"}
 
 
 def test_wait_cache_loses_no_wake_among_racing_columns():
-    """More driver threads than cores race the client through its keys; a
-    lost wake-up would leave a wait to time out."""
+    """More driver threads than cores race through a chain of keys, each
+    key's continuation offering the next to every driver; a lost
+    continuation or wake-up would leave the client's wait to time out."""
+
+    class ColumnStore:
+        def __init__(self, col):
+            self.col = b"%d" % col
+
+        def write_read(self, key, value):
+            return self.col
+
     cache = WaitCache()
     columns, rounds, need = 5, 300, 3
     keys = [slot_key(rnd, 1) for rnd in range(1, rounds + 1)]
+    drivers = [_Driver(c, ColumnStore(c), cache) for c in range(columns)]
+    answers = []
 
-    def driver(col):
-        for key in keys:
-            cache.put(key, col, b"%d" % col)
+    def offer(i):
+        cache.expect(keys[i], need, lambda cols: answered(i, cols))
+        for d in drivers:
+            d.submit(keys[i], b"")
+
+    def answered(i, cols):
+        answers.append(cols)
+        if i + 1 < rounds:
+            offer(i + 1)
+        else:
+            cache.finish(len(answers))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        drivers = [threading.Thread(target=driver, args=(c,)) for c in range(columns)]
         for d in drivers:
             d.start()
-        for key in keys:
-            got = cache.wait(key, need, timeout=30)
-            assert len(got) >= need and all(v == b"%d" % c for c, v in got.items())
+        offer(0)
+        assert cache.wait(30) == rounds
+    finally:
+        sys.setswitchinterval(interval)
+        for d in drivers:
+            d.stop()
         for d in drivers:
             d.join(30)
             assert not d.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
+    assert all(len(cols) == need and all(v == b"%d" % c for c, v in cols.items())
+               for cols in answers)
 
 
 def _slot3_encodings():

@@ -136,6 +136,22 @@ def test_fullspread_and_containment():
     assert panel(t)
 
 
+def test_a_dropped_r_entry_is_reported_once():
+    # t_s = n: full spread is the spread count, so a B message missing from
+    # one returned R is one finding, not one per check
+    t = RunTrace(n=2, layers={"x": TsbParams(2, 1, 0, 2, b_in_r=True)})
+    t.sends = [(1, "x", 1, 0, d(b"m0")), (2, "x", 1, 1, d(b"m1"))]
+    m0, m1 = (0, d(b"m0")), (1, d(b"m1"))
+    t.rets = [(3, "x", 1, 0, (m0, m1), (m0,)), (4, "x", 1, 1, (m1,), ())]
+    want = ["node 0 x step 1: B message from 0 reached 1 < t_s=2 nodes"]
+    assert validate_layer(t, "x") == want
+    assert validate_layer(t, "x", index=index_rets(t)) == want
+
+    # a node listing the same entry twice still reaches it once
+    t.rets[0] = (3, "x", 1, 0, (m0, m0, m1), (m0,))
+    assert validate_layer(t, "x") == want
+
+
 def test_substeps_counts_and_ordering():
     t = RunTrace(n=1, layers={"o": TsbParams(1, 1, 0, 0), "i": TsbParams(1, 1, 0, 0)})
     t.sends = [(1, "o", 1, 0, d(b"m")), (2, "i", 1, 0, d(b"m")),

@@ -20,6 +20,7 @@ the validators check eventual delivery.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from collections import defaultdict, deque
@@ -44,6 +45,8 @@ _MIX_IV = 0x6A09E667F3BCC909
 
 # stream labels keeping the seed-derived substreams apart
 _S_DELAY, _S_TAIL, _S_ADV, _S_PRIORITY, _S_MESSAGE, _S_PAYLOAD = range(1, 7)
+
+_ADV_PERIOD = 32  # channel sequence numbers per adversarial victim window
 
 
 def mix64(*parts: int) -> int:
@@ -122,30 +125,21 @@ class AdversarialDelay:
 
     name = "adversarial"
 
-    def __init__(self, seed: int, n: int, scale: int = 4, period: int = 32):
+    def __init__(self, seed: int, n: int, scale: int = 4):
         self.seed = seed
         self.n = n
         self.scale = max(1, scale)
-        self.period = max(1, period)
         self.victims = max(1, n // 3)
-        self._windows: dict[int, frozenset[int]] = {}
         self._jitter_keys = _channel_keys(seed, _S_DELAY, n)
+        self._victim_set = functools.cache(self._draw_victims)  # one draw a window
 
-    def _victim_set(self, window: int) -> frozenset[int]:
-        got = self._windows.get(window)
-        if got is None:
-            got = frozenset(
-                mix64(self.seed, _S_ADV, window, k) % self.n
-                for k in range(self.victims)
-            )
-            self._windows[window] = got
-        return got
+    def _draw_victims(self, window: int) -> frozenset[int]:
+        return frozenset(
+            mix64(self.seed, _S_ADV, window, k) % self.n for k in range(self.victims)
+        )
 
     def delay(self, sender: int, dest: int, index: int) -> int:
-        window = index // self.period
-        victims = self._windows.get(window)
-        if victims is None:
-            victims = self._victim_set(window)
+        victims = self._victim_set(index // _ADV_PERIOD)
         if sender in victims or dest in victims:
             jitter = _fold(self._jitter_keys[sender * self.n + dest], index) % self.scale
             return self.scale * 40 + jitter
@@ -350,7 +344,7 @@ class _NodeCtx:
         self.armed = False
         self.waiting: Optional[StepCollector] = None
 
-    def step_begin(self, tag: str) -> None:
+    def step_begin(self) -> None:
         self.steps += 1
         if self.crash is not None and self.crash[0] == self.steps:
             if self.crash[1] == "before":

@@ -29,6 +29,8 @@ from .wire import Entry, encode_history, histories_of, history_bytes
 # choose(state) -> (message bytes, random priority) for the next round
 Chooser = Callable[["QscState"], tuple[bytes, int]]
 
+_ROUND_STEPS = 2  # top-layer broadcast steps per round
+
 
 @dataclass(frozen=True, slots=True)
 class DeliveryRecord:
@@ -238,10 +240,10 @@ def check_preservation(trace: RunTrace) -> list[str]:
     return bad
 
 
-def check_validity(trace: RunTrace, depth: int = 2) -> list[str]:
+def check_validity(trace: RunTrace) -> list[str]:
     """Every delivered history -- committed or merely adopted -- is headed by
-    a proposal created exactly ``depth`` broadcast steps before delivery:
-    fresh input, never a recycled or fabricated entry."""
+    a proposal created exactly one round (two broadcast steps) before
+    delivery: fresh input, never a recycled or fabricated entry."""
     bad: list[str] = []
     for rec in trace.deliveries:
         info = trace.resolve(rec.digest)
@@ -250,11 +252,11 @@ def check_validity(trace: RunTrace, depth: int = 2) -> list[str]:
                 f"node {rec.node} delivered unknown digest {rec.digest.hex()[:16]}"
             )
             continue
-        if rec.step - info.created_step != depth:
+        if rec.step - info.created_step != _ROUND_STEPS:
             bad.append(
                 f"node {rec.node} round {rec.round}: head created at step "
                 f"{info.created_step}, delivered at step {rec.step} "
-                f"(want gap {depth})"
+                f"(want gap {_ROUND_STEPS})"
             )
         if info.length != rec.length:
             bad.append(

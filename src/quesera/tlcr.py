@@ -13,7 +13,7 @@ is over.
 
 The layer talks to a node context supplying the transport::
 
-    ctx.step_begin(tag)      account one wire-level step
+    ctx.step_begin()         account one wire-level step
     ctx.broadcast(msg)       fan a StepMessage out to all n nodes
     ctx.unicast(dest, msg)   send to one node
     ctx.collect(layer)       hand lane ``layer.tag`` to ``layer.handle``
@@ -66,7 +66,7 @@ class StepCollector:
     def _run_step(self, first: StepMessage):
         """Generator: send ``first``, count the messages held over for this
         step, then handle the lane until the step completes."""
-        self.ctx.step_begin(self.tag)
+        self.ctx.step_begin()
         self.ctx.broadcast(first)
         replay, self._replay = self._replay, []
         for msg in replay:

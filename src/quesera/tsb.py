@@ -7,13 +7,17 @@ messages of at least ``t_r`` distinct senders, B holds messages of at least
 least ``t_s`` nodes (nodes that stopped mid-run count: the message was on the
 wire to them and they would receive it, only too late to matter).
 
-The validators here replay a :class:`RunTrace` against those four promises and
-return human-readable violation strings; an empty list means the trace passes.
+Full spread is the same promise at t_s = n.  ``validate_layer`` replays a
+:class:`RunTrace` against the contract, one recorded layer at its claim, in one
+scan of that layer's returns; the other validators check the nesting of layers
+and the transport.  Each returns human-readable violation strings; an empty
+list means the trace passes.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -181,145 +185,6 @@ def index_rets(trace: RunTrace) -> RetIndex:
     return index
 
 
-def _layer_rets(trace: RunTrace, layer: str, index: Optional[RetIndex]):
-    return (index_rets(trace) if index is None else index).get(layer, {})
-
-
-def validate_lockstep(
-    trace: RunTrace, layer: Optional[str] = None, index: Optional[RetIndex] = None
-) -> list[str]:
-    """Check lock-step synchrony: per node, broadcast calls return one per
-    step in order 1,2,3,... and every returned set entry is a message some
-    node actually sent at that same layer step."""
-    layer = layer or trace.top_layer
-    bad: list[str] = []
-    sends, dups = _layer_sends(trace, layer)
-    bad.extend(dups)
-    per_node = _layer_rets(trace, layer, index)
-    send_steps: dict[int, list[int]] = {}
-    for step, sent in sends.items():
-        for node in sent:
-            send_steps.setdefault(node, []).append(step)
-    for node, steps in sorted(send_steps.items()):
-        steps.sort()
-        if steps != list(range(1, len(steps) + 1)):
-            bad.append(f"node {node} {layer} send steps not consecutive: {steps[:8]}...")
-    for node, seq in sorted(per_node.items()):
-        want = 1
-        for order, step, r, b in seq:
-            if step != want:
-                bad.append(f"node {node} {layer} returned step {step}, expected {want}")
-            want = step + 1
-            at_step = sends.get(step, {})
-            if node not in at_step:
-                bad.append(f"node {node} {layer} step {step} returned without sending")
-            for tag, entries in (("R", r), ("B", b)):
-                for sender, digest in entries:
-                    sent = at_step.get(sender)
-                    if sent is None:
-                        bad.append(
-                            f"node {node} {layer} step {step} {tag} holds a message "
-                            f"never sent by {sender} at that step"
-                        )
-                    elif sent != digest:
-                        bad.append(
-                            f"node {node} {layer} step {step} {tag} holds a foreign "
-                            f"payload for sender {sender}"
-                        )
-    for node in sorted(set(send_steps) | set(per_node)):
-        sent, got = len(send_steps.get(node, [])), len(per_node.get(node, []))
-        if node not in trace.crashes and sent != got:
-            bad.append(
-                f"node {node} {layer}: {sent} sends but {got} returns without a crash"
-            )
-    return bad
-
-
-def validate_thresholds(
-    trace: RunTrace,
-    params: Optional[TsbParams] = None,
-    layer: Optional[str] = None,
-    index: Optional[RetIndex] = None,
-) -> list[str]:
-    """Check receive/broadcast/spread thresholds of one layer.
-
-    Spread counts a node toward t_s if its returned step-s R set holds the
-    message, or if it never returned that step at all (crashed nodes: every
-    broadcast was also addressed to them and delivery is only a matter of
-    waiting, so the promise is counted as kept)."""
-    layer = layer or trace.top_layer
-    params = params or trace.layers[layer]
-    bad: list[str] = []
-    per_node = _layer_rets(trace, layer, index)
-    by_step: dict[int, list[tuple[int, tuple, tuple]]] = {}
-    for node, seq in per_node.items():
-        for _, step, r, b in seq:
-            by_step.setdefault(step, []).append((node, r, b))
-    t_r, t_b, t_s = params.t_r, params.t_b, params.t_s
-    for step, rows in sorted(by_step.items()):
-        present: dict[Entry, int] = {}
-        for _, r, _ in rows:
-            for entry in r:
-                present[entry] = present.get(entry, 0) + 1
-        missing = trace.n - len(rows)  # nodes that never returned this step
-        for node, r, b in rows:
-            have = len(senders(r))
-            if have < t_r:
-                bad.append(
-                    f"node {node} {layer} step {step}: |R senders| {have} < t_r={t_r}"
-                )
-            have = len(senders(b))
-            if have < t_b:
-                bad.append(
-                    f"node {node} {layer} step {step}: |B senders| {have} < t_b={t_b}"
-                )
-            for entry in b:
-                reach = present.get(entry, 0) + missing
-                if reach < t_s:
-                    bad.append(
-                        f"node {node} {layer} step {step}: B message from "
-                        f"{entry[0]} reached {reach} < t_s={t_s} nodes"
-                    )
-    return bad
-
-
-def validate_fullspread(
-    trace: RunTrace, layer: Optional[str] = None, index: Optional[RetIndex] = None
-) -> list[str]:
-    """Check the full-spread property: any step-s B set is contained in every
-    step-s R set returned by any node."""
-    layer = layer or trace.top_layer
-    bad: list[str] = []
-    by_step: dict[int, list[tuple[int, frozenset, tuple]]] = {}
-    for node, seq in _layer_rets(trace, layer, index).items():
-        for _, step, r, b in seq:
-            by_step.setdefault(step, []).append((node, frozenset(r), b))
-    for step, rows in sorted(by_step.items()):
-        for i, _, b in rows:
-            for j, r_j, _ in rows:
-                stray = [e for e in b if e not in r_j]
-                if stray:
-                    bad.append(
-                        f"{layer} step {step}: B of node {i} has message from "
-                        f"{stray[0][0]} missing in R of node {j}"
-                    )
-    return bad
-
-
-def validate_b_in_r(
-    trace: RunTrace, layer: Optional[str] = None, index: Optional[RetIndex] = None
-) -> list[str]:
-    """Layer-local containment check: every returned B is a subset of the
-    same call's R (claimed by the layers that set ``TsbParams.b_in_r``)."""
-    layer = layer or trace.top_layer
-    bad: list[str] = []
-    for node, seq in sorted(_layer_rets(trace, layer, index).items()):
-        for _, step, r, b in seq:
-            if not set(b) <= set(r):
-                bad.append(f"node {node} {layer} step {step}: B not within R")
-    return bad
-
-
 def validate_substeps(
     trace: RunTrace, outer: str, inner: str, per_step: int,
     index: Optional[RetIndex] = None,
@@ -329,8 +194,7 @@ def validate_substeps(
     bad: list[str] = []
     if index is None:
         index = index_rets(trace)
-    outer_rets = _layer_rets(trace, outer, index)
-    inner_rets = _layer_rets(trace, inner, index)
+    outer_rets, inner_rets = index.get(outer, {}), index.get(inner, {})
     for node, seq in sorted(outer_rets.items()):
         inner_seq = inner_rets.get(node, [])
         if node not in trace.crashes and len(inner_seq) != per_step * len(seq):
@@ -397,16 +261,81 @@ def validate_delivery(trace: RunTrace) -> list[str]:
 def validate_layer(
     trace: RunTrace, layer: str, index: Optional[RetIndex] = None
 ) -> list[str]:
-    """Run panel of contract checks for one recorded layer at its claim,
-    over one index of the trace's returns: full spread where it claims
-    t_s = n, and containment where it claims B within R."""
-    if index is None:
-        index = index_rets(trace)
-    params = trace.layers[layer]
-    bad = validate_lockstep(trace, layer, index)
-    bad += validate_thresholds(trace, params, layer, index)
-    if params.t_s == trace.n:
-        bad += validate_fullspread(trace, layer, index)
-    if params.b_in_r:
-        bad += validate_b_in_r(trace, layer, index)
+    """Check one recorded layer against its claim in one scan of its returns.
+
+    Lock-step: per node, broadcast calls return one per step in order
+    1,2,3,... and every returned set entry is a message some node actually
+    sent at that same layer step.  Thresholds: every R holds ``t_r`` senders,
+    every B ``t_b``, and every B message reached the returned step-s R sets
+    of ``t_s`` nodes, each node counted once; a node that never returned
+    that step counts as reached (it crashed: the message was on the wire to
+    it, and delivery is only a matter of waiting).  At t_s = n this spread
+    count is the full-spread check.  Containment: where the claim has
+    ``b_in_r``, every returned B lies within the same call's R."""
+    claim = trace.layers[layer]
+    sends, bad = _layer_sends(trace, layer)
+    per_node = (index_rets(trace) if index is None else index).get(layer, {})
+    send_steps: dict[int, list[int]] = {}
+    for step, sent in sends.items():
+        for node in sent:
+            send_steps.setdefault(node, []).append(step)
+    for node, steps in sorted(send_steps.items()):
+        steps.sort()
+        if steps != list(range(1, len(steps) + 1)):
+            bad.append(f"node {node} {layer} send steps not consecutive: {steps[:8]}...")
+    by_step: dict[int, list[tuple[int, set[Entry], tuple[Entry, ...]]]] = {}
+    for node, seq in sorted(per_node.items()):
+        want = 1
+        for _, step, r, b in seq:
+            if step != want:
+                bad.append(f"node {node} {layer} returned step {step}, expected {want}")
+            want = step + 1
+            at_step = sends.get(step, {})
+            if node not in at_step:
+                bad.append(f"node {node} {layer} step {step} returned without sending")
+            for tag, entries in (("R", r), ("B", b)):
+                for sender, digest in entries:
+                    sent = at_step.get(sender)
+                    if sent is None:
+                        bad.append(
+                            f"node {node} {layer} step {step} {tag} holds a message "
+                            f"never sent by {sender} at that step"
+                        )
+                    elif sent != digest:
+                        bad.append(
+                            f"node {node} {layer} step {step} {tag} holds a foreign "
+                            f"payload for sender {sender}"
+                        )
+            r_set = set(r)
+            if claim.b_in_r and not r_set.issuperset(b):
+                bad.append(f"node {node} {layer} step {step}: B not within R")
+            by_step.setdefault(step, []).append((node, r_set, b))
+    for node in sorted(set(send_steps) | set(per_node)):
+        sent, got = len(send_steps.get(node, [])), len(per_node.get(node, []))
+        if node not in trace.crashes and sent != got:
+            bad.append(
+                f"node {node} {layer}: {sent} sends but {got} returns without a crash"
+            )
+    t_r, t_b, t_s = claim.t_r, claim.t_b, claim.t_s
+    for step, rows in sorted(by_step.items()):
+        reached = Counter(entry for _, r_set, _ in rows for entry in r_set)
+        silent = trace.n - len(rows)  # nodes that never returned this step
+        for node, r_set, b in rows:
+            have = len(senders(r_set))
+            if have < t_r:
+                bad.append(
+                    f"node {node} {layer} step {step}: |R senders| {have} < t_r={t_r}"
+                )
+            have = len(senders(b))
+            if have < t_b:
+                bad.append(
+                    f"node {node} {layer} step {step}: |B senders| {have} < t_b={t_b}"
+                )
+            for entry in b:
+                reach = reached[entry] + silent
+                if reach < t_s:
+                    bad.append(
+                        f"node {node} {layer} step {step}: B message from "
+                        f"{entry[0]} reached {reach} < t_s={t_s} nodes"
+                    )
     return bad

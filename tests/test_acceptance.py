@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from itertools import combinations, product
 
 from quesera.kvstore import FileStore, MemoryStore
@@ -20,7 +21,7 @@ from quesera.qsc import check_consensus, check_validity
 from quesera.qscod import ByteTally, Client, CountingStore, audit, qscod_params, run_clients
 from quesera.tlcb import spread_fault_budget
 from quesera.tlcr import ConfigError
-from quesera.tsb import validate_fullspread, validate_layer
+from quesera.tsb import validate_layer
 
 
 def verdict(label: str, ok: bool, detail: str) -> None:
@@ -192,7 +193,9 @@ def test_a4_pigeonhole_bound_is_exact_over_all_matrices():
                         trace_level="steps")
     res = run(partial)
     assert validate_layer(res.trace, "tlcb") == []
-    broken = validate_fullspread(res.trace, "tlcb")
+    claim = res.trace.layers["tlcb"]
+    full = replace(res.trace, layers={**res.trace.layers, "tlcb": replace(claim, t_s=claim.n)})
+    broken = validate_layer(full, "tlcb")  # held to full spread, t_s = n
     assert broken
     try:
         configure("tlcb-full", 6, 2, t_r=4, t_b=3, t_s=2)
@@ -215,7 +218,7 @@ def test_a5_every_delivered_head_is_exactly_two_steps_old():
             res = run(SimConfig(layer=layer, n=n, seed=200 + seed, rounds=50,
                                 f=f, delay=("random", "adversarial")[seed % 2],
                                 crashes=crash, trace_level="light"))
-            bad = check_validity(res.trace, depth=2)
+            bad = check_validity(res.trace)
             bad_total += len(bad)
             delivered += len(res.trace.deliveries)
             traces += 1

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quesera.netsim import (
+    _ADV_PERIOD,
     _S_DELAY,
     _S_TAIL,
     AdversarialDelay,
@@ -52,7 +53,7 @@ def test_delay_policies():
     assert min(draws) >= 1
     assert len(set(draws)) > 3  # actually varies
 
-    ad = AdversarialDelay(seed=7, n=6, scale=4, period=32)
+    ad = AdversarialDelay(seed=7, n=6, scale=4)
     window0 = ad._victim_set(0)
     assert window0 and window0 == ad._victim_set(0)
     assert any(ad._victim_set(w) != window0 for w in range(1, 12))
@@ -77,7 +78,7 @@ def reference_random_delay(seed, scale, sender, dest, index):
 
 
 def reference_adversarial_delay(policy, seed, scale, sender, dest, index):
-    victims = policy._victim_set(index // policy.period)
+    victims = policy._victim_set(index // _ADV_PERIOD)
     if sender in victims or dest in victims:
         return scale * 40 + mix64(seed, _S_DELAY, sender, dest, index) % scale
     return 1

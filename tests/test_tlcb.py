@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from quesera.netsim import SimConfig, configure, run
 from quesera.tlcb import Tlcb, spread_fault_budget
 from quesera.tlcr import ConfigError
-from quesera.tsb import validate_fullspread, validate_layer
+from quesera.tsb import validate_layer
 from quesera.wire import PLAIN, StepMessage, encode_entry_set
 
 from test_tlcr import ScriptedCtx, drive
@@ -94,8 +95,12 @@ def test_partial_spread_config_really_is_weaker():
     res = run(cfg)
     # the promises it does make all hold...
     assert validate_layer(res.trace, "tlcb") == []
-    # ...but messages land in B without reaching every receive set
-    assert validate_fullspread(res.trace, "tlcb")
+    # ...but held to full spread (t_s = n), messages land in B without
+    # reaching every receive set
+    claim = res.trace.layers["tlcb"]
+    full = replace(res.trace, layers={**res.trace.layers, "tlcb": replace(claim, t_s=claim.n)})
+    broken = validate_layer(full, "tlcb")
+    assert broken and all(s.endswith(f"< t_s={claim.n} nodes") for s in broken)
     # and the strict admission refuses the same thresholds
     with pytest.raises(ConfigError, match="t_r [+] t_s > n"):
         configure("tlcb-full", 6, 2, t_r=4, t_b=3, t_s=2)

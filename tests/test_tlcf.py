@@ -7,7 +7,7 @@ import pytest
 from quesera.netsim import SimConfig, configure, run
 from quesera.tlcf import Tlcf
 from quesera.tlcr import ConfigError
-from quesera.tsb import validate_b_in_r, validate_layer, validate_substeps
+from quesera.tsb import validate_layer, validate_substeps
 
 
 def test_configure_requires_overlap():
@@ -36,8 +36,7 @@ def test_full_spread_survives_minority_crashes(n, f, seed, delay):
     cfg = SimConfig(layer="tlcf", n=n, seed=seed, rounds=6, f=f, delay=delay,
                     crashes=CRASH_MENU[n][seed], trace_level="steps")
     res = run(cfg)
-    assert validate_layer(res.trace, "tlcf") == []
-    assert validate_b_in_r(res.trace, "tlcf") == []
+    assert validate_layer(res.trace, "tlcf") == []  # the claim has b_in_r: B within R too
 
 
 def test_each_call_uses_one_witness_and_one_gossip_substep():

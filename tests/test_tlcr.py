@@ -20,7 +20,7 @@ class ScriptedCtx:
         self.broadcasts = []
         self.unicasts = []
 
-    def step_begin(self, tag):
+    def step_begin(self):
         pass
 
     def broadcast(self, msg):

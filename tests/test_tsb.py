@@ -1,6 +1,6 @@
 """Trace validators: a clean hand-built trace passes, every broken promise
-is caught by the matching check, and the panel over one shared index of the
-returns finds exactly what the checks find one by one."""
+is caught by the layer check, and that check finds the same over a shared
+index of the returns as over one it builds itself."""
 
 from __future__ import annotations
 
@@ -10,14 +10,10 @@ from quesera.tsb import (
     RunTrace,
     TsbParams,
     index_rets,
-    validate_b_in_r,
     validate_delivery,
     validate_fifo,
-    validate_fullspread,
     validate_layer,
-    validate_lockstep,
     validate_substeps,
-    validate_thresholds,
 )
 
 
@@ -40,67 +36,50 @@ def two_node_trace() -> RunTrace:
 
 def panel(t: RunTrace) -> list[str]:
     """Layer x's findings through ``validate_layer``, after checking that
-    they equal the four checks run one by one, each indexing the trace
-    itself, whether the panel is handed an index or builds its own."""
-    singles = (validate_lockstep(t, "x") + validate_thresholds(t, layer="x")
-               + validate_fullspread(t, "x") + validate_b_in_r(t, "x"))
+    it finds the same whether it is handed an index or builds its own."""
     shared = validate_layer(t, "x", index=index_rets(t))
-    assert shared == singles
-    assert validate_layer(t, "x") == singles
+    assert validate_layer(t, "x") == shared
     return shared
 
 
 def test_clean_trace_passes_everything():
-    t = two_node_trace()
-    assert validate_lockstep(t) == []
-    assert validate_thresholds(t) == []
-    assert validate_fullspread(t) == []
-    assert validate_b_in_r(t) == []
-    assert panel(t) == []
+    assert panel(two_node_trace()) == []
 
 
 def test_lockstep_catches_foreign_payload():
     t = two_node_trace()
     r = ((0, d(b"m0")), (1, d(b"FORGED")))
     t.rets[0] = (3, "x", 1, 0, r, ())
-    assert any("foreign payload" in s for s in validate_lockstep(t))
-    assert panel(t)
+    assert any("foreign payload" in s for s in panel(t))
 
 
 def test_lockstep_catches_never_sent():
     t = two_node_trace()
     r = ((0, d(b"m0")), (7, d(b"ghost")))
     t.rets[0] = (3, "x", 1, 0, r, ())
-    assert any("never sent" in s for s in validate_lockstep(t))
-    assert panel(t)
+    assert any("never sent" in s for s in panel(t))
 
 
 def test_lockstep_catches_gaps_and_silent_stops():
     t = two_node_trace()
     t.rets[1] = (4, "x", 3, 1, t.rets[1][4], ())  # returned step 3, never 1..2
-    assert any("expected" in s for s in validate_lockstep(t))
-    assert panel(t)
+    assert any("expected" in s for s in panel(t))
 
     t = two_node_trace()
     del t.rets[1]  # node 1 sent but never returned, and no crash recorded
-    assert any("without a crash" in s for s in validate_lockstep(t))
-    assert panel(t)
+    assert any("without a crash" in s for s in panel(t))
     t.crashes[1] = (1, "after")  # ...a recorded crash excuses it
-    assert validate_lockstep(t) == []
     assert panel(t) == []
 
 
 def test_thresholds_catch_thin_sets():
     t = two_node_trace()
     t.rets[0] = (3, "x", 1, 0, ((0, d(b"m0")),), ((0, d(b"m0")),))
-    bad = validate_thresholds(t)
-    assert any("|R senders| 1 < t_r=2" in s for s in bad)
-    assert panel(t)
+    assert any("|R senders| 1 < t_r=2" in s for s in panel(t))
 
     t = two_node_trace()
     t.rets[0] = (3, "x", 1, 0, t.rets[0][4], ())
-    assert any("|B senders| 0 < t_b=1" in s for s in validate_thresholds(t))
-    assert panel(t)
+    assert any("|B senders| 0 < t_b=1" in s for s in panel(t))
 
 
 def test_spread_counts_silent_nodes_as_reached():
@@ -110,30 +89,29 @@ def test_spread_counts_silent_nodes_as_reached():
     t.crashes[1] = (1, "before")
     del t.sends[1]
     t.rets = [(3, "x", 1, 0, ((0, d(b"m0")),), ((0, d(b"m0")),))]
-    params = TsbParams(2, 1, 1, 2)
-    assert validate_thresholds(t, params) == []
-    assert panel(t)  # at the trace's own claim, t_r=2, R is one sender short
+    # at the trace's own claim, t_r=2, R is one sender short
+    assert panel(t) == ["node 0 x step 1: |R senders| 1 < t_r=2"]
+    t.layers["x"] = TsbParams(2, 1, 1, 2)
+    assert panel(t) == []
 
     # but a returned R missing the B message does count against it
     t = two_node_trace()
     t.rets[0] = (3, "x", 1, 0, ((0, d(b"m0")), (1, d(b"m1"))), ((1, d(b"m1")),))
     t.rets[1] = (4, "x", 1, 1, ((0, d(b"m0")),), ())
-    bad = validate_thresholds(t)  # m1 only in node 0's returned R: reach 1 < 2
-    assert any("reached 1 < t_s=2" in s for s in bad)
-    assert panel(t)
+    # m1 only in node 0's returned R: reach 1 < 2
+    assert any("reached 1 < t_s=2" in s for s in panel(t))
 
 
 def test_fullspread_and_containment():
     t = two_node_trace()
-    # node 1's R lost node 0's message, but node 0 still has it in B
+    # node 1's R lost node 0's message, but node 0 still has it in B: at
+    # t_s = n that is a spread break
     t.rets[1] = (4, "x", 1, 1, ((1, d(b"m1")),), ())
-    assert any("missing in R of node 1" in s for s in validate_fullspread(t))
-    assert panel(t)
+    assert "node 0 x step 1: B message from 0 reached 1 < t_s=2 nodes" in panel(t)
 
     t = two_node_trace()
     t.rets[0] = (3, "x", 1, 0, ((0, d(b"m0")),), ((1, d(b"m1")),))
-    assert any("B not within R" in s for s in validate_b_in_r(t))
-    assert panel(t)
+    assert "node 0 x step 1: B not within R" in panel(t)
 
 
 def test_a_dropped_r_entry_is_reported_once():

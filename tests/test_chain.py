@@ -109,7 +109,15 @@ def test_genesis_has_no_priority():
     assert GENESIS.length == 0
     assert GENESIS.digest == GENESIS_DIGEST
     with pytest.raises(ChainError):
-        GENESIS.priority
+        best_in([GENESIS])
+    a, b = chain_of((0, b"a", 5)), chain_of((1, b"b", 9))
+    for members in ([a, GENESIS], [GENESIS, b]):
+        with pytest.raises(ChainError):
+            best_in(members)
+        with pytest.raises(ChainError):
+            uniquely_best_in(members[0], members)
+    # an absent history is refused before any member's priority is read
+    assert not uniquely_best_in(a, [GENESIS, b])
 
 
 # --- the total order ---
@@ -148,3 +156,6 @@ def test_best_is_a_maximal_member(specs):
     assert all(h.priority <= top.priority for h in hs)
     if uniquely_best_in(top, hs):
         assert sum(1 for h in dedup(hs) if h.priority == top.priority) == 1
+    # duplicates and their order change neither answer
+    assert best_in(hs + hs[::-1]) == best_in(hs)
+    assert uniquely_best_in(top, hs + hs) == uniquely_best_in(top, hs)

@@ -20,57 +20,3 @@ The pieces, bottom up:
   by the same commit rule.
 - :mod:`quesera.cli` -- the qsc-sim experiment harness.
 """
-
-from .chain import (
-    GENESIS,
-    GENESIS_DIGEST,
-    ChainError,
-    History,
-    Proposal,
-    best_in,
-    uniquely_best_in,
-)
-from .netsim import DeadlockError, Metrics, SimConfig, SimResult, configure, mix64, run
-from .qsc import DeliveryRecord, QscState, check_consensus, qsc_round, run_qsc_node
-from .tlcb import Tlcb, spread_fault_budget
-from .tlcf import Tlcf
-from .tlcr import ConfigError, Tlcr, TransportIntegrityError
-from .tlcw import Tlcw
-from .tsb import RunTrace, Thresholds, TsbParams, TsbResult, validate_layer
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "GENESIS",
-    "GENESIS_DIGEST",
-    "ChainError",
-    "ConfigError",
-    "DeadlockError",
-    "DeliveryRecord",
-    "History",
-    "Metrics",
-    "Proposal",
-    "QscState",
-    "RunTrace",
-    "SimConfig",
-    "SimResult",
-    "Tlcb",
-    "Tlcf",
-    "Tlcr",
-    "Tlcw",
-    "Thresholds",
-    "TransportIntegrityError",
-    "TsbParams",
-    "TsbResult",
-    "best_in",
-    "check_consensus",
-    "configure",
-    "mix64",
-    "qsc_round",
-    "run",
-    "run_qsc_node",
-    "spread_fault_budget",
-    "uniquely_best_in",
-    "validate_layer",
-    "__version__",
-]

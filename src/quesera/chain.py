@@ -21,7 +21,6 @@ MAX_PROPOSER = (1 << 32) - 1
 MAX_PRIORITY = (1 << 64) - 1
 
 Digest = bytes
-Priority = int
 
 
 class ChainError(Exception):
@@ -95,10 +94,6 @@ class History:
     def digest(self) -> Digest:
         return GENESIS_DIGEST if self.head is None else self.head.digest
 
-    @property
-    def priority(self) -> Priority:
-        return priority_of(self)
-
     def extend(self, proposal: Proposal) -> "History":
         if proposal.prev != self.digest:
             raise ChainError("proposal does not chain onto this history")
@@ -114,13 +109,6 @@ class History:
 GENESIS = History(head=None, length=0)
 
 
-def priority_of(history: History) -> Priority:
-    """Priority of a history = priority of its head proposal."""
-    if history.head is None:
-        raise ChainError("the empty history has no priority")
-    return history.head.priority
-
-
 def _rank(history: History) -> tuple[int, int, bytes]:
     head = history.head
     if head is None:
@@ -128,31 +116,26 @@ def _rank(history: History) -> tuple[int, int, bytes]:
     return (-head.priority, head.proposer, head.digest)
 
 
-def dedup(histories: Iterable[History]) -> list[History]:
-    """Distinct histories (by digest), order-stable."""
-    seen: dict[Digest, History] = {}
-    for h in histories:
-        seen.setdefault(h.digest, h)
-    return list(seen.values())
-
-
 def best_in(histories: Iterable[History]) -> History:
     """The best history of a non-empty set: maximal priority, ties broken by
-    lowest proposer id, then smallest digest.  Deterministic."""
-    candidates = dedup(histories)
-    if not candidates:
+    lowest proposer id, then smallest digest.  Deterministic: copies of one
+    history share a rank, and ``min`` keeps the first."""
+    best = min(histories, key=_rank, default=None)
+    if best is None:
         raise ChainError("best_in of an empty set")
-    return min(candidates, key=_rank)
+    return best
 
 
 def uniquely_best_in(history: History, histories: Iterable[History]) -> bool:
     """True iff ``history`` is in the set and every *other* member has strictly
     lower priority.  A priority tie with anything else disqualifies it."""
-    candidates = dedup(histories)
-    if history not in candidates:
+    digest, present, rivals = history.digest, False, []
+    for h in histories:
+        if h.digest == digest:
+            present = True
+        else:
+            rivals.append(h)
+    if not present:  # decided before any priority is read
         return False
-    p = priority_of(history)
-    for other in candidates:
-        if other.digest != history.digest and priority_of(other) >= p:
-            return False
-    return True
+    key = _rank(history)[0]  # minus the priority
+    return all(_rank(h)[0] > key for h in rivals)

@@ -57,9 +57,10 @@ def validate_trace(trace: RunTrace, consensus: bool) -> list[str]:
     return problems
 
 
-# Options only the simulator reads, by argparse dest.  They default to None,
-# so a store-backed run can tell that one was given and refuse it.
-_SIM_ONLY = ("crash", "delay", "delay_scale", "trace_level", "trace_out")
+# Options only one kind of run reads, by argparse dest.  They default to None,
+# so a run of the other kind can tell that one was given and refuse it.
+_SIM_ONLY = ("crash", "delay", "trace_level", "trace_out")
+_QSCOD_ONLY = {"clients": 1, "messages": 4}  # with their defaults
 
 
 def _given(args: argparse.Namespace, dests) -> dict:
@@ -68,7 +69,7 @@ def _given(args: argparse.Namespace, dests) -> dict:
 
 
 def build_config(args: argparse.Namespace, seed: int) -> SimConfig:
-    network = _given(args, ("delay", "delay_scale", "trace_level"))
+    network = _given(args, ("delay", "trace_level"))
     return SimConfig(
         layer=args.layer,
         n=args.n,
@@ -89,14 +90,11 @@ def _run_qscod(
     """Store-backed client run shaped into the common metrics record, with
     its problems, one line per store column that raised, and one line per
     client that left messages undelivered."""
-    given = _given(args, _SIM_ONLY)
-    if given:
-        flags = ", ".join("--" + d.replace("_", "-") for d in given)
-        raise ConfigError(f"--layer qscod does not take {flags} (simulated layers only)")
-    params = qscod.qscod_params(args.n, args.f, args.t_r, args.t_s, args.t_b)
+    params = netsim.configure("qscod", args.n, args.f, args.t_r, args.t_b, args.t_s)
+    load = {**_QSCOD_ONLY, **_given(args, _QSCOD_ONLY)}
     raw = [qscod.MemoryStore() for _ in range(args.n)]
     done, problems, dead, short, tally = qscod.run_workload(
-        raw, params, args.clients, args.messages, args.rounds, seed
+        raw, params, load["clients"], load["messages"], args.rounds, seed
     )
     metrics = Metrics(
         layer=args.layer,
@@ -116,7 +114,13 @@ def _run_seed(args: argparse.Namespace, seed: int):
     store columns and any clients that left messages undelivered, and
     returns the metrics, the problems found, the simulator's trace (None for
     qscod), and whether every client delivered its workload."""
-    if args.layer in netsim.LAYERS:
+    simulated = args.layer in netsim.LAYERS
+    foreign = _given(args, _QSCOD_ONLY if simulated else _SIM_ONLY)
+    if foreign:
+        flags = ", ".join("--" + d.replace("_", "-") for d in foreign)
+        only = "qscod only" if simulated else "simulated layers only"
+        raise ConfigError(f"--layer {args.layer} does not take {flags} ({only})")
+    if simulated:
         result = netsim.run(build_config(args, seed))
         metrics, trace, notes, short = result.metrics, result.trace, [], []
         problems = validate_trace(trace, STACKS[args.layer].consensus) if args.validate else []
@@ -183,12 +187,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--t-b", type=int, dest="t_b")
         p.add_argument("--t-s", type=int, dest="t_s")
         p.add_argument("--delay", choices=netsim.DELAY_POLICIES, help="default: random")
-        p.add_argument("--delay-scale", type=int, help="default: 4")
         p.add_argument("--crash", action="append", type=parse_crash, metavar="N@Sb|a")
         p.add_argument("--trace-level", choices=netsim.TRACE_LEVELS, help="default: full")
         p.add_argument("--validate", action="store_true")
-        p.add_argument("--clients", type=qscod.budget, default=1, help="qscod only")
-        p.add_argument("--messages", type=qscod.budget, default=4, help="qscod only")
+        for dest, default in _QSCOD_ONLY.items():
+            p.add_argument(f"--{dest}", type=qscod.budget, help=f"qscod only, default: {default}")
 
     p_run = sub.add_parser("run", help="one simulation")
     common(p_run)

@@ -37,7 +37,6 @@ from .tlcw import Tlcw
 from .tsb import ProposalInfo, RunTrace, Thresholds, TsbParams
 from .wire import StepMessage, frame_size
 
-DELAY_POLICIES = ("fixed", "random", "adversarial")
 TRACE_LEVELS = ("full", "steps", "light")
 
 _M64 = (1 << 64) - 1
@@ -47,6 +46,7 @@ _MIX_IV = 0x6A09E667F3BCC909
 _S_DELAY, _S_TAIL, _S_ADV, _S_PRIORITY, _S_MESSAGE, _S_PAYLOAD = range(1, 7)
 
 _ADV_PERIOD = 32  # channel sequence numbers per adversarial victim window
+_SCALE = 4  # virtual time units per delay step, in every policy
 
 
 def mix64(*parts: int) -> int:
@@ -83,24 +83,19 @@ def _channel_keys(seed: int, stream: int, n: int) -> list[int]:
 class FixedDelay:
     """Every hop takes the same time: the synchronous best case."""
 
-    name = "fixed"
-
-    def __init__(self, seed: int, n: int, scale: int = 1):
-        self.scale = max(1, scale)
+    def __init__(self, seed: int, n: int):  # the policies' common signature
+        pass
 
     def delay(self, sender: int, dest: int, index: int) -> int:
-        return self.scale
+        return _SCALE
 
 
 class RandomDelay:
     """Geometric-ish per-hop delays with a sparse heavy tail, so most traffic
     is quick but any channel occasionally lags several steps behind."""
 
-    name = "random"
-
-    def __init__(self, seed: int, n: int, scale: int = 4):
+    def __init__(self, seed: int, n: int):
         self.n = n
-        self.scale = max(1, scale)
         self._delay_keys = _channel_keys(seed, _S_DELAY, n)
         self._tail_keys = _channel_keys(seed, _S_TAIL, n)
 
@@ -111,9 +106,9 @@ class RandomDelay:
         while u & 1:  # trailing ones: P(run = k) = 2**-(k+1)
             run += 1
             u >>= 1
-        d = 1 + run * self.scale
+        d = 1 + run * _SCALE
         if _fold(self._tail_keys[chan], index) % 64 == 0:
-            d += self.scale * (8 + (u >> 3) % 56)
+            d += _SCALE * (8 + (u >> 3) % 56)
         return d
 
 
@@ -123,12 +118,9 @@ class AdversarialDelay:
     Content-oblivious, but about as nasty as a delay-only adversary gets --
     quorums keep reshaping and laggards must rejoin virally."""
 
-    name = "adversarial"
-
-    def __init__(self, seed: int, n: int, scale: int = 4):
+    def __init__(self, seed: int, n: int):
         self.seed = seed
         self.n = n
-        self.scale = max(1, scale)
         self.victims = max(1, n // 3)
         self._jitter_keys = _channel_keys(seed, _S_DELAY, n)
         self._victim_set = functools.cache(self._draw_victims)  # one draw a window
@@ -141,16 +133,12 @@ class AdversarialDelay:
     def delay(self, sender: int, dest: int, index: int) -> int:
         victims = self._victim_set(index // _ADV_PERIOD)
         if sender in victims or dest in victims:
-            jitter = _fold(self._jitter_keys[sender * self.n + dest], index) % self.scale
-            return self.scale * 40 + jitter
+            jitter = _fold(self._jitter_keys[sender * self.n + dest], index) % _SCALE
+            return _SCALE * 40 + jitter
         return 1
 
 
-def make_delay_policy(name: str, seed: int, n: int, scale: int = 4):
-    table = {"fixed": FixedDelay, "random": RandomDelay, "adversarial": AdversarialDelay}
-    if name not in table:
-        raise ConfigError(f"unknown delay policy {name!r} (choose from {DELAY_POLICIES})")
-    return table[name](seed, n, scale)
+DELAY_POLICIES = {"fixed": FixedDelay, "random": RandomDelay, "adversarial": AdversarialDelay}
 
 
 # --- the stack table --------------------------------------------------------
@@ -268,13 +256,14 @@ class SimConfig:
     t_b: Optional[int] = None
     t_s: Optional[int] = None
     delay: str = "random"
-    delay_scale: int = 4
     crashes: tuple[tuple[int, int, str], ...] = ()
     trace_level: str = "full"
 
     def __post_init__(self) -> None:
         if self.layer not in LAYERS:
             raise ConfigError(f"unknown layer {self.layer!r} (choose from {LAYERS})")
+        if self.delay not in DELAY_POLICIES:
+            raise ConfigError(f"unknown delay policy {self.delay!r}")
         if self.trace_level not in TRACE_LEVELS:
             raise ConfigError(f"unknown trace level {self.trace_level!r}")
         if self.n < 1 or self.rounds < 0:  # f is admitted by the row's rules
@@ -409,7 +398,7 @@ class Simulator:
         self.cfg = cfg
         self.n = cfg.n
         self.seed = cfg.seed
-        self.policy = make_delay_policy(cfg.delay, cfg.seed, cfg.n, cfg.delay_scale)
+        self.policy = DELAY_POLICIES[cfg.delay](cfg.seed, cfg.n)
         self.stack = STACKS[cfg.layer]
         self.thresholds = configure(cfg.layer, cfg.n, cfg.f, cfg.t_r, cfg.t_b, cfg.t_s)
         self.trace = RunTrace(n=cfg.n, layers=self.stack.claims(self.thresholds))
@@ -503,13 +492,7 @@ class Simulator:
 
         def on_propose(rnd: int, hist) -> None:
             self.trace.proposals[hist.digest] = ProposalInfo(
-                digest=hist.digest,
-                prev=hist.head.prev,
-                node=node,
-                round=rnd,
-                created_step=top.completed,
-                priority=hist.head.priority,
-                length=hist.length,
+                prev=hist.head.prev, created_step=top.completed, length=hist.length
             )
 
         def on_decide(rnd: int, hist, committed: bool) -> None:

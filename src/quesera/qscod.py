@@ -99,17 +99,11 @@ def decode_slot3(data: bytes) -> tuple[EntrySet, EntrySet, History]:
     return r1, b1, best
 
 
-def qscod_params(
-    n: int,
-    f: Optional[int] = None,
-    t_r: Optional[int] = None,
-    t_s: Optional[int] = None,
-    t_b: Optional[int] = None,
-) -> Thresholds:
-    """Thresholds over the store columns: the gossip stack's admission with
-    full spread required (t_r + t_s > n) and its defaults, from the stack
-    table's qscod row; f defaults to n // 3."""
-    return configure("qscod", n, n // 3 if f is None else f, t_r, t_b, t_s)
+def qscod_params(n: int) -> Thresholds:
+    """Thresholds over n store columns with f = n // 3: the gossip stack's
+    admission with full spread required (t_r + t_s > n) and its defaults,
+    from the stack table's qscod row."""
+    return configure("qscod", n, n // 3)
 
 
 class CountingStore:

@@ -75,12 +75,8 @@ def senders(entries: Iterable[Entry]) -> set[int]:
 class ProposalInfo:
     """Observer-side record of a proposal created during a run."""
 
-    digest: bytes
     prev: bytes
-    node: int
-    round: int
     created_step: int  # top-layer steps completed when the proposal was made
-    priority: int
     length: int
 
 

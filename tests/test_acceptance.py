@@ -233,7 +233,7 @@ def test_a5_every_delivered_head_is_exactly_two_steps_old():
 def qscod_bytes_per_agreement(n: int, seed: int = 11) -> float:
     # f=0 makes t_r = n: the lone client waits for every column, so the
     # bytes it reads back do not depend on how the driver threads race
-    params = qscod_params(n, f=0)
+    params = configure("qscod", n, 0)
     tally = ByteTally()
     stores = [CountingStore(MemoryStore(), tally) for _ in range(n)]
     client = Client(0, stores, params, mix64(seed, 0))

@@ -17,7 +17,6 @@ from quesera.chain import (
     Proposal,
     best_in,
     decode_proposal,
-    dedup,
     encode_proposal,
     uniquely_best_in,
 )
@@ -90,7 +89,7 @@ def test_bad_proposals_rejected():
 def test_history_linking_and_equality():
     h = chain_of((0, b"a", 5), (1, b"b", 9))
     assert h.length == 2
-    assert h.priority == 9
+    assert h.head.priority == 9
     assert h.digest == h.head.digest
     detached = History(head=h.head, length=2)  # as decoded off the wire
     assert detached == h and hash(detached) == hash(h)
@@ -153,9 +152,9 @@ def test_best_is_a_maximal_member(specs):
     hs = [chain_of((prop, b"m%d" % i, pri)) for i, (prop, pri) in enumerate(specs)]
     top = best_in(hs)
     assert any(top == h for h in hs)
-    assert all(h.priority <= top.priority for h in hs)
+    assert all(h.head.priority <= top.head.priority for h in hs)
     if uniquely_best_in(top, hs):
-        assert sum(1 for h in dedup(hs) if h.priority == top.priority) == 1
+        assert len({h.digest for h in hs if h.head.priority == top.head.priority}) == 1
     # duplicates and their order change neither answer
     assert best_in(hs + hs[::-1]) == best_in(hs)
     assert uniquely_best_in(top, hs + hs) == uniquely_best_in(top, hs)

@@ -85,7 +85,6 @@ def test_qscod_layer_runs_with_the_f_given(capsys, command, f):
 @pytest.mark.parametrize("extra,named", [
     (["--crash", "0@4b", "--delay", "adversarial"], "--crash, --delay"),
     (["--delay", "random"], "--delay"),  # the simulator's default, but given
-    (["--delay-scale", "4"], "--delay-scale"),
     (["--trace-level", "light"], "--trace-level"),
 ])
 def test_qscod_layer_refuses_simulator_flags(capsys, command, extra, named):
@@ -98,6 +97,20 @@ def test_qscod_layer_refuses_simulator_flags(capsys, command, extra, named):
     assert out.out == ""
     assert out.err == (f"qsc-sim: error: --layer qscod does not take {named} "
                        "(simulated layers only)\n")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("extra,named", [
+    (["--clients", "5", "--messages", "9"], "--clients, --messages"),
+    (["--messages", "4"], "--messages"),  # the qscod default, but given
+])
+def test_simulated_layers_refuse_qscod_flags(capsys, command, extra, named):
+    with pytest.raises(SystemExit) as exited:
+        sim_main([command, "--layer", "tlcr", "--n", "3", "--rounds", "2", *extra])
+    assert exited.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"qsc-sim: error: --layer tlcr does not take {named} (qscod only)\n"
 
 
 def test_qscod_run_refuses_a_trace_file(capsys, tmp_path):
@@ -190,7 +203,8 @@ def test_a_negative_f_exits_2_naming_the_rule(capsys, layer):
     # over 3 stores, f = -1 would default t_r to 4 and wait out every slot
     with pytest.raises(SystemExit) as exited:
         sim_main(["run", "--layer", layer, "--n", "3", "--f", "-1", "--t-s", "2",
-                  "--t-b", "1", "--rounds", "2", "--messages", "1", "--validate"])
+                  "--t-b", "1", "--rounds", "2", "--validate"]
+                 + (["--messages", "1"] if layer == "qscod" else []))
     assert exited.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""

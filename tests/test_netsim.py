@@ -22,7 +22,6 @@ from quesera.netsim import (
     mix64,
     run,
 )
-from quesera.qscod import qscod_params
 from quesera.tlcr import ConfigError, TransportIntegrityError
 from quesera.tsb import validate_delivery, validate_fifo, validate_layer
 
@@ -43,17 +42,17 @@ def test_mix64_is_frozen():
 
 
 def test_delay_policies():
-    fx = FixedDelay(seed=7, n=4, scale=3)
+    fx = FixedDelay(seed=7, n=4)
     assert {fx.delay(a, b, i) for a in range(4) for b in range(4)
-            for i in range(5)} == {3}
+            for i in range(5)} == {4}
 
-    rd = RandomDelay(seed=7, n=4, scale=4)
+    rd = RandomDelay(seed=7, n=4)
     draws = [rd.delay(0, 1, i) for i in range(300)]
     assert draws == [rd.delay(0, 1, i) for i in range(300)]  # replayable
     assert min(draws) >= 1
     assert len(set(draws)) > 3  # actually varies
 
-    ad = AdversarialDelay(seed=7, n=6, scale=4)
+    ad = AdversarialDelay(seed=7, n=6)
     window0 = ad._victim_set(0)
     assert window0 and window0 == ad._victim_set(0)
     assert any(ad._victim_set(w) != window0 for w in range(1, 12))
@@ -87,13 +86,13 @@ def reference_adversarial_delay(policy, seed, scale, sender, dest, index):
 @given(
     seed=st.integers(0, 2**64 - 1),
     n=st.integers(1, 12),
-    scale=st.integers(1, 8),
     draws=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), st.integers(0, 10**6)),
                    min_size=1, max_size=40),
 )
-def test_per_channel_keys_give_the_unfolded_delays(seed, n, scale, draws):
-    rd = RandomDelay(seed, n, scale)
-    ad = AdversarialDelay(seed, n, scale)
+def test_per_channel_keys_give_the_unfolded_delays(seed, n, draws):
+    rd = RandomDelay(seed, n)
+    ad = AdversarialDelay(seed, n)
+    scale = 4  # every policy's delay step
     for sender, dest, index in draws:
         sender, dest = sender % n, dest % n
         assert rd.delay(sender, dest, index) == reference_random_delay(
@@ -112,7 +111,7 @@ def test_threshold_defaults():
     for n, f, want in ((3, 1, (2, 1, 2)), (6, 2, (4, 2, 3)), (12, 4, (8, 4, 5))):
         assert resolved("qsc-tlcb", n, f) == want
         # QSCOD's store columns take the gossip stack's defaults too
-        p = qscod_params(n, f)
+        p = configure("qscod", n, f)
         assert (p.t_r, p.t_b, p.t_s) == want
 
 
@@ -122,6 +121,8 @@ def test_config_validation():
         SimConfig(layer="tcp", **ok)
     with pytest.raises(ConfigError, match="trace level"):
         SimConfig(layer="tlcr", trace_level="loud", **ok)
+    with pytest.raises(ConfigError, match="unknown delay policy 'bogus'"):
+        SimConfig(layer="tlcr", delay="bogus", **ok)
     with pytest.raises(ConfigError, match="out of range"):
         SimConfig(layer="tlcr", crashes=((5, 1, "before"),), **ok)
     with pytest.raises(ConfigError, match="bad crash spec"):

@@ -164,12 +164,8 @@ def fresh_trace():
 def register(trace, history, created_step=None):
     head = history.head
     trace.proposals[history.digest] = ProposalInfo(
-        digest=history.digest,
         prev=head.prev,
-        node=head.proposer,
-        round=history.length,
         created_step=2 * (history.length - 1) if created_step is None else created_step,
-        priority=head.priority,
         length=history.length,
     )
     return history
@@ -245,8 +241,7 @@ def test_preservation_catches_drops_and_desynced_lengths():
 def test_validity_requires_a_two_step_old_head():
     trace, (_, a2, _) = build_clean()
     trace.proposals[a2.digest] = ProposalInfo(
-        digest=a2.digest, prev=a2.head.prev, node=1, round=2,
-        created_step=0, priority=40, length=2)  # recycled: made 4 steps back
+        prev=a2.head.prev, created_step=0, length=2)  # recycled: made 4 steps back
     assert any("want gap 2" in v for v in check_validity(trace))
 
     trace, (a1, a2, _) = build_clean()

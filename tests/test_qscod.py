@@ -31,6 +31,7 @@ from quesera.qscod import (
     run_workload,
     slot_key,
 )
+from quesera.netsim import configure
 from quesera.tlcb import gather
 from quesera.tlcr import ConfigError
 from quesera.wire import DECODE_MEMO_SIZE, WireError, encode_entry_set, encode_history
@@ -42,7 +43,7 @@ def test_params_defaults_and_admission():
     p = qscod_params(6)
     assert (p.t_r, p.t_s, p.t_b, p.f) == (4, 3, 2, 2)
     with pytest.raises(ConfigError, match="t_r [+] t_s > n"):
-        qscod_params(6, t_s=2)  # columns could miss each other's winners
+        configure("qscod", 6, 2, t_s=2)  # columns could miss each other's winners
 
 
 def test_slot_keys_and_slot3_codec():

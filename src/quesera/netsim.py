@@ -21,7 +21,6 @@ the validators check eventual delivery.
 from __future__ import annotations
 
 import functools
-import hashlib
 import re
 from collections import defaultdict, deque
 from dataclasses import asdict, dataclass
@@ -35,7 +34,7 @@ from .tlcf import Tlcf
 from .tlcr import ConfigError, StepCollector, Tlcr
 from .tlcw import Tlcw
 from .tsb import ProposalInfo, RunTrace, Thresholds, TsbParams
-from .wire import StepMessage, frame_size
+from .wire import StepMessage, frame_size, payload_digest
 
 TRACE_LEVELS = ("full", "steps", "light")
 
@@ -413,9 +412,7 @@ class Simulator:
         # per channel, indexed sender * n + dest: unicasts sent, last arrival
         self._chan_seq = [0] * (cfg.n * cfg.n)
         self._chan_last = [0] * (cfg.n * cfg.n)
-        # recorder memos: payload -> sha256 digest (filled as payloads are
-        # sent), and returned set -> its trace rendering
-        self._digests: dict[bytes, bytes] = {}
+        # recorder memo: returned set -> its trace rendering
         self._rendered: dict[frozenset, tuple] = {}
         crash_plan = {node: (step, phase) for node, step, phase in cfg.crashes}
         self.ctxs = [_NodeCtx(self, i, crash_plan.get(i)) for i in range(cfg.n)]
@@ -426,12 +423,6 @@ class Simulator:
         self.order += 1
         return self.order
 
-    def _digest(self, payload: bytes) -> bytes:
-        digest = self._digests.get(payload)
-        if digest is None:
-            digest = self._digests[payload] = hashlib.sha256(payload).digest()
-        return digest
-
     def _render(self, entries: frozenset) -> tuple:
         """A returned set as recorded: its (sender, payload digest) pairs,
         sorted.  Layers hand sets on (tlcf returns tlcw's B), so each set
@@ -439,14 +430,14 @@ class Simulator:
         got = self._rendered.get(entries)
         if got is None:
             got = self._rendered[entries] = tuple(
-                sorted((s, self._digest(p)) for s, p in entries)
+                sorted((s, payload_digest(p)) for s, p in entries)
             )
         return got
 
     def rec_send(self, name: str, step: int, node: int, payload: bytes) -> None:
         if self.level != "light":
             self.order += 1
-            self.trace.sends.append((self.order, name, step, node, self._digest(payload)))
+            self.trace.sends.append((self.order, name, step, node, payload_digest(payload)))
 
     def rec_ret(self, name: str, step: int, node: int, res) -> None:
         if self.level != "light":

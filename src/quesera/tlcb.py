@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
 from .tlcr import ConfigError, Tlcr
@@ -35,14 +36,12 @@ def gather(
     """The (R, B) of a gossip step: the first step's receive set ``r`` joined
     with every gossiped receive set (encoded), and the entries that at least
     ``t_s`` of the gossiped sets hold."""
-    joined = set(r)
-    tallies: Counter = Counter()
-    for payload in gossiped:
-        entries = entry_set_bytes(payload)
-        joined |= entries
-        tallies.update(entries)
-    return frozenset(joined), frozenset(e for e, hits in tallies.items() if hits >= t_s)
-
+    sets = [entry_set_bytes(payload) for payload in gossiped]
+    tallies = Counter(chain.from_iterable(sets))
+    return (
+        frozenset(r).union(*sets),
+        frozenset(e for e, hits in tallies.items() if hits >= t_s),
+    )
 
 class Tlcb:
     """Two receive-threshold steps per call; shares one inner layer instance

@@ -32,13 +32,16 @@ _LANES = frozenset(map(chr, range(128)))  # a lane tag is one ASCII character
 # of its entries a sender u32, a payload digest and a u32 length prefix.
 _FRAME_HEAD = 15
 _SET_HEAD = 4
-_SET_ENTRY_HEAD = 4 + DIGEST_SIZE + 4
+_ENTRY_HEAD = struct.Struct(f">I{DIGEST_SIZE}sI")
 
 # Entries kept by each memo below.  A gossiped payload is decoded by every
 # receiver of its step and by every later lookup in the same round, and a
 # piggybacked set rides on every frame its sender sends in a step (a tlcw
 # REQ, its n ACKs and its WIT), all within a few dozen distinct values, so a
-# small memo catches nearly all of it while its memory stays bounded.
+# small memo catches nearly all of it while its memory stays bounded.  One
+# payload-digest memo serves the set encoder, the set decoder's integrity
+# check and the simulator's trace recorder, so a payload is hashed once
+# however many sets carry it.
 DECODE_MEMO_SIZE = 64
 
 
@@ -60,35 +63,46 @@ def _unpack_bytes(data: bytes, off: int) -> tuple[bytes, int]:
     return data[off : off + n], off + n
 
 
+@functools.lru_cache(maxsize=DECODE_MEMO_SIZE)
+def payload_digest(payload: bytes) -> bytes:
+    """The sha256 digest of one payload.  Memoized: the digest is a pure
+    function of the bytes, so a hit is exactly what hashing again gives."""
+    return hashlib.sha256(payload).digest()
+
+
 def encode_entry_set(entries: Iterable[Entry]) -> bytes:
     """Receive-set encoding: count, then (sender u32, payload digest, payload)
     triples sorted by (sender, payload)."""
     items = sorted(set(entries))
     parts = [struct.pack(">I", len(items))]
     for sender, payload in items:
-        parts.append(struct.pack(">I", sender))
-        parts.append(hashlib.sha256(payload).digest())
-        parts.append(_pack_bytes(payload))
+        parts.append(_ENTRY_HEAD.pack(sender, payload_digest(payload), len(payload)))
+        parts.append(payload)
     return b"".join(parts)
 
 
 def decode_entry_set(data: bytes, off: int = 0) -> tuple[EntrySet, int]:
     """Inverse of :func:`encode_entry_set`: entries must come in strictly
-    ascending (sender, payload) order, so each set has one encoding."""
-    if off + 4 > len(data):
+    ascending (sender, payload) order, so each set has one encoding, and every
+    payload must match its recorded sha256 digest."""
+    end = len(data)
+    if off + 4 > end:
         raise WireError("truncated set count")
     (count,) = struct.unpack_from(">I", data, off)
     off += 4
     out: list[Entry] = []
     for _ in range(count):
-        if off + 4 + DIGEST_SIZE > len(data):
+        if off + 4 + DIGEST_SIZE > end:
             raise WireError("truncated set entry")
-        (sender,) = struct.unpack_from(">I", data, off)
-        off += 4
-        digest = data[off : off + DIGEST_SIZE]
-        off += DIGEST_SIZE
-        payload, off = _unpack_bytes(data, off)
-        if hashlib.sha256(payload).digest() != digest:
+        if off + _ENTRY_HEAD.size > end:
+            raise WireError("truncated length prefix")
+        sender, digest, n = _ENTRY_HEAD.unpack_from(data, off)
+        off += _ENTRY_HEAD.size
+        if off + n > end:
+            raise WireError("truncated byte field")
+        payload = data[off : off + n]
+        off += n
+        if payload_digest(payload) != digest:
             raise WireError("set entry digest mismatch")
         entry = (sender, payload)
         if out and entry <= out[-1]:
@@ -152,7 +166,7 @@ def encode_step_message(msg: StepMessage) -> bytes:
 def _set_size(entries: EntrySet) -> int:
     """Encoded length of one piggybacked set.  Memoized: a set is immutable,
     and the frames of a step share their sender's two sets."""
-    return _SET_HEAD + sum(_SET_ENTRY_HEAD + len(p) for _, p in entries)
+    return _SET_HEAD + sum(_ENTRY_HEAD.size + len(p) for _, p in entries)
 
 
 def frame_size(msg: StepMessage) -> int:
@@ -168,6 +182,10 @@ def frame_size(msg: StepMessage) -> int:
 
 
 def decode_step_message(data: bytes) -> StepMessage:
+    """The frame format's reference decoding, the inverse of
+    :func:`encode_step_message`.  The simulator passes frames as objects, so
+    only the round-trip and fuzz tests call it; it stays so that a change to
+    the frame format has a decoder to be pinned against."""
     if len(data) < 11:
         raise WireError("frame too short")
     try:

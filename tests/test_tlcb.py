@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quesera.netsim import SimConfig, configure, run
-from quesera.tlcb import Tlcb, spread_fault_budget
+from quesera.tlcb import Tlcb, gather, spread_fault_budget
 from quesera.tlcr import ConfigError
 from quesera.tsb import validate_layer
-from quesera.wire import PLAIN, StepMessage, encode_entry_set
+from quesera.wire import PLAIN, StepMessage, WireError, encode_entry_set
 
 from test_tlcr import ScriptedCtx, drive
 
@@ -64,6 +64,31 @@ def test_gossip_tally_builds_b():
     assert res.r == set_01 | set_12
     assert res.b == {(1, m1)}
     assert res.b <= res.r
+
+
+entries = st.tuples(st.integers(0, 4), st.sampled_from([b"", b"a", b"b", b"ab"]))
+
+
+@given(st.data())
+def test_gather_matches_a_reference_loop(data):
+    r = data.draw(st.dictionaries(st.integers(0, 4), st.sampled_from([b"", b"a", b"b"])))
+    pool = data.draw(st.lists(st.frozensets(entries, max_size=6), min_size=1, max_size=4))
+    gossiped = data.draw(st.lists(st.sampled_from(pool), max_size=7))  # overlaps, repeats
+    t_s = data.draw(st.integers(1, len(gossiped) + 1))
+    want_r, hits = set(r.items()), {}
+    for entry_set in gossiped:
+        want_r |= entry_set
+        for e in entry_set:
+            hits[e] = hits.get(e, 0) + 1
+    want_b = {e for e, h in hits.items() if h >= t_s}
+    payloads = [encode_entry_set(entry_set) for entry_set in gossiped]
+    for given_r in (r.items(), frozenset(r.items())):  # qscod passes a dict's items
+        assert gather(given_r, payloads, t_s) == (want_r, want_b)
+    if payloads:
+        bad = bytearray(payloads[-1])
+        bad[-1] ^= 0x01  # the last payload or its length, or an empty set's count
+        with pytest.raises(WireError):
+            gather(r.items(), payloads[:-1] + [bytes(bad)], t_s)
 
 
 @given(st.data())

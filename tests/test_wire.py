@@ -28,6 +28,7 @@ from quesera.wire import (
     frame_size,
     histories_of,
     history_bytes,
+    payload_digest,
 )
 
 KINDS = (PLAIN, REQ, ACK, WIT)
@@ -92,6 +93,31 @@ def _raw_set(entries) -> bytes:
 def _raw_frame(flags: int, payload: bytes, *sets: bytes) -> bytes:
     head = b"rp" + struct.pack(">BIII", flags, 0, 1, len(payload))
     return head + payload + b"".join(sets)
+
+
+shared_payloads = st.one_of(st.sampled_from([b"", b"a", b"shared"]), st.binary(max_size=40))
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**32 - 1), shared_payloads), max_size=10))
+def test_entry_set_matches_a_field_by_field_reference(entries):
+    # repeats collapse and the rest is sorted, then each field as the format says
+    assert encode_entry_set(entries) == _raw_set(sorted(set(entries)))
+
+
+def test_a_warm_digest_memo_still_verifies():
+    blob = encode_entry_set([(1, b"warm"), (4, b"memo")])  # both digests now memoized
+    assert payload_digest(b"warm") == hashlib.sha256(b"warm").digest()
+    digest_at = 4 + 4  # set count, then the first entry's sender
+    payload_at = digest_at + 32 + 4  # its digest, then its length prefix
+    for at in (digest_at, payload_at):
+        bad = _flip(blob, at, 0x01)
+        for _ in range(2):  # a failure is never remembered
+            with pytest.raises(WireError, match="set entry digest mismatch"):
+                decode_entry_set(bad)
+            with pytest.raises(WireError, match="set entry digest mismatch"):
+                entry_set_bytes(bad)
+    assert entry_set_bytes(blob) == {(1, b"warm"), (4, b"memo")}
+    assert payload_digest.cache_info().currsize <= DECODE_MEMO_SIZE
 
 
 def test_step_message_rejects_garbage():

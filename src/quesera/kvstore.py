@@ -4,17 +4,17 @@ A store maps byte keys to byte values where the first write of a key wins
 forever: the fundamental call is write_read, which stores the offered value
 only if the key is fresh and returns whatever the key holds afterwards.
 Losing a race is not an error -- the caller learns the winning value, which
-is exactly what an optimistic-concurrency client needs.
+is exactly what an optimistic-concurrency client needs.  On the wire a write
+whose value stands is answered ``A``, so the value is not sent back.
 
 Two backends share the semantics: an in-memory dict, and an append-only log
 file that doubles as a protocol transcript, so reopening a file store replays
 its own wire format.  The protocol is line-oriented with base64 fields (the
 empty byte string is spelled ``-``)::
 
-    WR <key> <value>     -> V <value now at key>
-    W  <key> <value>     -> A            (absorbed: this write won)
-                            V <existing> (lost: key already written)
-    R  <key>             -> V <value> or N
+    W <key> <value>     -> A            (the key holds this value)
+                           V <existing> (lost: key holds another value)
+    R <key>             -> V <value> or N
 
 Stores are thread-safe.  Every field is canonical: a line that parses
 re-encodes to the same fields, so one key or value has one spelling.
@@ -53,10 +53,10 @@ def unb64(text: str) -> bytes:
 def encode_request(verb: str, key: bytes, value: Optional[bytes] = None) -> str:
     if verb == "R":
         return f"R {b64(key)}\n"
-    if verb in ("W", "WR"):
+    if verb == "W":
         if value is None:
-            raise ProtocolError(f"{verb} needs a value")
-        return f"{verb} {b64(key)} {b64(value)}\n"
+            raise ProtocolError("W needs a value")
+        return f"W {b64(key)} {b64(value)}\n"
     raise ProtocolError(f"unknown verb {verb!r}")
 
 
@@ -67,7 +67,7 @@ def parse_request(line: str) -> tuple[str, bytes, Optional[bytes]]:
     verb = parts[0]
     if verb == "R" and len(parts) == 2:
         return verb, unb64(parts[1]), None
-    if verb in ("W", "WR") and len(parts) == 3:
+    if verb == "W" and len(parts) == 3:
         return verb, unb64(parts[1]), unb64(parts[2])
     raise ProtocolError(f"malformed request {line!r}")
 
@@ -81,11 +81,14 @@ def _b64_size(n: int) -> int:
     return 4 * ((n + 2) // 3) if n else 1
 
 
-def write_read_size(key: bytes, value: bytes, got: bytes) -> int:
-    """``len(encode_request("WR", key, value)) + len(encode_hit(got))``,
-    worked out from the line format without encoding: ``WR``, ``V``, three
-    separators and two newlines make 8 bytes, plus the three fields."""
-    return 8 + _b64_size(len(key)) + _b64_size(len(value)) + _b64_size(len(got))
+def write_size(key: bytes, value: bytes, got: bytes) -> int:
+    """``len(encode_request("W", key, value))`` plus the length of the reply
+    when the key holds ``got`` afterwards, worked out from the line format
+    without encoding: ``W``, two separators and a newline make 4 bytes plus
+    the two fields; the reply is ``A`` and a newline if ``got == value``,
+    else ``len(encode_hit(got))``, 3 bytes plus the field."""
+    size = 4 + _b64_size(len(key)) + _b64_size(len(value))
+    return size + 2 if got == value else size + 3 + _b64_size(len(got))
 
 
 class _Store:
@@ -99,13 +102,15 @@ class _Store:
         self._data[key] = value
 
     def write(self, key: bytes, value: bytes) -> tuple[bool, bytes]:
-        """Store value if the key is fresh; either way return whether this
-        call won the key and the key's settled value."""
+        """Store value if the key is fresh; either way return whether the key
+        now holds the offered bytes (this write won, or an equal earlier one
+        did) and the key's settled value."""
         with self._lock:
             if key not in self._data:
                 self._commit(key, value)
                 return True, value
-            return False, self._data[key]
+            settled = self._data[key]
+        return settled == value, settled
 
     def write_read(self, key: bytes, value: bytes) -> bytes:
         """:meth:`write` without the verdict: the key's settled value."""
@@ -200,11 +205,9 @@ def serve(store: _Store, lines: Iterable[str], out: TextIO) -> None:
             if verb == "R":
                 got = store.read(key)
                 out.write("N\n" if got is None else encode_hit(got))
-            elif verb == "WR":
-                out.write(encode_hit(store.write_read(key, value)))
             else:  # W
-                won, settled = store.write(key, value)
-                out.write("A\n" if won else encode_hit(settled))
+                held, settled = store.write(key, value)
+                out.write("A\n" if held else encode_hit(settled))
         except ProtocolError as exc:
             out.write(f"E {exc}\n")
         out.flush()
@@ -213,8 +216,8 @@ def serve(store: _Store, lines: Iterable[str], out: TextIO) -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="qscod-store",
-        description="Serve a write-once key-value store over the W/R/WR "
-        "line protocol on stdin/stdout.",
+        description="Serve a write-once key-value store over the W/R line "
+        "protocol on stdin/stdout.",
     )
     parser.add_argument("--backend", choices=("memory", "file"), default="memory")
     parser.add_argument("--path", help="log file (file backend)")

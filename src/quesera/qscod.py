@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable, Optional
 
 from .chain import GENESIS, ChainError, History, Proposal
-from .kvstore import MemoryStore, ProtocolError, open_store, write_read_size
+from .kvstore import MemoryStore, ProtocolError, open_store, write_size
 from .netsim import configure, mix64
 from .qsc import check_one_chain, decide, step2_candidate
 from .tlcb import gather
@@ -108,8 +108,10 @@ def qscod_params(n: int) -> Thresholds:
 
 class CountingStore:
     """Store wrapper billing every operation at its line-protocol cost, so
-    in-process measurements reflect what the wire would carry.  The cost is
-    sized from the line format (:func:`kvstore.write_read_size`), not
+    in-process measurements reflect what the wire would carry: the ``W``
+    request, then ``A`` if the key holds the offered value or ``V`` with the
+    value it holds instead, just as :func:`kvstore.serve` answers.  The cost
+    is sized from the line format (:func:`kvstore.write_size`), not
     encoded."""
 
     def __init__(self, inner, tally: "ByteTally"):
@@ -118,7 +120,7 @@ class CountingStore:
 
     def write_read(self, key: bytes, value: bytes) -> bytes:
         got = self.inner.write_read(key, value)
-        self.tally.add(write_read_size(key, value, got))
+        self.tally.add(write_size(key, value, got))
         return got
 
 

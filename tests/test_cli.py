@@ -362,9 +362,9 @@ def test_store_server_speaks_the_protocol_over_pipes(tmp_path):
         "A", "V dmFs", "V dmFs", "E malformed request 'nonsense'"]
     # restart: the log replays, the key stays settled
     second = cli("quesera.kvstore", "--backend", "file", "--path", str(log),
-                 input_text="R a2V5\nWR a2V5 bmV3\n")
+                 input_text="R a2V5\nW a2V5 bmV3\nW a2V5 dmFs\n")
     assert second.returncode == 0
-    assert second.stdout.splitlines() == ["V dmFs", "V dmFs"]
+    assert second.stdout.splitlines() == ["V dmFs", "V dmFs", "A"]
 
 
 def test_qscod_tool_runs_contending_clients_clean():

@@ -14,13 +14,11 @@ from quesera.kvstore import (
     MemoryStore,
     ProtocolError,
     b64,
-    encode_hit,
     encode_request,
     open_store,
     parse_request,
     serve,
     unb64,
-    write_read_size,
 )
 
 
@@ -37,9 +35,16 @@ def test_first_write_settles_the_key(store):
     won, settled = store.write(b"k", b"third")
     assert (won, settled) == (False, b"first")
     assert store.write(b"fresh", b"x") == (True, b"x")
+    # an equal-bytes repeat, even a copy, finds its value standing
+    assert store.write(b"k", bytes(bytearray(b"first"))) == (True, b"first")
     assert store.read(b"k") == b"first"
     assert store.read(b"nope") is None
     assert len(store.snapshot()) == 2
+    # so the server answers A whenever the key holds the offered bytes
+    out = io.StringIO()
+    serve(store, [encode_request("W", b"s", b"v"), encode_request("W", b"s", b"v"),
+                  encode_request("W", b"s", b"other"), encode_request("R", b"s")], out)
+    assert out.getvalue().splitlines() == ["A", "A", f"V {b64(b'v')}", f"V {b64(b'v')}"]
 
 
 def test_empty_bytes_are_legal_keys_and_values(store):
@@ -142,13 +147,6 @@ def test_file_store_appends_whole_lines_through_short_writes(tmp_path):
     again.close()
 
 
-@given(st.binary(max_size=64), st.binary(max_size=64), st.binary(max_size=64))
-@example(b"", b"", b"")
-def test_write_read_size_is_the_length_of_both_lines(key, value, got):
-    assert write_read_size(key, value, got) == (
-        len(encode_request("WR", key, value)) + len(encode_hit(got)))
-
-
 @given(st.text(max_size=80))
 @example("R YR==")  # nonzero padding bits: 'a' spelled a second way
 @example("W a2V5 dmFs\u00e9")
@@ -164,8 +162,7 @@ def test_parse_request_fails_only_with_protocol_error(line):
 
 @given(st.binary(max_size=64), st.binary(max_size=64))
 def test_request_lines_round_trip(key, value):
-    for verb in ("W", "WR"):
-        assert parse_request(encode_request(verb, key, value)) == (verb, key, value)
+    assert parse_request(encode_request("W", key, value)) == ("W", key, value)
     assert parse_request(encode_request("R", key)) == ("R", key, None)
 
 
@@ -174,9 +171,10 @@ def test_serve_speaks_the_protocol():
         encode_request("R", b"k"),
         encode_request("W", b"k", b"v1"),
         encode_request("W", b"k", b"v2"),
-        encode_request("WR", b"k", b"v3"),
+        encode_request("W", b"k", b"v3"),
         encode_request("R", b"k"),
         "W onlyonefield\n",
+        "WR azI dmFs\n",  # no write-read verb: W answers A or the value held
         "HELLO\n",
         "W %s %s\n" % ("ab@!", "zz"),  # junk base64
         "\n",
@@ -187,6 +185,7 @@ def test_serve_speaks_the_protocol():
     assert out.getvalue().splitlines() == [
         "N", "A", f"V {v1}", f"V {v1}", f"V {v1}",
         "E malformed request 'W onlyonefield'",
+        "E malformed request 'WR azI dmFs'",
         "E malformed request 'HELLO'",
         "E bad base64 field 'ab@!'",
     ]

@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import sys
 import threading
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quesera import qscod
 from quesera.chain import GENESIS, History, Proposal
-from quesera.kvstore import MemoryStore, encode_hit, encode_request
+from quesera.kvstore import FileStore, MemoryStore, encode_request, serve
 from quesera.qscod import (
     Client,
     ClientReport,
@@ -569,13 +570,33 @@ def test_decode_slot3_fails_only_with_wire_error_and_stays_bounded(data):
     assert decode_slot3.cache_info().currsize <= DECODE_MEMO_SIZE
 
 
-def test_counting_store_bills_protocol_bytes():
+@given(st.lists(st.tuples(
+    st.sampled_from([b"", b"key", b"k2"]),
+    st.one_of(st.sampled_from([b"", b"value", b"other" * 9]), st.binary(max_size=40)))))
+@example([(b"key", b"value"), (b"key", b"value"), (b"key", b"other"), (b"", b"")])
+def test_counting_store_bills_protocol_bytes(writes):
+    """Each write is billed as its W request line plus the reply line the
+    store server sends for the same writes: ``A`` while the key holds the
+    offered value, ``V`` and the value it holds when it does not."""
     tally = ByteTally()
     store = CountingStore(MemoryStore(), tally)
-    assert store.write_read(b"key", b"value") == b"value"
-    assert store.write_read(b"key", b"other") == b"value"
-    assert tally.ops == 2
-    # each write is billed as its WR request line plus the V reply line
-    reply = len(encode_hit(b"value"))
-    assert tally.total == (len(encode_request("WR", b"key", b"value")) + reply
-                           + len(encode_request("WR", b"key", b"other")) + reply)
+    for key, value in writes:
+        store.write_read(key, value)
+    requests = [encode_request("W", key, value) for key, value in writes]
+    replies = io.StringIO()
+    serve(MemoryStore(), requests, replies)
+    assert tally.ops == len(writes)
+    assert tally.total == sum(map(len, requests)) + len(replies.getvalue())
+
+
+def test_lone_client_bill_is_its_logs_plus_one_ack_per_write(tmp_path):
+    """A lone client wins every write it makes, so each is logged as its W
+    request line and answered ``A`` and a newline."""
+    raw = [FileStore(str(tmp_path / f"s{i}.log")) for i in range(5)]
+    done, problems, dead, short, tally = run_workload(raw, qscod_params(5), 1, 20, 40, seed=3)
+    for s in raw:
+        s.close()
+    assert (problems, dead, short) == ([], [], [])
+    logs = [(tmp_path / f"s{i}.log").read_bytes() for i in range(5)]
+    assert sum(log.count(b"\n") for log in logs) == tally.ops
+    assert tally.total == sum(map(len, logs)) + 2 * tally.ops

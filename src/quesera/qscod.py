@@ -25,14 +25,17 @@ view -- the rule the message-passing rounds use (:func:`qsc.decide`),
 restricted to the client's own proposal because nobody else will retry a
 foreign message.
 
-Each client drives its n stores from n dedicated threads so one slow or dead
-store never stalls a round: progress needs any t_r columns, and the store
-operations that raised are counted per column.  The round is one generator
-(:func:`round_offers`).  The column whose answer completes a slot takes
-exactly its t_r columns, sends them into the round and offers the next slot
-to every store, all in its own driver thread; the client thread sleeps once
-per round, until the round returns or raises.  So slots 2 and 4 gossip
-exactly t_r columns.
+Each client drives its n stores from one pool of n threads, any of which
+serves any store column with commands waiting, one thread per column at a
+time and in submit order.  A thread stuck on a hung store holds only that
+column, so one slow or dead store never stalls a round: progress needs any
+t_r columns, and the store operations that raised are counted per column.
+The round is one generator (:func:`round_offers`).  The thread whose answer
+completes a slot takes exactly its t_r columns, sends them into the round
+and offers the next slot to every store, then goes on to write it itself
+while the stores answer at once; the client thread sleeps once per round,
+until the round returns or raises.  So slots 2 and 4 gossip exactly t_r
+columns.
 
 Lost proposals are retried after a randomized, exponentially growing number
 of back-off rounds in which the client plays an empty proposal (it must keep
@@ -46,9 +49,9 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import queue
 import struct
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable, Optional
 
@@ -195,40 +198,103 @@ class WaitCache:
         return result
 
 
-class _Driver(threading.Thread):
-    """One store's dedicated writer: performs write_read commands in order
-    and reports winners to the cache; the report that completes a slot runs
-    the round on in this thread.  A broken store kills only this column; its
-    failed operations are counted, and the last one kept."""
+class _Pool:
+    """A client's ready columns, served by its n driver threads.
 
-    def __init__(self, column: int, store, cache: WaitCache):
+    A column is ready while it has commands and no thread holds it; a thread
+    holds one column for one command at a time, so each store sees at most
+    one thread, in submit order.  A thread that takes a column while others
+    are still ready wakes one idle thread first, unless one is already on
+    its way: a hung store then holds one thread and one column, and with n
+    threads for n columns every other column keeps a thread.  The thread
+    whose answer completes a slot offers the next one and, while the stores
+    answer at once, serves the columns itself, back to back."""
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition(threading.Lock())
+        self._ready: deque[_Driver] = deque()
+        self._idle = 0  # threads asleep in take()
+        self._waking = False  # one of them is notified and not yet running
+        self._stopped = False
+
+    def offer(self, columns: Iterable["_Driver"], key: bytes, value: bytes) -> None:
+        """Queue one command on every column, under one acquisition."""
+        with self._cond:
+            for c in columns:
+                c.commands.append((key, value))
+                if not c.busy:
+                    c.busy = True
+                    self._ready.append(c)
+            self._wake()
+
+    def take(self, done: Optional["_Driver"]) -> Optional[tuple["_Driver", bytes, bytes]]:
+        """Hand back ``done``, the column this thread served last, and take
+        the first command of the next ready column, sleeping while there is
+        none.  Returns None once stopped with no column ready, so the
+        commands queued before :meth:`stop` are all performed."""
+        with self._cond:
+            if done is not None:
+                if done.commands:
+                    self._ready.append(done)
+                else:
+                    done.busy = False
+            while not self._ready:
+                if self._stopped:
+                    return None
+                self._idle += 1
+                self._cond.wait()
+                self._idle -= 1
+                self._waking = False
+            column = self._ready.popleft()
+            self._wake()
+            return (column, *column.commands.popleft())
+
+    def _wake(self) -> None:
+        """Wake one idle thread for the ready columns, unless one is already
+        on its way: that one wakes the next when it takes a column."""
+        if self._ready and self._idle and not self._waking:
+            self._waking = True
+            self._cond.notify()
+
+    def stop(self) -> None:
+        with self._cond:
+            self._stopped = True
+            self._cond.notify_all()
+
+
+class _Driver(threading.Thread):
+    """One store column, with its FIFO of write_read commands, and one of
+    the client's driver threads, which serves any ready column of the
+    client's :class:`_Pool` and reports winners to the cache; the report
+    that completes a slot runs the round on in that thread.  A broken store
+    kills only its column; its failed operations are counted, and the last
+    one kept."""
+
+    def __init__(self, column: int, store, cache: WaitCache, pool: _Pool):
         super().__init__(daemon=True)
         self.column = column
         self.store = store
         self.cache = cache
-        self.commands: queue.SimpleQueue = queue.SimpleQueue()
+        self.pool = pool
+        self.commands: deque[tuple[bytes, bytes]] = deque()  # guarded by the pool
+        self.busy = False  # ready or held by a thread
         self.errors = 0  # store operations that raised
         self.last_error: Optional[Exception] = None
 
-    def submit(self, key: bytes, value: bytes) -> None:
-        self.commands.put((key, value))
-
-    def stop(self) -> None:
-        self.commands.put(None)
-
     def run(self) -> None:
+        column = None
         while True:
-            cmd = self.commands.get()
-            if cmd is None:
+            got = self.pool.take(column)
+            if got is None:
                 return
-            key, value = cmd
+            column, key, value = got
             try:
-                winner = self.store.write_read(key, value)
+                winner = column.store.write_read(key, value)
             except Exception as exc:  # the client proceeds on the others
-                self.errors += 1
-                self.last_error = exc
+                column.errors += 1
+                column.last_error = exc
                 continue
-            self.cache.put(key, self.column, winner)
+            self.cache.put(key, column.column, winner)
 
 
 # --- the decision ------------------------------------------------------------
@@ -308,15 +374,16 @@ class Client:
         self.params = params
         self.seed = seed
         self.cache = WaitCache()
-        self.drivers = [_Driver(i, s, self.cache) for i, s in enumerate(stores)]
+        self.pool = _Pool()
+        self.drivers = [_Driver(i, s, self.cache, self.pool) for i, s in enumerate(stores)]
         for d in self.drivers:
             d.start()
         self.history: History = GENESIS
         self.round = 0
 
     def close(self) -> None:
-        for d in self.drivers:
-            d.stop()
+        """Stop the driver threads once every queued command is performed."""
+        self.pool.stop()
 
     # -- round machinery --
 
@@ -346,7 +413,7 @@ class Client:
 
     def _offer_next(self, offers: Generator, views: dict, cols: Optional[dict]) -> None:
         """Send the answered slot's columns into the round and offer its next
-        slot to every driver.  Runs in the thread that answered the slot; the
+        slot to every column.  Runs in the thread that answered the slot; the
         round's result, or what it raised, goes to the client thread."""
         try:
             slot, offer = offers.send(cols)
@@ -359,8 +426,7 @@ class Client:
             return
         self.cache.expect(key, self.params.t_r,
                           functools.partial(self._answered, offers, views, slot))
-        for d in self.drivers:
-            d.submit(key, value)
+        self.pool.offer(self.drivers, key, value)
 
     def _answered(self, offers: Generator, views: dict, slot: int, cols: dict) -> None:
         views[slot] = cols
@@ -481,11 +547,21 @@ def audit(stores, params: Thresholds, reports: Iterable[ClientReport]) -> list[s
     bad: list[str] = []
     bodies: dict[bytes, Proposal] = {}
     snapshots = [store.snapshot() for store in stores]
-    for snapshot in snapshots:
+    for col, snapshot in enumerate(snapshots):
         for key, value in snapshot.items():
-            _, slot = struct.unpack(">IB", key)
+            # a store may hold what no client wrote: a finding, not a crash
+            try:
+                rnd, slot = struct.unpack(">IB", key)
+            except struct.error:
+                bad.append(f"store {col}: key {key.hex()} is not a slot key")
+                continue
             if slot in (1, 3):
-                h = history_bytes(value) if slot == 1 else decode_slot3(value)[2]
+                try:
+                    h = history_bytes(value) if slot == 1 else decode_slot3(value)[2]
+                except WireError as exc:
+                    bad.append(f"store {col} round {rnd} slot {slot}: "
+                               f"value does not decode ({exc})")
+                    continue
                 if h.head is not None:
                     bodies[h.digest] = h.head
 

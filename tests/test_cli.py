@@ -343,6 +343,18 @@ def test_qscod_refuses_a_damaged_log(capsys, tmp_path):
     assert capsys.readouterr().err == "qscod: error: log holds a non-write line: 'R a2V5'\n"
 
 
+def test_qscod_audits_a_log_holding_a_foreign_key(tmp_path):
+    """A log may hold writes no client made; the audit fails on them, by
+    name, instead of crashing."""
+    (tmp_path / "s0.log").write_text("W Zm9v YmFy\n", encoding="ascii")  # foo -> bar
+    got = cli("quesera.qscod", "--stores", "3", "--clients", "1", "--messages", "2",
+              "--backend", "file", "--path-template", str(tmp_path / "s{i}.log"))
+    assert got.returncode == 1
+    assert "delivered=2 " in got.stdout and " audit=FAIL\n" in got.stdout
+    assert f"audit: store 0: key {b'foo'.hex()} is not a slot key\n" in got.stdout
+    assert "Traceback" not in got.stderr
+
+
 def test_a_deadlocked_run_exits_1_with_its_report():
     # two of four nodes crash where t_r = 3 needs one of them
     got = cli("quesera.cli", "run", "--layer", "qsc-tlcb", "--n", "4", "--f", "1",

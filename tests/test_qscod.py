@@ -23,6 +23,7 @@ from quesera.qscod import (
     RoundLog,
     WaitCache,
     _Driver,
+    _Pool,
     audit,
     decode_slot3,
     encode_slot3,
@@ -204,10 +205,12 @@ def test_dead_column_does_not_stall_the_client():
                       "last RuntimeError('disk on fire')"]
 
 
-def test_hung_column_does_not_stall_the_client():
-    """A column whose store never answers until the run is over: the client
-    proceeds on the other t_r, and once the column answers, what it wrote
-    late still audits clean."""
+@pytest.mark.parametrize("n, hung", [(4, {2}), (7, {2, 5})], ids=["n4-f1", "n7-f2"])
+def test_hung_column_does_not_stall_the_client(n, hung):
+    """Up to f columns whose stores never answer until the run is over: the
+    client proceeds on the other t_r, each hung store holding one of its n
+    threads, and once the columns answer, what they wrote late still audits
+    clean."""
     release = threading.Event()
 
     class HungStore(MemoryStore):
@@ -215,9 +218,9 @@ def test_hung_column_does_not_stall_the_client():
             release.wait(30)
             return super().write_read(key, value)
 
-    stores = [MemoryStore(), MemoryStore(), HungStore(), MemoryStore()]
-    params = qscod_params(4)
-    assert (params.f, params.t_r) == (1, 3)
+    stores = [HungStore() if col in hung else MemoryStore() for col in range(n)]
+    params = qscod_params(n)
+    assert (params.f, params.t_r) == (len(hung), n - len(hung))
     client = Client(0, stores, params, seed=5)
     try:
         report = client.run([b"x", b"y", b"z"], 20)
@@ -228,9 +231,50 @@ def test_hung_column_does_not_stall_the_client():
             d.join(30)
             assert not d.is_alive()
     assert report.delivered == [b"x", b"y", b"z"]
-    assert all(2 not in view for e in report.log for view in e.views.values())
-    assert stores[2].snapshot() == stores[0].snapshot()  # the late writes landed
+    assert all(hung.isdisjoint(view) for e in report.log for view in e.views.values())
+    for col in hung:
+        assert stores[col].snapshot() == stores[0].snapshot()  # the late writes landed
     assert audit(stores, params, [report]) == []
+
+
+def test_each_store_sees_one_thread_at_a_time_in_submit_order():
+    """The pool's threads serve any column, but a column's commands run one
+    at a time and in the order they were offered, at every thread switch."""
+    overlaps = []
+
+    class OneAtATime(MemoryStore):
+        def __init__(self):
+            super().__init__()
+            self.entry = threading.Lock()
+            self.keys = []
+
+        def write_read(self, key, value):
+            if not self.entry.acquire(blocking=False):
+                overlaps.append(key)
+                return super().write_read(key, value)
+            try:
+                self.keys.append(key)
+                return super().write_read(key, value)
+            finally:
+                self.entry.release()
+
+    rounds = 200
+    stores = [OneAtATime() for _ in range(5)]
+    client = Client(0, stores, qscod_params(5), seed=6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        report = client.run([b"m%d" % k for k in range(rounds)], rounds)
+    finally:
+        sys.setswitchinterval(interval)
+        client.close()
+        for d in client.drivers:
+            d.join(30)
+            assert not d.is_alive()
+    assert len(report.delivered) == report.rounds == rounds
+    assert overlaps == []
+    offered = [slot_key(rnd, slot) for rnd in range(1, rounds + 1) for slot in (1, 2, 3, 4)]
+    assert all(store.keys == offered for store in stores)
 
 
 def test_the_client_sleeps_once_per_round(monkeypatch):
@@ -412,6 +456,27 @@ def test_audit_rejects_tampered_logs():
                for v in audit(stores, params, [report, fake]))
 
 
+def test_audit_reports_store_contents_it_cannot_parse():
+    """Stores may hold what no client wrote: the audit names each key that
+    is not a slot key and each slot value that does not decode, and audits
+    the rest."""
+    stores = [MemoryStore() for _ in range(3)]
+    stores[0].write_read(b"foreign", b"x")
+    stores[1].write_read(slot_key(1, 1), b"junk")
+    assert audit(stores, qscod_params(3), []) == [
+        f"store 0: key {b'foreign'.hex()} is not a slot key",
+        "store 1 round 1 slot 1: value does not decode (truncated history head)",
+    ]
+
+    params, stores, (report,), _ = race([[b"a", b"b"]], 20)
+    stores[0].write_read(b"foreign", b"x")
+    stores[2].write_read(slot_key(3, 3), b"junk")
+    assert audit(stores, params, [report]) == [
+        f"store 0: key {b'foreign'.hex()} is not a slot key",
+        "store 2 round 3 slot 3: value does not decode (truncated set entry)",
+    ]
+
+
 def test_run_clients_reports_a_client_that_raises():
     stores = [MemoryStore() for _ in range(3)]
     params = qscod_params(3)
@@ -484,9 +549,10 @@ def test_wait_cache_wakes_the_client_once_its_key_has_the_columns():
 
 
 def test_wait_cache_loses_no_wake_among_racing_columns():
-    """More driver threads than cores race through a chain of keys, each
-    key's continuation offering the next to every driver; a lost
-    continuation or wake-up would leave the client's wait to time out."""
+    """More driver threads than cores race through a chain of keys, over
+    one shared pool as a client's drivers are, each key's continuation
+    offering the next to every column; a lost continuation or wake-up would
+    leave the client's wait to time out."""
 
     class ColumnStore:
         def __init__(self, col):
@@ -495,16 +561,15 @@ def test_wait_cache_loses_no_wake_among_racing_columns():
         def write_read(self, key, value):
             return self.col
 
-    cache = WaitCache()
+    cache, pool = WaitCache(), _Pool()
     columns, rounds, need = 5, 300, 3
     keys = [slot_key(rnd, 1) for rnd in range(1, rounds + 1)]
-    drivers = [_Driver(c, ColumnStore(c), cache) for c in range(columns)]
+    drivers = [_Driver(c, ColumnStore(c), cache, pool) for c in range(columns)]
     answers = []
 
     def offer(i):
         cache.expect(keys[i], need, lambda cols: answered(i, cols))
-        for d in drivers:
-            d.submit(keys[i], b"")
+        pool.offer(drivers, keys[i], b"")
 
     def answered(i, cols):
         answers.append(cols)
@@ -522,8 +587,7 @@ def test_wait_cache_loses_no_wake_among_racing_columns():
         assert cache.wait(30) == rounds
     finally:
         sys.setswitchinterval(interval)
-        for d in drivers:
-            d.stop()
+        pool.stop()
         for d in drivers:
             d.join(30)
             assert not d.is_alive()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import sys
 import threading
@@ -380,6 +381,21 @@ def test_lone_client_bytes_are_a_function_of_the_seed():
         assert all(len(view) == params.t_r for e in report.log for view in e.views.values())
         totals.append(tally.total)
     assert totals[0] == totals[1]
+
+
+def test_lone_client_store_bytes_are_pinned():
+    """With t_r = n a lone client reads every column, so what it writes is a
+    function of the seed alone: its bill and the bytes each store holds."""
+    raw = [MemoryStore() for _ in range(5)]
+    done, problems, dead, short, tally = run_workload(
+        raw, configure("qscod", 5, 0), 1, 20, 40, seed=9)
+    assert (problems, dead, short) == ([], [], [])
+    assert tally.total == 153_400
+    digest = hashlib.sha256()
+    for store in raw:
+        for key, value in sorted(store.snapshot().items()):
+            digest.update(key + value)
+    assert digest.hexdigest().startswith("2aaddec91e403d93")
 
 
 def test_audit_replays_without_encoding_offers(monkeypatch):

@@ -13,7 +13,10 @@ terminates; whether it decides is what the lottery settles.
 
 The layer underneath must provide full spread (every confirmed message is in
 everyone's receive set) with ``t_r > 0`` and ``t_b > 0``; the whole
-interface is ``broadcast(payload) -> (R, B)`` as a generator.
+interface is ``broadcast(payload) -> (R, B)`` as a generator.  What a layer
+yields passes through :func:`qsc_round` to whoever drives it: ``None`` to
+the simulator under netsim, a slot and its offer to a QSCOD client
+(:class:`qscod.StoreTlcb`).
 """
 
 from __future__ import annotations

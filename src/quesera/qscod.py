@@ -19,20 +19,22 @@ message-passing layers piggyback them only so a lagging node can catch up,
 and every store already keeps every slot.  Readers take the candidate
 alone, so values written with the sets filled in still read and audit.
 
-The client adopts the best history visible in R2 and commits only when that
-history is its own proposal, appears in B2, and was uniquely best in its R1
-view -- the rule the message-passing rounds use (:func:`qsc.decide`),
-restricted to the client's own proposal because nobody else will retry a
-foreign message.
+Each slot pair is one step of a store-backed TLCB layer (:class:`StoreTlcb`),
+so a client plays the very round the message-passing nodes play,
+:func:`qsc.qsc_round`: it adopts the best history visible in R2 and the
+lottery commits it when it appears in B2 and was uniquely best in R1.  The
+client commits only when that history is its own proposal, because nobody
+else will retry a foreign message.
 
 Each client drives its n stores from one pool of n threads, any of which
 serves any store column with commands waiting, one thread per column at a
 time and in submit order.  A thread stuck on a hung store holds only that
 column, so one slow or dead store never stalls a round: progress needs any
 t_r columns, and the store operations that raised are counted per column.
-The round is one generator (:func:`round_offers`).  The thread whose answer
-completes a slot takes exactly its t_r columns, sends them into the round
-and offers the next slot to every store, then goes on to write it itself
+The round is one generator, whose layer yields each slot's offer through
+:func:`qsc.qsc_round` to the client.  The thread whose answer completes a
+slot takes exactly its t_r columns, sends them into the round and offers
+the next slot to every store, then goes on to write it itself
 while the stores answer at once; the client thread sleeps once per round,
 until the round returns or raises.  So slots 2 and 4 gossip exactly t_r
 columns.
@@ -55,13 +57,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable, Optional
 
-from .chain import GENESIS, ChainError, History, Proposal
+from .chain import ChainError, History, Proposal
 from .kvstore import MemoryStore, ProtocolError, open_store, write_size
 from .netsim import configure, mix64
-from .qsc import check_one_chain, decide, step2_candidate
+from .qsc import QscState, check_one_chain, qsc_round
 from .tlcb import gather
 from .tlcr import ConfigError
-from .tsb import Thresholds
+from .tsb import Thresholds, TsbResult
 from .wire import (
     DECODE_MEMO_SIZE,
     EntrySet,
@@ -85,8 +87,8 @@ def slot_key(rnd: int, slot: int) -> bytes:
     return struct.pack(">IB", rnd, slot)
 
 
-def encode_slot3(r1: EntrySet, b1: EntrySet, best: History) -> bytes:
-    return encode_entry_set(r1) + encode_entry_set(b1) + encode_history(best)
+# a slot-3 value is a step-2 broadcast's layout with empty R1 and B1 sets
+_SLOT3_SETS = encode_entry_set(()) * 2
 
 
 @functools.lru_cache(maxsize=DECODE_MEMO_SIZE)
@@ -297,49 +299,34 @@ class _Driver(threading.Thread):
             self.cache.put(key, column.column, winner)
 
 
-# --- the decision ------------------------------------------------------------
+# --- the round -----------------------------------------------------------------
 
 
-def _best_row(cols3: dict[int, bytes]) -> dict[int, bytes]:
-    """The R2 row: each collected slot-3 value's best history, re-encoded."""
-    return {col: encode_history(decode_slot3(value)[2]) for col, value in cols3.items()}
+class StoreTlcb:
+    """A :class:`tlcb.Tlcb` step over store columns, for one round of one
+    client; make a fresh one per round.  Its k-th broadcast (k = 0, 1)
+    yields ``(slot, offer)`` for slot 2k+1 and then for its gossip, slot
+    2k+2, where ``offer()`` encodes the value to write, so a replay that
+    already holds the columns encodes nothing; is sent the columns collected
+    for each slot, which it keeps as the round's ``views``; and returns the
+    step's R and B, gathered as :class:`tlcb.Tlcb` gathers them.  The R row
+    of slot 3 is each column's candidate (:func:`decode_slot3`)."""
 
+    def __init__(self, t_s: int):
+        self.t_s = t_s
+        self.views: dict[int, dict[int, bytes]] = {}  # slot -> column -> value
 
-def round_offers(
-    payload: bytes, proposed: bytes, t_s: int
-) -> Generator[tuple[int, Callable[[], bytes]], dict[int, bytes], tuple[History, bool]]:
-    """One round's four slots and its decision.  Yields ``(slot, offer)``,
-    where ``offer()`` encodes the value to write in the slot, so a replay
-    that already holds the columns encodes nothing; is sent the columns
-    collected for the slot; and returns ``(history, committed)``.  Slot 1
-    is offered ``payload``, the encoded history whose digest is
-    ``proposed``.  The round adopts and commits by :func:`qsc.decide` over
-    R1 (slots 1-2), R2 and B2 (slots 3-4), each gathered like a
-    :class:`tlcb.Tlcb` step, and commits only the client's own proposal,
-    because nobody else will retry a foreign one."""
-    cols1 = yield 1, lambda: payload
-    cols2 = yield 2, functools.partial(encode_entry_set, cols1.items())
-    r1, b1 = gather(cols1.items(), cols2.values(), t_s)
-    cols3 = yield 3, functools.partial(encode_slot3, frozenset(), frozenset(),
-                                       step2_candidate(b1))
-    row2 = _best_row(cols3)
-    cols4 = yield 4, functools.partial(encode_entry_set, row2.items())
-    r2, b2 = gather(row2.items(), cols4.values(), t_s)
-    chosen, committed = decide(r1, r2, b2)
-    return chosen, committed and chosen.digest == proposed
-
-
-def play_round(step, payload: bytes, proposed: bytes, t_s: int) -> tuple[History, bool]:
-    """:func:`round_offers` played in this thread: ``step(slot, offer)``
-    returns the columns collected for each slot."""
-    offers = round_offers(payload, proposed, t_s)
-    cols = None
-    while True:
-        try:
-            slot, offer = offers.send(cols)
-        except StopIteration as stop:
-            return stop.value
-        cols = step(slot, offer)
+    def broadcast(self, m: bytes):
+        slot = len(self.views) + 1
+        if slot == 1:
+            row = self.views[1] = yield 1, lambda: m
+        else:
+            self.views[3] = yield 3, lambda: _SLOT3_SETS + m
+            row = {col: encode_history(decode_slot3(value)[2])
+                   for col, value in self.views[3].items()}
+        gossip = self.views[slot + 1] = yield slot + 1, functools.partial(
+            encode_entry_set, row.items())
+        return TsbResult(*gather(row.items(), gossip.values(), self.t_s))
 
 
 @dataclass
@@ -378,8 +365,7 @@ class Client:
         self.drivers = [_Driver(i, s, self.cache, self.pool) for i, s in enumerate(stores)]
         for d in self.drivers:
             d.start()
-        self.history: History = GENESIS
-        self.round = 0
+        self.state = QscState(node=0)
 
     def close(self) -> None:
         """Stop the driver threads once every queued command is performed."""
@@ -388,49 +374,41 @@ class Client:
     # -- round machinery --
 
     def run_round(self, message: bytes, priority: int) -> RoundLog:
-        """Play one round of :func:`round_offers`.  The column that completes
-        a slot runs the round on, so this thread sleeps once, until the
-        round returns or raises."""
-        self.round += 1
-        proposal = Proposal(
-            proposer=0, message=message, priority=priority, prev=self.history.digest
-        )
-        mine = self.history.extend(proposal)
-        offers = round_offers(encode_history(mine), mine.digest, self.params.t_s)
-        views: dict[int, dict[int, bytes]] = {}
-        self._offer_next(offers, views, None)
+        """Play one round of :func:`qsc.qsc_round` over a fresh
+        :class:`StoreTlcb`, committing only the client's own proposal.  The
+        column that completes a slot runs the round on, so this thread
+        sleeps once, until the round returns or raises."""
+        layer = StoreTlcb(self.params.t_s)
+        mine: list[bytes] = []
+        self._offer_next(qsc_round(self.state, layer, message, priority,
+                                   on_propose=lambda _, h: mine.append(h.digest)), None)
         chosen, committed = self.cache.wait(WAIT_TIMEOUT)
-        self.history = chosen
+        proposed = mine[0]
         return RoundLog(
-            round=self.round,
+            round=self.state.round,
             message=message,
-            proposed=mine.digest,
+            proposed=proposed,
             adopted=chosen.digest,
             length=chosen.length,
-            committed=committed,
-            views=views,
+            committed=committed and chosen.digest == proposed,
+            views=layer.views,
         )
 
-    def _offer_next(self, offers: Generator, views: dict, cols: Optional[dict]) -> None:
+    def _offer_next(self, offers: Generator, cols: Optional[dict]) -> None:
         """Send the answered slot's columns into the round and offer its next
         slot to every column.  Runs in the thread that answered the slot; the
         round's result, or what it raised, goes to the client thread."""
         try:
             slot, offer = offers.send(cols)
-            key, value = slot_key(self.round, slot), offer()
+            key, value = slot_key(self.state.round, slot), offer()
         except StopIteration as stop:
             self.cache.finish(stop.value)
             return
         except Exception as exc:
             self.cache.finish(error=exc)
             return
-        self.cache.expect(key, self.params.t_r,
-                          functools.partial(self._answered, offers, views, slot))
+        self.cache.expect(key, self.params.t_r, functools.partial(self._offer_next, offers))
         self.pool.offer(self.drivers, key, value)
-
-    def _answered(self, offers: Generator, views: dict, slot: int, cols: dict) -> None:
-        views[slot] = cols
-        self._offer_next(offers, views, cols)
 
     def run(self, messages: Iterable[bytes], max_rounds: int) -> ClientReport:
         """Push a workload through, retrying lost proposals with randomized
@@ -444,7 +422,7 @@ class Client:
         while report.rounds < max_rounds:
             if current is None and not pending:
                 break
-            rnd = self.round + 1
+            rnd = self.state.round + 1
             message = current if backoff == 0 and current is not None else b""
             priority = mix64(self.seed, _S_PRIORITY, self.id, rnd)
             entry = self.run_round(message, priority)
@@ -553,17 +531,21 @@ def audit(stores, params: Thresholds, reports: Iterable[ClientReport]) -> list[s
             try:
                 rnd, slot = struct.unpack(">IB", key)
             except struct.error:
+                rnd = slot = 0
+            if rnd == 0 or not 1 <= slot <= 4:
                 bad.append(f"store {col}: key {key.hex()} is not a slot key")
                 continue
-            if slot in (1, 3):
-                try:
-                    h = history_bytes(value) if slot == 1 else decode_slot3(value)[2]
-                except WireError as exc:
-                    bad.append(f"store {col} round {rnd} slot {slot}: "
-                               f"value does not decode ({exc})")
+            try:
+                if slot in (2, 4):
+                    entry_set_bytes(value)
                     continue
-                if h.head is not None:
-                    bodies[h.digest] = h.head
+                h = history_bytes(value) if slot == 1 else decode_slot3(value)[2]
+            except WireError as exc:
+                bad.append(f"store {col} round {rnd} slot {slot}: "
+                           f"value does not decode ({exc})")
+                continue
+            if h.head is not None:
+                bodies[h.digest] = h.head
 
     for report in reports:
         for entry in report.log:
@@ -580,14 +562,19 @@ def audit(stores, params: Thresholds, reports: Iterable[ClientReport]) -> list[s
                     if want != value:
                         bad.append(f"{tag}: slot {slot} column {col} disagrees with store")
             # recompute the decision from the logged views; logs are evidence
-            # from an untrusted party, so garbage is a finding, not a crash
+            # from an untrusted party, so garbage is a finding, not a crash;
+            # the replay's own proposal is never offered, so it is a blank
+            replay = qsc_round(QscState(node=0), StoreTlcb(params.t_s), b"", 0)
             try:
-                chosen, should_commit = play_round(
-                    lambda slot, _: entry.views[slot], b"", entry.proposed, params.t_s
-                )
-            except (WireError, ChainError, KeyError, struct.error) as exc:
+                slot, _ = next(replay)
+                while True:
+                    slot, _ = replay.send(entry.views[slot])
+            except StopIteration as stop:
+                chosen, committed = stop.value
+            except (WireError, ChainError, KeyError) as exc:
                 bad.append(f"{tag}: views do not replay ({exc})")
                 continue
+            should_commit = committed and chosen.digest == entry.proposed
             if chosen.digest != entry.adopted:
                 bad.append(f"{tag}: adopted {entry.adopted.hex()[:12]} but views say "
                            f"{chosen.digest.hex()[:12]}")

@@ -22,19 +22,19 @@ from quesera.qscod import (
     CountingStore,
     ByteTally,
     RoundLog,
+    StoreTlcb,
     WaitCache,
     _Driver,
     _Pool,
     audit,
     decode_slot3,
-    encode_slot3,
-    play_round,
     qscod_params,
     run_clients,
     run_workload,
     slot_key,
 )
 from quesera.netsim import configure
+from quesera.qsc import QscState, qsc_round
 from quesera.tlcb import gather
 from quesera.tlcr import ConfigError
 from quesera.wire import DECODE_MEMO_SIZE, WireError, encode_entry_set, encode_history
@@ -49,6 +49,27 @@ def test_params_defaults_and_admission():
         configure("qscod", 6, 2, t_s=2)  # columns could miss each other's winners
 
 
+def slot3(r1, b1, best):
+    """A slot-3 value in the full form: R1 and B1 sets before the candidate."""
+    return encode_entry_set(r1) + encode_entry_set(b1) + encode_history(best)
+
+
+def play(state, layer, message, priority, answer):
+    """Drive :func:`qsc.qsc_round` over ``layer`` in this thread:
+    ``answer(slot, offer)`` returns the columns collected for each slot.
+    Returns the round's history, whether the lottery committed it, and the
+    proposal the round made."""
+    mine = []
+    rnd = qsc_round(state, layer, message, priority, on_propose=lambda _, h: mine.append(h))
+    cols = None
+    while True:
+        try:
+            slot, offer = rnd.send(cols)
+        except StopIteration as stop:
+            return (*stop.value, mine[0])
+        cols = answer(slot, offer)
+
+
 def test_slot_keys_and_slot3_codec():
     keys = {slot_key(r, s) for r in (1, 2, 300000) for s in (1, 2, 3, 4)}
     assert len(keys) == 12  # distinct rounds and slots never collide
@@ -56,41 +77,44 @@ def test_slot_keys_and_slot3_codec():
                                 prev=GENESIS.digest))
     r1 = frozenset({(0, b"x"), (2, b"yy")})
     b1 = frozenset({(2, b"yy")})
-    assert decode_slot3(encode_slot3(r1, b1, h)) == (r1, b1, h)
+    assert decode_slot3(slot3(r1, b1, h)) == (r1, b1, h)
 
 
 MINE = GENESIS.extend(Proposal(proposer=0, message=b"mine", priority=5, prev=GENESIS.digest))
 RIVAL = GENESIS.extend(Proposal(proposer=0, message=b"rival", priority=9, prev=GENESIS.digest))
 
 
-def scripted(columns):
-    """A :func:`play_round` step over three columns and no stores: a slot
-    in ``columns`` answers its scripted columns, any other slot the offered
-    value in every column, as a lone writer would see.  Also returns what
-    was offered for each slot."""
+def scripted(columns, proposed=MINE.digest):
+    """A client's round proposing MINE, played over a :class:`StoreTlcb`
+    of three columns and no stores: a slot in ``columns`` answers its
+    scripted columns, any other slot the offered value in every column, as
+    a lone writer would see.  Returns the adopted history, whether the
+    client commits it (the lottery's verdict, for ``proposed`` only), and
+    what was offered for each slot."""
     offered = {}
 
-    def step(slot, offer):
+    def answer(slot, offer):
         offered[slot] = value = offer()
         return columns.get(slot) or {col: value for col in range(3)}
 
-    return step, offered
+    chosen, committed, mine = play(QscState(node=0), StoreTlcb(2), b"mine", 5, answer)
+    assert mine == MINE
+    return chosen, committed and chosen.digest == proposed, offered
 
 
 def test_slot3_offers_only_the_step2_candidate():
     # a lone writer: its proposal fills R1 and B1 and is committed
-    step, offered = scripted({})
-    chosen, committed = play_round(step, encode_history(MINE), MINE.digest, 2)
+    chosen, committed, offered = scripted({})
     assert (chosen.digest, committed) == (MINE.digest, True)
-    assert offered[3] == encode_slot3(frozenset(), frozenset(), MINE)
+    assert offered[3] == slot3(frozenset(), frozenset(), MINE)
 
     # a rival's higher-priority proposal holds one column and every gossip:
     # it is B1's best, so slot 3 offers it, and it is adopted, not committed
     cols1 = {0: encode_history(MINE), 1: encode_history(RIVAL), 2: encode_history(MINE)}
-    step, offered = scripted({1: cols1, 2: dict.fromkeys(range(3), encode_entry_set(cols1.items()))})
-    chosen, committed = play_round(step, encode_history(MINE), MINE.digest, 2)
+    chosen, committed, offered = scripted(
+        {1: cols1, 2: dict.fromkeys(range(3), encode_entry_set(cols1.items()))})
     assert (chosen.digest, committed) == (RIVAL.digest, False)
-    assert offered[3] == encode_slot3(frozenset(), frozenset(), RIVAL)
+    assert offered[3] == slot3(frozenset(), frozenset(), RIVAL)
 
 
 entry_sets = st.frozensets(st.tuples(st.integers(0, 2**32 - 1), st.binary(max_size=40)),
@@ -106,9 +130,8 @@ def test_slot3_sets_never_change_a_decision(sets):
     best = {0: RIVAL, 1: MINE, 2: RIVAL}
     outcomes = []
     for r1_b1 in ([(frozenset(), frozenset())] * 3, sets):
-        cols3 = {col: encode_slot3(r1, b1, best[col]) for col, (r1, b1) in enumerate(r1_b1)}
-        step, offered = scripted({1: cols1, 2: cols2, 3: cols3})
-        chosen, committed = play_round(step, encode_history(MINE), RIVAL.digest, 2)
+        cols3 = {col: slot3(r1, b1, best[col]) for col, (r1, b1) in enumerate(r1_b1)}
+        chosen, committed, offered = scripted({1: cols1, 2: cols2, 3: cols3}, RIVAL.digest)
         outcomes.append((chosen.digest, committed, offered[4]))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][:2] == (RIVAL.digest, True)
@@ -119,28 +142,25 @@ def test_audit_accepts_slot3_values_in_the_full_form():
     (R1 and B1 filled in) still audit clean."""
     stores = [MemoryStore() for _ in range(3)]
     params = qscod_params(3)
-    history, log = GENESIS, []
+    state, log = QscState(node=0), []
     for rnd, message in enumerate([b"a", b"b"], 1):
-        mine = history.extend(Proposal(proposer=0, message=message, priority=rnd,
-                                       prev=history.digest))
-        views = {}
+        layer = StoreTlcb(params.t_s)
+        views = layer.views
 
-        def step(slot, offer):
+        def answer(slot, offer):
             value = offer()
             if slot == 3:
                 r1, b1 = gather(views[1].items(), views[2].values(), params.t_s)
-                value = encode_slot3(r1, b1, decode_slot3(value)[2])
+                value = slot3(r1, b1, decode_slot3(value)[2])
             key = slot_key(rnd, slot)
-            views[slot] = {col: s.write_read(key, value) for col, s in enumerate(stores)}
-            return views[slot]
+            return {col: s.write_read(key, value) for col, s in enumerate(stores)}
 
-        chosen, committed = play_round(step, encode_history(mine), mine.digest, params.t_s)
+        chosen, committed, mine = play(state, layer, message, rnd, answer)
         assert (chosen.digest, committed) == (mine.digest, True)
         assert all(len(decode_slot3(v)[0]) == 3 for v in views[3].values())
         log.append(RoundLog(round=rnd, message=message, proposed=mine.digest,
                             adopted=chosen.digest, length=chosen.length,
                             committed=committed, views=views))
-        history = chosen
     report = ClientReport(client=0, rounds=2, commits=2, delivered=[b"a", b"b"], log=log)
     assert audit(stores, params, [report]) == []
 
@@ -410,11 +430,10 @@ def test_audit_replays_without_encoding_offers(monkeypatch):
     monkeypatch.setattr(qscod, "encode_entry_set", counted)
     assert audit(stores, params, [report]) == []
     assert calls == []
-    # the same round played with its offers encodes four sets: slots 2 and 4,
-    # and slot 3's two empty ones
-    step, _ = scripted({})
-    play_round(step, encode_history(MINE), MINE.digest, 2)
-    assert len(calls) == 4
+    # the same round played with its offers encodes two sets, slots 2 and
+    # 4: slot 3's empty ones are a constant
+    scripted({})
+    assert len(calls) == 2
 
 
 def test_audit_rejects_tampered_logs():
@@ -484,11 +503,30 @@ def test_audit_reports_store_contents_it_cannot_parse():
         "store 1 round 1 slot 1: value does not decode (truncated history head)",
     ]
 
+    # every 5-byte key names a round and a slot, but only rounds from 1 and
+    # slots 1-4 are slot keys; slot-2 and slot-4 values are entry sets
+    stores = [MemoryStore() for _ in range(3)]
+    stores[0].write_read(slot_key(1, 9), b"x")
+    stores[0].write_read(slot_key(0, 1), encode_history(GENESIS))
+    stores[1].write_read(slot_key(1, 5), encode_entry_set(()))
+    stores[1].write_read(slot_key(2, 2), b"junk")
+    stores[2].write_read(slot_key(7, 4), encode_entry_set(()) + b"x")
+    stores[2].write_read(slot_key(7, 2), encode_entry_set(()))
+    assert audit(stores, qscod_params(3), []) == [
+        f"store 0: key {slot_key(1, 9).hex()} is not a slot key",
+        f"store 0: key {slot_key(0, 1).hex()} is not a slot key",
+        f"store 1: key {slot_key(1, 5).hex()} is not a slot key",
+        "store 1 round 2 slot 2: value does not decode (truncated set entry)",
+        "store 2 round 7 slot 4: value does not decode (trailing bytes after set)",
+    ]
+
     params, stores, (report,), _ = race([[b"a", b"b"]], 20)
     stores[0].write_read(b"foreign", b"x")
     stores[2].write_read(slot_key(3, 3), b"junk")
+    stores[1].write_read(slot_key(3, 2), b"junk")
     assert audit(stores, params, [report]) == [
         f"store 0: key {b'foreign'.hex()} is not a slot key",
+        "store 1 round 3 slot 2: value does not decode (truncated set entry)",
         "store 2 round 3 slot 3: value does not decode (truncated set entry)",
     ]
 
@@ -614,8 +652,7 @@ def test_wait_cache_loses_no_wake_among_racing_columns():
 def _slot3_encodings():
     h = GENESIS.extend(Proposal(proposer=0, message=b"m", priority=9, prev=GENESIS.digest))
     r1 = frozenset({(0, encode_history(h)), (2, b"")})
-    return [encode_slot3(r1, frozenset({(2, b"")}), h),
-            encode_slot3(frozenset(), frozenset(), GENESIS)]
+    return [slot3(r1, frozenset({(2, b"")}), h), slot3(frozenset(), frozenset(), GENESIS)]
 
 
 def _flip(blob, at, mask):

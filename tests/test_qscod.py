@@ -418,6 +418,27 @@ def test_lone_client_store_bytes_are_pinned():
     assert digest.hexdigest().startswith("2aaddec91e403d93")
 
 
+def test_lone_client_proposals_and_decisions_are_pinned():
+    """The same run as above, read where a change to the gossip encoding
+    must leave it alone: the proposals (slot 1) and candidates (slot 3)
+    each store holds, and what the client adopted and committed each
+    round."""
+    raw = [MemoryStore() for _ in range(5)]
+    done, problems, dead, short, tally = run_workload(
+        raw, configure("qscod", 5, 0), 1, 20, 40, seed=9)
+    assert (problems, dead, short) == ([], [], [])
+    digest = hashlib.sha256()
+    for store in raw:
+        for key, value in sorted(store.snapshot().items()):
+            if key[-1] in (1, 3):
+                digest.update(key + value)
+    assert digest.hexdigest().startswith("3cc84e4d0ec631dc")
+    (report,) = done
+    assert [e.committed for e in report.log] == [True] * 20
+    adopted = hashlib.sha256(b"".join(e.adopted for e in report.log))
+    assert adopted.hexdigest().startswith("c61a1022e8135b75")
+
+
 def test_audit_replays_without_encoding_offers(monkeypatch):
     params, stores, (report,), _ = race([[b"m%d" % k for k in range(500)]], 500)
     assert report.rounds == 500

@@ -13,6 +13,11 @@ collect:
     slot 3  the best of B1 (the step-2 candidate)  -> row R2
     slot 4  the collected R2 columns               -> gossip; tally gives B2
 
+A gossip value (slots 2 and 4) is a grouped set
+(:func:`wire.encode_grouped_set`): each distinct payload once, with the
+columns that hold it.  A lone client's t_r columns all hold the same
+history, so its gossip carries that history once, not t_r times.
+
 A slot-3 value keeps the layout of a step-2 broadcast, R1 and B1 sets
 before the candidate, but a client leaves both sets empty: the
 message-passing layers piggyback them only so a lagging node can catch up,
@@ -71,8 +76,9 @@ from .wire import (
     decode_entry_set,
     decode_history,
     encode_entry_set,
+    encode_grouped_set,
     encode_history,
-    entry_set_bytes,
+    grouped_set_bytes,
     history_bytes,
 )
 
@@ -306,7 +312,8 @@ class StoreTlcb:
     """A :class:`tlcb.Tlcb` step over store columns, for one round of one
     client; make a fresh one per round.  Its k-th broadcast (k = 0, 1)
     yields ``(slot, offer)`` for slot 2k+1 and then for its gossip, slot
-    2k+2, where ``offer()`` encodes the value to write, so a replay that
+    2k+2, a grouped set (:func:`wire.encode_grouped_set`), where ``offer()``
+    encodes the value to write, so a replay that
     already holds the columns encodes nothing; is sent the columns collected
     for each slot, which it keeps as the round's ``views``; and returns the
     step's R and B, gathered as :class:`tlcb.Tlcb` gathers them.  The R row
@@ -325,8 +332,9 @@ class StoreTlcb:
             row = {col: encode_history(decode_slot3(value)[2])
                    for col, value in self.views[3].items()}
         gossip = self.views[slot + 1] = yield slot + 1, functools.partial(
-            encode_entry_set, row.items())
-        return TsbResult(*gather(row.items(), gossip.values(), self.t_s))
+            encode_grouped_set, row.items())
+        sets = [grouped_set_bytes(value) for value in gossip.values()]
+        return TsbResult(*gather(row.items(), sets, self.t_s))
 
 
 @dataclass
@@ -511,6 +519,17 @@ def run_workload(
 # --- audit ------------------------------------------------------------------
 
 
+def _slot_history(slot: int, value: bytes) -> Optional[History]:
+    """Decode one slot value: the history a slot-1 or slot-3 value holds,
+    or None for a gossip set, which holds none of its own."""
+    if slot == 1:
+        return history_bytes(value)
+    if slot == 3:
+        return decode_slot3(value)[2]
+    grouped_set_bytes(value)
+    return None
+
+
 def audit(stores, params: Thresholds, reports: Iterable[ClientReport]) -> list[str]:
     """Replay the decision arithmetic of every logged round against the
     canonical store contents.  Deterministic given the final stores; returns
@@ -525,6 +544,9 @@ def audit(stores, params: Thresholds, reports: Iterable[ClientReport]) -> list[s
     bad: list[str] = []
     bodies: dict[bytes, Proposal] = {}
     snapshots = [store.snapshot() for store in stores]
+    # every column holds a copy of each value, and the scan is store-major,
+    # so each distinct (slot kind, value) is decoded once, here
+    decoded: dict[tuple[int, bytes], Optional[History] | WireError] = {}
     for col, snapshot in enumerate(snapshots):
         for key, value in snapshot.items():
             # a store may hold what no client wrote: a finding, not a crash
@@ -535,16 +557,17 @@ def audit(stores, params: Thresholds, reports: Iterable[ClientReport]) -> list[s
             if rnd == 0 or not 1 <= slot <= 4:
                 bad.append(f"store {col}: key {key.hex()} is not a slot key")
                 continue
-            try:
-                if slot in (2, 4):
-                    entry_set_bytes(value)
-                    continue
-                h = history_bytes(value) if slot == 1 else decode_slot3(value)[2]
-            except WireError as exc:
+            kind = 2 if slot == 4 else slot  # slots 2 and 4 are both gossip
+            if (kind, value) not in decoded:
+                try:
+                    decoded[kind, value] = _slot_history(kind, value)
+                except WireError as exc:
+                    decoded[kind, value] = exc
+            h = decoded[kind, value]
+            if isinstance(h, WireError):
                 bad.append(f"store {col} round {rnd} slot {slot}: "
-                           f"value does not decode ({exc})")
-                continue
-            if h.head is not None:
+                           f"value does not decode ({h})")
+            elif h is not None and h.head is not None:
                 bodies[h.digest] = h.head
 
     for report in reports:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .tlcr import ConfigError, Tlcr
 from .tsb import Thresholds, TsbParams, TsbResult
@@ -31,12 +31,11 @@ def spread_fault_budget(n: int, t_r: int, t_s: int) -> Fraction:
 
 
 def gather(
-    r: Iterable[Entry], gossiped: Iterable[bytes], t_s: int
+    r: Iterable[Entry], sets: Sequence[EntrySet], t_s: int
 ) -> tuple[EntrySet, EntrySet]:
     """The (R, B) of a gossip step: the first step's receive set ``r`` joined
-    with every gossiped receive set (encoded), and the entries that at least
-    ``t_s`` of the gossiped sets hold."""
-    sets = [entry_set_bytes(payload) for payload in gossiped]
+    with every gossiped receive set, already decoded, and the entries that at
+    least ``t_s`` of those sets hold."""
     tallies = Counter(chain.from_iterable(sets))
     return (
         frozenset(r).union(*sets),
@@ -63,5 +62,5 @@ class Tlcb:
     def broadcast(self, m: bytes):
         first = yield from self.inner.broadcast(m)
         second = yield from self.inner.broadcast(encode_entry_set(first.r))
-        r, b = gather(first.r, (payload for _, payload in second.r), self.t_s)
+        r, b = gather(first.r, [entry_set_bytes(p) for _, p in second.r], self.t_s)
         return TsbResult(r=r, b=b)

@@ -33,6 +33,9 @@ _LANES = frozenset(map(chr, range(128)))  # a lane tag is one ASCII character
 _FRAME_HEAD = 15
 _SET_HEAD = 4
 _ENTRY_HEAD = struct.Struct(f">I{DIGEST_SIZE}sI")
+# A grouped set's group: the payload digest and its u32 length prefix, then
+# after the payload a u32 sender count and the senders.
+_GROUP_HEAD = struct.Struct(f">{DIGEST_SIZE}sI")
 
 # Entries kept by each memo below.  A gossiped payload is decoded by every
 # receiver of its step and by every later lookup in the same round, and a
@@ -119,6 +122,68 @@ def entry_set_bytes(data: bytes) -> EntrySet:
     if off != len(data):
         raise WireError("trailing bytes after set")
     return entries
+
+
+def encode_grouped_set(entries: Iterable[Entry]) -> bytes:
+    """Grouped receive-set encoding, for sets whose payloads repeat: count,
+    then per distinct payload in ascending byte order its digest, the
+    length-prefixed payload, and its u32 sender count and ascending u32
+    senders.  Each payload is written once however many senders hold it."""
+    groups: dict[bytes, set[int]] = {}
+    for sender, payload in entries:
+        groups.setdefault(payload, set()).add(sender)
+    parts = [struct.pack(">I", len(groups))]
+    for payload in sorted(groups):
+        senders = sorted(groups[payload])
+        parts.append(_GROUP_HEAD.pack(payload_digest(payload), len(payload)))
+        parts.append(payload)
+        parts.append(struct.pack(f">I{len(senders)}I", len(senders), *senders))
+    return b"".join(parts)
+
+
+@functools.lru_cache(maxsize=DECODE_MEMO_SIZE)
+def grouped_set_bytes(data: bytes) -> EntrySet:
+    """Decode a whole buffer as one :func:`encode_grouped_set` set, to the
+    same value :func:`entry_set_bytes` gives its entry-set encoding.  Groups
+    come in strictly ascending payload order, each with one or more strictly
+    ascending senders, so each set has one encoding, and every payload must
+    match its recorded digest.  Memoized like :func:`entry_set_bytes`."""
+    end = len(data)
+    if end < 4:
+        raise WireError("truncated set count")
+    (count,) = struct.unpack_from(">I", data)
+    off = 4
+    out: list[Entry] = []
+    payload = None
+    for _ in range(count):
+        if off + _GROUP_HEAD.size > end:
+            raise WireError("truncated set entry")
+        digest, n = _GROUP_HEAD.unpack_from(data, off)
+        off += _GROUP_HEAD.size
+        if off + n > end:
+            raise WireError("truncated byte field")
+        prev, payload = payload, data[off : off + n]
+        off += n
+        if payload_digest(payload) != digest:
+            raise WireError("set entry digest mismatch")
+        if prev is not None and payload <= prev:
+            raise WireError("set entries out of order or repeated")
+        if off + 4 > end:
+            raise WireError("truncated set entry")
+        (k,) = struct.unpack_from(">I", data, off)
+        off += 4
+        if off + 4 * k > end:
+            raise WireError("truncated set entry")
+        senders = struct.unpack_from(f">{k}I", data, off)
+        off += 4 * k
+        if not senders:
+            raise WireError("set group without senders")
+        if any(a >= b for a, b in zip(senders, senders[1:])):
+            raise WireError("set entries out of order or repeated")
+        out.extend((sender, payload) for sender in senders)
+    if off != end:
+        raise WireError("trailing bytes after set")
+    return frozenset(out)
 
 
 @dataclass(frozen=True, slots=True)

@@ -37,7 +37,15 @@ from quesera.netsim import configure
 from quesera.qsc import QscState, qsc_round
 from quesera.tlcb import gather
 from quesera.tlcr import ConfigError
-from quesera.wire import DECODE_MEMO_SIZE, WireError, encode_entry_set, encode_history
+from quesera.wire import (
+    DECODE_MEMO_SIZE,
+    WireError,
+    encode_entry_set,
+    encode_grouped_set,
+    encode_history,
+    grouped_set_bytes,
+    history_bytes,
+)
 
 
 def test_params_defaults_and_admission():
@@ -112,7 +120,7 @@ def test_slot3_offers_only_the_step2_candidate():
     # it is B1's best, so slot 3 offers it, and it is adopted, not committed
     cols1 = {0: encode_history(MINE), 1: encode_history(RIVAL), 2: encode_history(MINE)}
     chosen, committed, offered = scripted(
-        {1: cols1, 2: dict.fromkeys(range(3), encode_entry_set(cols1.items()))})
+        {1: cols1, 2: dict.fromkeys(range(3), encode_grouped_set(cols1.items()))})
     assert (chosen.digest, committed) == (RIVAL.digest, False)
     assert offered[3] == slot3(frozenset(), frozenset(), RIVAL)
 
@@ -126,7 +134,7 @@ def test_slot3_sets_never_change_a_decision(sets):
     """Columns whose slot-3 values carry R1 and B1 sets, as clients wrote
     them before, adopt and commit exactly as columns carrying empty ones."""
     cols1 = {0: encode_history(MINE), 1: encode_history(RIVAL), 2: encode_history(MINE)}
-    cols2 = dict.fromkeys(range(3), encode_entry_set(cols1.items()))
+    cols2 = dict.fromkeys(range(3), encode_grouped_set(cols1.items()))
     best = {0: RIVAL, 1: MINE, 2: RIVAL}
     outcomes = []
     for r1_b1 in ([(frozenset(), frozenset())] * 3, sets):
@@ -150,7 +158,8 @@ def test_audit_accepts_slot3_values_in_the_full_form():
         def answer(slot, offer):
             value = offer()
             if slot == 3:
-                r1, b1 = gather(views[1].items(), views[2].values(), params.t_s)
+                sets = [grouped_set_bytes(v) for v in views[2].values()]
+                r1, b1 = gather(views[1].items(), sets, params.t_s)
                 value = slot3(r1, b1, decode_slot3(value)[2])
             key = slot_key(rnd, slot)
             return {col: s.write_read(key, value) for col, s in enumerate(stores)}
@@ -410,12 +419,12 @@ def test_lone_client_store_bytes_are_pinned():
     done, problems, dead, short, tally = run_workload(
         raw, configure("qscod", 5, 0), 1, 20, 40, seed=9)
     assert (problems, dead, short) == ([], [], [])
-    assert tally.total == 153_400
+    assert tally.total == 55_000
     digest = hashlib.sha256()
     for store in raw:
         for key, value in sorted(store.snapshot().items()):
             digest.update(key + value)
-    assert digest.hexdigest().startswith("2aaddec91e403d93")
+    assert digest.hexdigest().startswith("bf91a6893648ed54")
 
 
 def test_lone_client_proposals_and_decisions_are_pinned():
@@ -446,15 +455,31 @@ def test_audit_replays_without_encoding_offers(monkeypatch):
 
     def counted(entries):
         calls.append(1)
-        return encode_entry_set(entries)
+        return encode_grouped_set(entries)
 
-    monkeypatch.setattr(qscod, "encode_entry_set", counted)
+    monkeypatch.setattr(qscod, "encode_grouped_set", counted)
     assert audit(stores, params, [report]) == []
     assert calls == []
     # the same round played with its offers encodes two sets, slots 2 and
     # 4: slot 3's empty ones are a constant
     scripted({})
     assert len(calls) == 2
+
+
+def test_audit_decodes_each_distinct_slot_value_once_per_pass():
+    """Every column holds a copy of each slot value.  The audit's store scan
+    decodes each distinct one once, whichever column it reaches first, and
+    its replay of the round logs once more; the decode memos count each
+    decode as a miss."""
+    params, stores, (report,), _ = race([[b"m%d" % k for k in range(200)]], 200)
+    gossip = {2: 2, 4: 2}  # slots 2 and 4 hold values of one kind
+    distinct = {(gossip.get(key[-1], key[-1]), value)
+                for store in stores for key, value in store.snapshot().items()}
+    decoders = (history_bytes, decode_slot3, grouped_set_bytes)
+    for decoder in decoders:
+        decoder.cache_clear()
+    assert audit(stores, params, [report]) == []
+    assert sum(d.cache_info().misses for d in decoders) == 2 * len(distinct)
 
 
 def test_audit_rejects_tampered_logs():
@@ -529,10 +554,10 @@ def test_audit_reports_store_contents_it_cannot_parse():
     stores = [MemoryStore() for _ in range(3)]
     stores[0].write_read(slot_key(1, 9), b"x")
     stores[0].write_read(slot_key(0, 1), encode_history(GENESIS))
-    stores[1].write_read(slot_key(1, 5), encode_entry_set(()))
+    stores[1].write_read(slot_key(1, 5), encode_grouped_set(()))
     stores[1].write_read(slot_key(2, 2), b"junk")
-    stores[2].write_read(slot_key(7, 4), encode_entry_set(()) + b"x")
-    stores[2].write_read(slot_key(7, 2), encode_entry_set(()))
+    stores[2].write_read(slot_key(7, 4), encode_grouped_set(()) + b"x")
+    stores[2].write_read(slot_key(7, 2), encode_grouped_set(()))
     assert audit(stores, qscod_params(3), []) == [
         f"store 0: key {slot_key(1, 9).hex()} is not a slot key",
         f"store 0: key {slot_key(0, 1).hex()} is not a slot key",

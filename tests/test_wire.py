@@ -22,10 +22,12 @@ from quesera.wire import (
     decode_entry_set,
     decode_step_message,
     encode_entry_set,
+    encode_grouped_set,
     encode_history,
     encode_step_message,
     entry_set_bytes,
     frame_size,
+    grouped_set_bytes,
     histories_of,
     history_bytes,
     payload_digest,
@@ -102,6 +104,66 @@ shared_payloads = st.one_of(st.sampled_from([b"", b"a", b"shared"]), st.binary(m
 def test_entry_set_matches_a_field_by_field_reference(entries):
     # repeats collapse and the rest is sorted, then each field as the format says
     assert encode_entry_set(entries) == _raw_set(sorted(set(entries)))
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**32 - 1), shared_payloads), max_size=10))
+def test_grouped_set_decodes_to_the_entry_set(entries):
+    assert grouped_set_bytes(encode_grouped_set(entries)) == entry_set_bytes(
+        encode_entry_set(entries))
+
+
+@given(st.lists(st.tuples(st.integers(0, 2**32 - 1), shared_payloads), max_size=10))
+def test_grouped_set_length(entries):
+    groups = {}
+    for sender, payload in entries:
+        groups.setdefault(payload, set()).add(sender)
+    want = 4 + sum(40 + len(p) + 4 * len(senders) for p, senders in groups.items())
+    assert len(encode_grouped_set(entries)) == want
+
+
+def _raw_grouped(groups) -> bytes:
+    """Grouped-set bytes holding the groups exactly as listed: payloads and
+    senders in any order, repeats and empty groups included."""
+    return struct.pack(">I", len(groups)) + b"".join(
+        hashlib.sha256(p).digest() + struct.pack(f">I{len(p)}sI{len(ss)}I", len(p), p,
+                                                 len(ss), *ss)
+        for p, ss in groups)
+
+
+raw_grouped_sets = st.builds(_raw_grouped, st.lists(st.tuples(
+    st.sampled_from([b"", b"a", b"b"]), st.lists(st.integers(0, 2), max_size=3)), max_size=3))
+
+
+@given(st.one_of(raw_grouped_sets, st.builds(
+    lambda blob, cut: blob[:cut], raw_grouped_sets, st.integers(0, 200))))
+def test_grouped_set_decodes_only_its_one_encoding(data):
+    try:
+        entries = grouped_set_bytes(data)
+    except WireError:
+        return
+    assert encode_grouped_set(entries) == data
+
+
+def test_grouped_set_rejects_each_fault_by_name():
+    ok = [(b"a", [0, 2]), (b"b", [1])]
+    assert grouped_set_bytes(_raw_grouped(ok)) == {(0, b"a"), (2, b"a"), (1, b"b")}
+    for groups, error in (
+        (ok[::-1], "out of order or repeated"),
+        ([ok[0], ok[0]], "out of order or repeated"),
+        ([(b"a", [2, 0])], "out of order or repeated"),
+        ([(b"a", [0, 0])], "out of order or repeated"),
+        ([(b"a", [])], "without senders"),
+    ):
+        with pytest.raises(WireError, match=error):
+            grouped_set_bytes(_raw_grouped(groups))
+    blob = _raw_grouped(ok)
+    for data, error in ((b"", "truncated set count"), (blob[:20], "truncated set entry"),
+                        (blob[:40], "truncated byte field"), (blob[:43], "truncated set entry"),
+                        (blob[:45], "truncated set entry"),
+                        (blob + b"x", "trailing bytes after set"),
+                        (_flip(blob, 40, 1), "digest mismatch")):
+        with pytest.raises(WireError, match=error):
+            grouped_set_bytes(data)
 
 
 def test_a_warm_digest_memo_still_verifies():
@@ -221,6 +283,7 @@ DECODERS = (
     decode_step_message,
     lambda data: decode_entry_set(data, 0),
     entry_set_bytes,
+    grouped_set_bytes,
     history_bytes,
 )
 
@@ -232,6 +295,7 @@ def _valid_encodings():
         encode_step_message(StepMessage("w", WIT, 1, 2, b"m", sets, sets)),
         encode_step_message(StepMessage("r", PLAIN, 4, 9, encode_history(h))),
         encode_entry_set(sets),
+        encode_grouped_set(sets | {(1, b"")}),
         encode_history(h),
         encode_history(GENESIS),
     ]
@@ -251,6 +315,7 @@ damaged = st.one_of(
     st.builds(lambda blob, cut: blob[:cut], valid_encodings, st.integers(0, 400)),
     st.builds(_flip, valid_encodings, st.integers(0, 400), st.integers(1, 255)),
     raw_sets,
+    raw_grouped_sets,
     st.builds(_raw_frame, st.integers(0, 255), st.binary(max_size=4), raw_sets, raw_sets),
 )
 
@@ -268,6 +333,7 @@ def test_decoders_fail_only_with_wire_error(data):
 def test_decoders_accept_only_canonical_bytes(data):
     for decode, encode in ((decode_step_message, encode_step_message),
                            (entry_set_bytes, encode_entry_set),
+                           (grouped_set_bytes, encode_grouped_set),
                            (history_bytes, encode_history)):
         try:
             value = decode(data)
@@ -278,7 +344,7 @@ def test_decoders_accept_only_canonical_bytes(data):
 
 @given(damaged)
 def test_memoized_decoders_verify_every_miss_and_stay_bounded(data):
-    for cached in (entry_set_bytes, history_bytes):
+    for cached in (entry_set_bytes, grouped_set_bytes, history_bytes):
         try:
             fresh = cached.__wrapped__(data)
         except WireError:

@@ -221,6 +221,75 @@ def test_contending_clients_stay_consistent():
     assert any(e.message == b"" for r in reports for e in r.log)
 
 
+def scripted_client(cid, seed, verdicts):
+    """A client whose rounds touch no store: each one advances the round
+    and is logged as ``(round, message, priority)``; a round proposing a
+    message commits by the next of ``verdicts``, an empty one when its
+    round is even."""
+    client = Client(cid, [MemoryStore() for _ in range(3)], qscod_params(3), seed)
+    client.close()
+    played = []
+
+    def run_round(message, priority):
+        client.state.round += 1
+        rnd = client.state.round
+        played.append((rnd, message, priority))
+        won = verdicts.pop(0) if message else rnd % 2 == 0
+        return RoundLog(round=rnd, message=message, proposed=b"p", adopted=b"p" if won else b"q",
+                        length=rnd, committed=won)
+
+    client.run_round = run_round
+    return client, played
+
+
+def test_run_schedules_messages_priorities_and_backoff():
+    """Client.run's schedule, pinned against its own reference: a lost
+    message is retried after 1 + mix64(seed, backoff, id, round) %
+    2^min(attempts, 6) rounds of empty proposals, each round's priority is
+    mix64(seed, priority, id, round), and a back-off round's commit counts
+    but delivers nothing."""
+    cid, seed = 3, 11
+    want, rnd = [], 10
+
+    def play(message, committed):
+        nonlocal rnd
+        rnd += 1
+        want.append((rnd, message, qscod.mix64(seed, qscod._S_PRIORITY, cid, rnd), committed))
+
+    losses = {b"a": 1, b"b": 7, b"c": 0}  # b's seventh back-off draws from 2^6, not 2^7
+    verdicts = []
+    for message, lost in losses.items():
+        for attempt in range(1, lost + 1):
+            play(message, False)
+            verdicts.append(False)
+            for _ in range(1 + qscod.mix64(seed, qscod._S_BACKOFF, cid, rnd) % (1 << min(attempt, 6))):
+                play(b"", (rnd + 1) % 2 == 0)
+        play(message, True)
+        verdicts.append(True)
+
+    client, played = scripted_client(cid, seed, verdicts)
+    client.state.round = 10
+    report = client.run(list(losses), 10_000)
+    assert played == [w[:3] for w in want]
+    assert verdicts == []
+    assert report.delivered == list(losses)
+    assert (report.rounds, report.commits) == (len(want), sum(w[3] for w in want))
+    assert [e.round for e in report.log] == [w[0] for w in want]
+
+    # a budget that ends inside a back-off stops there, undelivered
+    seed = next(s for s in range(100)
+                if 1 + qscod.mix64(s, qscod._S_BACKOFF, cid, 1) % 2 == 2)
+    client, played = scripted_client(cid, seed, [False])
+    report = client.run([b"a"], 2)
+    assert played == [(1, b"a", qscod.mix64(seed, qscod._S_PRIORITY, cid, 1)),
+                      (2, b"", qscod.mix64(seed, qscod._S_PRIORITY, cid, 2))]
+    assert (report.delivered, report.rounds, report.commits) == ([], 2, 1)
+
+    # nothing to deliver plays no round
+    client, played = scripted_client(cid, seed, [])
+    assert client.run([], 5).rounds == 0 and played == []
+
+
 def test_dead_column_does_not_stall_the_client():
     class BrokenStore(MemoryStore):
         def write_read(self, key, value):

@@ -31,18 +31,18 @@ lottery commits it when it appears in B2 and was uniquely best in R1.  The
 client commits only when that history is its own proposal, because nobody
 else will retry a foreign message.
 
-Each client drives its n stores from one pool of n threads, any of which
-serves any store column with commands waiting, one thread per column at a
-time and in submit order.  A thread stuck on a hung store holds only that
-column, so one slow or dead store never stalls a round: progress needs any
-t_r columns, and the store operations that raised are counted per column.
+Each client runs its rounds through one :class:`WaitCache`, which drives
+its n stores with n threads under one lock.  Any thread serves any store
+column with commands waiting, one thread per column at a time and in
+submit order.  A thread stuck on a hung store holds only that column, so
+one slow or dead store never stalls a round: progress needs any t_r
+columns, and the store operations that raised are counted per column.
 The round is one generator, whose layer yields each slot's offer through
-:func:`qsc.qsc_round` to the client.  The thread whose answer completes a
-slot takes exactly its t_r columns, sends them into the round and offers
-the next slot to every store, then goes on to write it itself
-while the stores answer at once; the client thread sleeps once per round,
-until the round returns or raises.  So slots 2 and 4 gossip exactly t_r
-columns.
+:func:`qsc.qsc_round`.  The thread whose answer completes a slot sends
+exactly its t_r columns into the round, queues the next slot on every
+column as it arms it, and goes on to write it itself while the stores
+answer at once; the client thread sleeps once per round, until the round
+returns or raises.  So slots 2 and 4 gossip exactly t_r columns.
 
 Lost proposals are retried after a randomized, exponentially growing number
 of back-off rounds in which the client plays an empty proposal (it must keep
@@ -60,7 +60,7 @@ import struct
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterable, Optional
+from typing import Generator, Iterable, Optional
 
 from .chain import ChainError, History, Proposal
 from .kvstore import MemoryStore, ProtocolError, open_store, write_size
@@ -148,56 +148,99 @@ class ByteTally:
 
 
 class WaitCache:
-    """Collects (key, column) -> value reports from the driver threads and
-    runs a client's round on from them.
+    """Runs a client's rounds over its store columns, served by the n
+    driver threads it starts, one per column (:attr:`drivers`).
 
-    The round expects one slot key at a time.  The report that brings that
-    key to the columns it needs takes exactly those columns, marks the key
-    answered and, outside the lock, hands them to the slot's continuation in
-    the reporting thread.  Reports for any other key, or for an answered
-    one, are dropped.
+    A round is a generator yielding ``(slot, offer)`` and sent each slot's
+    columns.  :meth:`start` arms its first slot.  Arming a slot queues its
+    command on every column, in the lock acquisition that arms it.  The
+    answer that brings the slot to ``need`` columns takes exactly those,
+    sends them into the round outside the lock, in the answering thread,
+    and arms the next slot.  Answers for any other key, for a slot that
+    has its columns, or for an abandoned round are dropped.
 
-    The client thread sleeps in :meth:`wait` once per round, and is woken
-    once, when the round ends."""
+    A column is ready while it has commands and no thread holds it; a thread
+    holds one column for one command at a time, so each store sees at most
+    one thread, in submit order.  A thread that takes a column while others
+    are still ready wakes one idle thread first, unless one is already on
+    its way: a hung store then holds one thread and one column, and with n
+    threads for n columns every other column keeps a thread.
 
-    def __init__(self) -> None:
+    One lock guards it all; idle driver threads sleep on one condition, and
+    the client thread on another, in :meth:`wait`, once per round."""
+
+    def __init__(self, stores, need: int) -> None:
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._key, self._need = b"", 0  # the slot the round waits on
+        self._work = threading.Condition(self._lock)  # idle driver threads
+        self._cond = threading.Condition(self._lock)  # the client thread
+        self._ready: deque[_Driver] = deque()
+        self._idle = 0  # threads asleep in take()
+        self._waking = False  # one of them is notified and not yet running
+        self._stopped = False
+        self._need = need
+        self._rnd = 0
+        self._round: Optional[Generator] = None  # None once ended or abandoned
+        self._key = b""  # the slot it waits on
         self._cols: dict[int, bytes] = {}  # its columns so far
-        self._then: Optional[Callable[[dict[int, bytes]], None]] = None  # None once answered
         self._outcome: Optional[tuple] = None  # (result, exception) of the ended round
+        self.drivers = [_Driver(i, s, self) for i, s in enumerate(stores)]
+        for d in self.drivers:
+            d.start()
 
-    def expect(self, key: bytes, need: int, then: Callable[[dict[int, bytes]], None]) -> None:
-        """Run ``then(columns)`` once ``key`` has ``need`` columns.  Call it
-        before the key's commands go out."""
+    def start(self, rnd: int, offers: Generator) -> None:
+        """Play round ``rnd``, whose slots ``offers`` yields, on the
+        columns; :meth:`wait` for its end."""
         with self._lock:
-            self._key, self._need, self._cols, self._then = key, need, {}, then
+            self._rnd, self._round, self._key = rnd, offers, b""
+        self._advance(offers, None)
+
+    def _advance(self, offers: Generator, cols: Optional[dict[int, bytes]]) -> None:
+        """Send an answered slot's columns into the round, then arm its next
+        slot; or end the round with what it returned or raised."""
+        try:
+            slot, offer = offers.send(cols)
+            key, value = slot_key(self._rnd, slot), offer()
+        except StopIteration as stop:
+            self._finish(offers, (stop.value, None))
+            return
+        except Exception as exc:
+            self._finish(offers, (None, exc))
+            return
+        with self._lock:
+            if self._round is not offers:
+                return  # abandoned while it ran
+            self._key, self._cols = key, {}
+            for c in self.drivers:
+                c.commands.append((key, value))
+                if not c.busy:
+                    c.busy = True
+                    self._ready.append(c)
+            self._wake()
 
     def put(self, key: bytes, column: int, value: bytes) -> None:
+        """Report the value ``column`` holds at ``key``."""
         with self._lock:
-            if key != self._key or self._then is None:
+            if key != self._key or self._round is None or len(self._cols) >= self._need:
                 return
             self._cols[column] = value
             if len(self._cols) < self._need:
                 return
-            then, cols, self._then = self._then, self._cols, None
-        then(cols)
+            offers, cols = self._round, self._cols
+        self._advance(offers, cols)
 
-    def finish(self, result=None, error: Optional[Exception] = None) -> None:
-        """End the round with what it returned, or with the exception it
-        raised, and wake the client."""
-        with self._cond:
-            self._outcome = (result, error)
-            self._cond.notify()
+    def _finish(self, offers: Generator, outcome: tuple) -> None:
+        with self._lock:
+            if self._round is offers:
+                self._round, self._outcome = None, outcome
+                self._cond.notify()
 
     def wait(self, timeout: float):
         """Sleep until the round ends, then return what it returned or raise
         what it raised.  On timeout the round is abandoned, and the
         TimeoutError names the slot key it stalled on and its columns."""
-        with self._cond:
+        with self._lock:
             if not self._cond.wait_for(lambda: self._outcome is not None, timeout):
-                self._then = None  # a late column resumes nothing
+                self._round = None  # a late column resumes nothing
                 raise TimeoutError(f"{len(self._cols)}/{self._need} columns answered "
                                    f"for {self._key.hex()}")
             (result, error), self._outcome = self._outcome, None
@@ -205,42 +248,12 @@ class WaitCache:
             raise error
         return result
 
-
-class _Pool:
-    """A client's ready columns, served by its n driver threads.
-
-    A column is ready while it has commands and no thread holds it; a thread
-    holds one column for one command at a time, so each store sees at most
-    one thread, in submit order.  A thread that takes a column while others
-    are still ready wakes one idle thread first, unless one is already on
-    its way: a hung store then holds one thread and one column, and with n
-    threads for n columns every other column keeps a thread.  The thread
-    whose answer completes a slot offers the next one and, while the stores
-    answer at once, serves the columns itself, back to back."""
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition(threading.Lock())
-        self._ready: deque[_Driver] = deque()
-        self._idle = 0  # threads asleep in take()
-        self._waking = False  # one of them is notified and not yet running
-        self._stopped = False
-
-    def offer(self, columns: Iterable["_Driver"], key: bytes, value: bytes) -> None:
-        """Queue one command on every column, under one acquisition."""
-        with self._cond:
-            for c in columns:
-                c.commands.append((key, value))
-                if not c.busy:
-                    c.busy = True
-                    self._ready.append(c)
-            self._wake()
-
     def take(self, done: Optional["_Driver"]) -> Optional[tuple["_Driver", bytes, bytes]]:
         """Hand back ``done``, the column this thread served last, and take
         the first command of the next ready column, sleeping while there is
-        none.  Returns None once stopped with no column ready, so the
-        commands queued before :meth:`stop` are all performed."""
-        with self._cond:
+        none.  Returns None once closed with no column ready, so the
+        commands queued before :meth:`close` are all performed."""
+        with self._lock:
             if done is not None:
                 if done.commands:
                     self._ready.append(done)
@@ -250,7 +263,7 @@ class _Pool:
                 if self._stopped:
                     return None
                 self._idle += 1
-                self._cond.wait()
+                self._work.wait()
                 self._idle -= 1
                 self._waking = False
             column = self._ready.popleft()
@@ -262,29 +275,28 @@ class _Pool:
         on its way: that one wakes the next when it takes a column."""
         if self._ready and self._idle and not self._waking:
             self._waking = True
-            self._cond.notify()
+            self._work.notify()
 
-    def stop(self) -> None:
-        with self._cond:
+    def close(self) -> None:
+        """Stop the driver threads once every queued command is performed."""
+        with self._lock:
             self._stopped = True
-            self._cond.notify_all()
+            self._work.notify_all()
 
 
 class _Driver(threading.Thread):
     """One store column, with its FIFO of write_read commands, and one of
     the client's driver threads, which serves any ready column of the
-    client's :class:`_Pool` and reports winners to the cache; the report
-    that completes a slot runs the round on in that thread.  A broken store
-    kills only its column; its failed operations are counted, and the last
-    one kept."""
+    :class:`WaitCache` and reports winners to it; the report that completes
+    a slot runs the round on in that thread.  A broken store kills only its
+    column; its failed operations are counted, and the last one kept."""
 
-    def __init__(self, column: int, store, cache: WaitCache, pool: _Pool):
+    def __init__(self, column: int, store, cache: WaitCache):
         super().__init__(daemon=True)
         self.column = column
         self.store = store
         self.cache = cache
-        self.pool = pool
-        self.commands: deque[tuple[bytes, bytes]] = deque()  # guarded by the pool
+        self.commands: deque[tuple[bytes, bytes]] = deque()  # guarded by the cache
         self.busy = False  # ready or held by a thread
         self.errors = 0  # store operations that raised
         self.last_error: Optional[Exception] = None
@@ -292,7 +304,7 @@ class _Driver(threading.Thread):
     def run(self) -> None:
         column = None
         while True:
-            got = self.pool.take(column)
+            got = self.cache.take(column)
             if got is None:
                 return
             column, key, value = got
@@ -368,16 +380,13 @@ class Client:
         self.id = client_id
         self.params = params
         self.seed = seed
-        self.cache = WaitCache()
-        self.pool = _Pool()
-        self.drivers = [_Driver(i, s, self.cache, self.pool) for i, s in enumerate(stores)]
-        for d in self.drivers:
-            d.start()
+        self.cache = WaitCache(stores, params.t_r)
+        self.drivers = self.cache.drivers
         self.state = QscState(node=0)
 
     def close(self) -> None:
         """Stop the driver threads once every queued command is performed."""
-        self.pool.stop()
+        self.cache.close()
 
     # -- round machinery --
 
@@ -388,8 +397,8 @@ class Client:
         sleeps once, until the round returns or raises."""
         layer = StoreTlcb(self.params.t_s)
         mine: list[bytes] = []
-        self._offer_next(qsc_round(self.state, layer, message, priority,
-                                   on_propose=lambda _, h: mine.append(h.digest)), None)
+        self.cache.start(self.state.round + 1, qsc_round(
+            self.state, layer, message, priority, on_propose=lambda _, h: mine.append(h.digest)))
         chosen, committed = self.cache.wait(WAIT_TIMEOUT)
         proposed = mine[0]
         return RoundLog(
@@ -402,50 +411,23 @@ class Client:
             views=layer.views,
         )
 
-    def _offer_next(self, offers: Generator, cols: Optional[dict]) -> None:
-        """Send the answered slot's columns into the round and offer its next
-        slot to every column.  Runs in the thread that answered the slot; the
-        round's result, or what it raised, goes to the client thread."""
-        try:
-            slot, offer = offers.send(cols)
-            key, value = slot_key(self.state.round, slot), offer()
-        except StopIteration as stop:
-            self.cache.finish(stop.value)
-            return
-        except Exception as exc:
-            self.cache.finish(error=exc)
-            return
-        self.cache.expect(key, self.params.t_r, functools.partial(self._offer_next, offers))
-        self.pool.offer(self.drivers, key, value)
-
     def run(self, messages: Iterable[bytes], max_rounds: int) -> ClientReport:
         """Push a workload through, retrying lost proposals with randomized
         exponential back-off, until delivered or out of rounds."""
         report = ClientReport(client=self.id, rounds=0, commits=0)
-        pending = list(messages)
-        pending.reverse()  # pop from the end
-        current = pending.pop() if pending else None
-        backoff = 0
-        attempts = 0
-        while report.rounds < max_rounds:
-            if current is None and not pending:
-                break
+        pending = deque(messages)
+        backoff = attempts = 0
+        while pending and report.rounds < max_rounds:
             rnd = self.state.round + 1
-            message = current if backoff == 0 and current is not None else b""
             priority = mix64(self.seed, _S_PRIORITY, self.id, rnd)
-            entry = self.run_round(message, priority)
+            entry = self.run_round(b"" if backoff else pending[0], priority)
             report.rounds += 1
             report.log.append(entry)
-            if entry.committed:
-                report.commits += 1
-            if backoff > 0:
+            report.commits += entry.committed
+            if backoff:
                 backoff -= 1
-                continue
-            if current is None:
-                continue
-            if entry.committed and entry.adopted == entry.proposed:
-                report.delivered.append(current)
-                current = pending.pop() if pending else None
+            elif entry.committed:
+                report.delivered.append(pending.popleft())
                 attempts = 0
             else:
                 attempts += 1
@@ -540,13 +522,18 @@ def audit(stores, params: Thresholds, reports: Iterable[ClientReport]) -> list[s
     commit rule held.  Across clients: all committed histories lie on one
     chain, checked by walking prev digests through the proposals the stores
     themselves hold.
+
+    The stores are audited round by round, each round's logs replayed
+    right after its store values are decoded, so the decode memos still
+    hold every value the replay meets and each distinct value is decoded
+    once.  Findings follow that order: keys that are not slot keys, store
+    by store; then per round its undecodable values, store by store, and
+    its logs' findings.
     """
     bad: list[str] = []
     bodies: dict[bytes, Proposal] = {}
     snapshots = [store.snapshot() for store in stores]
-    # every column holds a copy of each value, and the scan is store-major,
-    # so each distinct (slot kind, value) is decoded once, here
-    decoded: dict[tuple[int, bytes], Optional[History] | WireError] = {}
+    values: dict[int, list[tuple[int, int, bytes]]] = {}  # round -> (store, slot, value)
     for col, snapshot in enumerate(snapshots):
         for key, value in snapshot.items():
             # a store may hold what no client wrote: a finding, not a crash
@@ -557,22 +544,25 @@ def audit(stores, params: Thresholds, reports: Iterable[ClientReport]) -> list[s
             if rnd == 0 or not 1 <= slot <= 4:
                 bad.append(f"store {col}: key {key.hex()} is not a slot key")
                 continue
-            kind = 2 if slot == 4 else slot  # slots 2 and 4 are both gossip
-            if (kind, value) not in decoded:
-                try:
-                    decoded[kind, value] = _slot_history(kind, value)
-                except WireError as exc:
-                    decoded[kind, value] = exc
-            h = decoded[kind, value]
-            if isinstance(h, WireError):
-                bad.append(f"store {col} round {rnd} slot {slot}: "
-                           f"value does not decode ({h})")
-            elif h is not None and h.head is not None:
-                bodies[h.digest] = h.head
-
+            values.setdefault(rnd, []).append((col, slot, value))
+    logs: dict[int, list[tuple[int, RoundLog]]] = {}  # round -> (client, log)
     for report in reports:
         for entry in report.log:
-            tag = f"client {report.client} round {entry.round}"
+            logs.setdefault(entry.round, []).append((report.client, entry))
+
+    for rnd in sorted(values.keys() | logs.keys()):
+        for col, slot, value in values.get(rnd, ()):
+            try:
+                h = _slot_history(slot, value)
+            except WireError as exc:
+                bad.append(f"store {col} round {rnd} slot {slot}: "
+                           f"value does not decode ({exc})")
+                continue
+            if h is not None and h.head is not None:
+                bodies[h.digest] = h.head
+
+        for client, entry in logs.get(rnd, ()):
+            tag = f"client {client} round {entry.round}"
             for slot, cols in entry.views.items():
                 if len(cols) < params.t_r:
                     bad.append(f"{tag}: slot {slot} proceeded on {len(cols)} columns")

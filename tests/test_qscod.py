@@ -24,8 +24,6 @@ from quesera.qscod import (
     RoundLog,
     StoreTlcb,
     WaitCache,
-    _Driver,
-    _Pool,
     audit,
     decode_slot3,
     qscod_params,
@@ -536,10 +534,11 @@ def test_audit_replays_without_encoding_offers(monkeypatch):
 
 
 def test_audit_decodes_each_distinct_slot_value_once_per_pass():
-    """Every column holds a copy of each slot value.  The audit's store scan
-    decodes each distinct one once, whichever column it reaches first, and
-    its replay of the round logs once more; the decode memos count each
-    decode as a miss."""
+    """Every column holds a copy of each slot value, and the round logs one
+    more.  The audit replays each round's logs right after decoding its
+    store values, so the decode memos serve the other copies, and each
+    distinct value is decoded once; the memos count each decode as a
+    miss."""
     params, stores, (report,), _ = race([[b"m%d" % k for k in range(200)]], 200)
     gossip = {2: 2, 4: 2}  # slots 2 and 4 hold values of one kind
     distinct = {(gossip.get(key[-1], key[-1]), value)
@@ -548,7 +547,7 @@ def test_audit_decodes_each_distinct_slot_value_once_per_pass():
     for decoder in decoders:
         decoder.cache_clear()
     assert audit(stores, params, [report]) == []
-    assert sum(d.cache_info().misses for d in decoders) == 2 * len(distinct)
+    assert sum(d.cache_info().misses for d in decoders) == len(distinct)
 
 
 def test_audit_rejects_tampered_logs():
@@ -658,16 +657,21 @@ def test_run_clients_reports_a_client_that_raises():
 
 
 def test_wait_cache_drops_answered_keys():
-    cache = WaitCache()
-    first, second = slot_key(1, 4), slot_key(2, 1)
+    cache = WaitCache([], 2)  # no columns: this thread answers for them
+    first, second = slot_key(1, 3), slot_key(1, 4)
     got = []
-    cache.expect(first, 2, got.append)
+
+    def offers():
+        got.append((yield 3, lambda: b"3"))
+        got.append((yield 4, lambda: b"4"))
+
+    cache.start(1, offers())
     cache.put(first, 0, b"x")
     cache.put(first, 1, b"y")
     assert got == [{0: b"x", 1: b"y"}]  # exactly the columns it needs
     cache.put(first, 2, b"late")  # the third column of an answered key
-    cache.expect(second, 2, got.append)
     cache.put(first, 3, b"later")
+    cache.put(slot_key(2, 4), 1, b"foreign")  # another round's key
     cache.put(second, 0, b"next")
     assert got == [{0: b"x", 1: b"y"}]
     with pytest.raises(TimeoutError, match=f"^1/2 columns answered for {second.hex()}$"):
@@ -692,12 +696,17 @@ class _CountingCondition(threading.Condition):
 
 
 def test_wait_cache_wakes_the_client_once_its_key_has_the_columns():
-    """The client sleeps through a slot's columns and the continuation they
-    run; the thread that ends the round wakes it, once."""
-    cache = WaitCache()
+    """The client sleeps through a slot's columns and the round they run
+    on; the thread that ends the round wakes it, once."""
+    cache = WaitCache([], 2)
     cache._cond = cond = _CountingCondition(cache._lock)
     key = slot_key(3, 2)
-    cache.expect(key, 2, lambda cols: cache.finish(sorted(cols.items())))
+
+    def offers():
+        cols = yield 2, lambda: b""
+        return sorted(cols.items())
+
+    cache.start(3, offers())
     got = []
     client = threading.Thread(target=lambda: got.append(cache.wait(30)))
     client.start()
@@ -718,10 +727,9 @@ def test_wait_cache_wakes_the_client_once_its_key_has_the_columns():
 
 
 def test_wait_cache_loses_no_wake_among_racing_columns():
-    """More driver threads than cores race through a chain of keys, over
-    one shared pool as a client's drivers are, each key's continuation
-    offering the next to every column; a lost continuation or wake-up would
-    leave the client's wait to time out."""
+    """More driver threads than cores race through rounds of slots, each
+    answer that completes a slot arming the next on every column; a lost
+    hand-off or wake-up would leave the client's wait to time out."""
 
     class ColumnStore:
         def __init__(self, col):
@@ -730,36 +738,28 @@ def test_wait_cache_loses_no_wake_among_racing_columns():
         def write_read(self, key, value):
             return self.col
 
-    cache, pool = WaitCache(), _Pool()
-    columns, rounds, need = 5, 300, 3
-    keys = [slot_key(rnd, 1) for rnd in range(1, rounds + 1)]
-    drivers = [_Driver(c, ColumnStore(c), cache, pool) for c in range(columns)]
+    columns, rounds, slots, need = 5, 100, 4, 3
     answers = []
 
-    def offer(i):
-        cache.expect(keys[i], need, lambda cols: answered(i, cols))
-        pool.offer(drivers, keys[i], b"")
+    def offers():
+        for slot in range(1, slots + 1):
+            answers.append((yield slot, lambda: b""))
+        return len(answers)
 
-    def answered(i, cols):
-        answers.append(cols)
-        if i + 1 < rounds:
-            offer(i + 1)
-        else:
-            cache.finish(len(answers))
-
+    cache = WaitCache([ColumnStore(c) for c in range(columns)], need)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for d in drivers:
-            d.start()
-        offer(0)
-        assert cache.wait(30) == rounds
+        for rnd in range(1, rounds + 1):
+            cache.start(rnd, offers())
+            assert cache.wait(30) == rnd * slots
     finally:
         sys.setswitchinterval(interval)
-        pool.stop()
-        for d in drivers:
+        cache.close()
+        for d in cache.drivers:
             d.join(30)
             assert not d.is_alive()
+    assert len(answers) == rounds * slots >= 300
     assert all(len(cols) == need and all(v == b"%d" % c for c, v in cols.items())
                for cols in answers)
 

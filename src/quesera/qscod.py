@@ -178,7 +178,7 @@ class WaitCache:
         self._waking = False  # one of them is notified and not yet running
         self._stopped = False
         self._need = need
-        self._rnd = 0
+        self._rnd = 0  # the number of the round in flight
         self._round: Optional[Generator] = None  # None once ended or abandoned
         self._key = b""  # the slot it waits on
         self._cols: dict[int, bytes] = {}  # its columns so far
@@ -527,15 +527,15 @@ def audit(stores, params: Thresholds, reports: Iterable[ClientReport]) -> list[s
     right after its store values are decoded, so the decode memos still
     hold every value the replay meets and each distinct value is decoded
     once.  Findings follow that order: keys that are not slot keys, store
-    by store; then per round its undecodable values, store by store, and
-    its logs' findings.
+    by store; then per round its undecodable values, store by store and
+    slot by slot, and its logs' findings.
     """
     bad: list[str] = []
     bodies: dict[bytes, Proposal] = {}
     snapshots = [store.snapshot() for store in stores]
-    values: dict[int, list[tuple[int, int, bytes]]] = {}  # round -> (store, slot, value)
+    rounds: set[int] = set()  # the rounds some store holds a slot key of
     for col, snapshot in enumerate(snapshots):
-        for key, value in snapshot.items():
+        for key in snapshot:
             # a store may hold what no client wrote: a finding, not a crash
             try:
                 rnd, slot = struct.unpack(">IB", key)
@@ -543,23 +543,27 @@ def audit(stores, params: Thresholds, reports: Iterable[ClientReport]) -> list[s
                 rnd = slot = 0
             if rnd == 0 or not 1 <= slot <= 4:
                 bad.append(f"store {col}: key {key.hex()} is not a slot key")
-                continue
-            values.setdefault(rnd, []).append((col, slot, value))
+            else:
+                rounds.add(rnd)
     logs: dict[int, list[tuple[int, RoundLog]]] = {}  # round -> (client, log)
     for report in reports:
         for entry in report.log:
             logs.setdefault(entry.round, []).append((report.client, entry))
 
-    for rnd in sorted(values.keys() | logs.keys()):
-        for col, slot, value in values.get(rnd, ()):
-            try:
-                h = _slot_history(slot, value)
-            except WireError as exc:
-                bad.append(f"store {col} round {rnd} slot {slot}: "
-                           f"value does not decode ({exc})")
-                continue
-            if h is not None and h.head is not None:
-                bodies[h.digest] = h.head
+    for rnd in sorted(rounds | logs.keys()):
+        keys = [slot_key(rnd, slot) for slot in range(1, 5)] if rnd in rounds else []
+        for col, snapshot in enumerate(snapshots):
+            for slot, key in enumerate(keys, 1):
+                if key not in snapshot:
+                    continue
+                try:
+                    h = _slot_history(slot, snapshot[key])
+                except WireError as exc:
+                    bad.append(f"store {col} round {rnd} slot {slot}: "
+                               f"value does not decode ({exc})")
+                    continue
+                if h is not None and h.head is not None:
+                    bodies[h.digest] = h.head
 
         for client, entry in logs.get(rnd, ()):
             tag = f"client {client} round {entry.round}"

@@ -503,12 +503,15 @@ def test_lone_client_proposals_and_decisions_are_pinned():
     done, problems, dead, short, tally = run_workload(
         raw, configure("qscod", 5, 0), 1, 20, 40, seed=9)
     assert (problems, dead, short) == ([], [], [])
-    digest = hashlib.sha256()
+    digest, bare = hashlib.sha256(), hashlib.sha256()
     for store in raw:
         for key, value in sorted(store.snapshot().items()):
             if key[-1] in (1, 3):
                 digest.update(key + value)
+                # slot 3 without its two empty set counts: the candidate alone
+                bare.update(key + (value[8:] if key[-1] == 3 else value))
     assert digest.hexdigest().startswith("3cc84e4d0ec631dc")
+    assert bare.hexdigest().startswith("fab02107fa3f988b")
     (report,) = done
     assert [e.committed for e in report.log] == [True] * 20
     adopted = hashlib.sha256(b"".join(e.adopted for e in report.log))

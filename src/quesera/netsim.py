@@ -407,7 +407,6 @@ class Simulator:
         self.order = 0
         self.unicasts = 0
         self.bytes = 0
-        self.commits = 0
         self._heap: list = []
         # per channel, indexed sender * n + dest: unicasts sent, last arrival
         self._chan_seq = [0] * (cfg.n * cfg.n)
@@ -499,8 +498,6 @@ class Simulator:
                     committed=committed,
                 )
             )
-            if committed:
-                self.commits += 1
 
         yield from run_qsc_node(state, top, self.cfg.rounds, choose, on_propose, on_decide)
 
@@ -547,7 +544,7 @@ class Simulator:
             f=self.cfg.f,
             seed=self.seed,
             rounds=self.cfg.rounds,
-            commits=self.commits,
+            commits=sum(rec.committed for rec in self.trace.deliveries),
             unicasts=self.unicasts,
             bytes=self.bytes,
         )

@@ -18,11 +18,11 @@ A gossip value (slots 2 and 4) is a grouped set
 columns that hold it.  A lone client's t_r columns all hold the same
 history, so its gossip carries that history once, not t_r times.
 
-A slot-3 value keeps the layout of a step-2 broadcast, R1 and B1 sets
-before the candidate, but a client leaves both sets empty: the
-message-passing layers piggyback them only so a lagging node can catch up,
-and every store already keeps every slot.  Readers take the candidate
-alone, so values written with the sets filled in still read and audit.
+A slot-3 value is the candidate alone, in slot 1's format
+(:func:`wire.encode_history`).  The message-passing layers piggyback the
+R1 and B1 sets on a step-2 broadcast only so that a lagging node can catch
+up, and every store already keeps every slot, so both steps of a round
+write, read and gossip their slot the same way.
 
 Each slot pair is one step of a store-backed TLCB layer (:class:`StoreTlcb`),
 so a client plays the very round the message-passing nodes play,
@@ -69,18 +69,7 @@ from .qsc import QscState, check_one_chain, qsc_round
 from .tlcb import gather
 from .tlcr import ConfigError
 from .tsb import Thresholds, TsbResult
-from .wire import (
-    DECODE_MEMO_SIZE,
-    EntrySet,
-    WireError,
-    decode_entry_set,
-    decode_history,
-    encode_entry_set,
-    encode_grouped_set,
-    encode_history,
-    grouped_set_bytes,
-    history_bytes,
-)
+from .wire import EntrySet, WireError, encode_grouped_set, grouped_set_bytes, history_bytes
 
 _S_PRIORITY, _S_BACKOFF = 101, 102
 
@@ -93,21 +82,12 @@ def slot_key(rnd: int, slot: int) -> bytes:
     return struct.pack(">IB", rnd, slot)
 
 
-# a slot-3 value is a step-2 broadcast's layout with empty R1 and B1 sets
-_SLOT3_SETS = encode_entry_set(()) * 2
-
-
-@functools.lru_cache(maxsize=DECODE_MEMO_SIZE)
 def decode_slot3(data: bytes) -> tuple[EntrySet, EntrySet, History]:
-    """Decode a slot-3 value.  Memoized like :func:`wire.entry_set_bytes`:
-    the result is an immutable function of the bytes, and a failed decode
-    raises every time."""
-    r1, off = decode_entry_set(data, 0)
-    b1, off = decode_entry_set(data, off)
-    best, off = decode_history(data, off)
-    if off != len(data):
-        raise WireError("trailing bytes after slot value")
-    return r1, b1, best
+    """A slot-3 value as the triple it once decoded to: no R1 or B1 sets,
+    and the candidate (:func:`wire.history_bytes`).  Only ``bench/run.py``
+    calls it, and the benchmark-only change that switches that reader to
+    :func:`wire.history_bytes` deletes it."""
+    return frozenset(), frozenset(), history_bytes(data)
 
 
 def qscod_params(n: int) -> Thresholds:
@@ -323,13 +303,13 @@ class _Driver(threading.Thread):
 class StoreTlcb:
     """A :class:`tlcb.Tlcb` step over store columns, for one round of one
     client; make a fresh one per round.  Its k-th broadcast (k = 0, 1)
-    yields ``(slot, offer)`` for slot 2k+1 and then for its gossip, slot
-    2k+2, a grouped set (:func:`wire.encode_grouped_set`), where ``offer()``
-    encodes the value to write, so a replay that
-    already holds the columns encodes nothing; is sent the columns collected
-    for each slot, which it keeps as the round's ``views``; and returns the
-    step's R and B, gathered as :class:`tlcb.Tlcb` gathers them.  The R row
-    of slot 3 is each column's candidate (:func:`decode_slot3`)."""
+    writes its message to slot 2k+1, takes the columns collected there as
+    its R row, gossips that row as a grouped set
+    (:func:`wire.encode_grouped_set`) in slot 2k+2, and returns the step's
+    R and B, gathered as :class:`tlcb.Tlcb` gathers them.  Each slot is
+    yielded as ``(slot, offer)``, where ``offer()`` encodes the value to
+    write, so a replay that already holds the columns encodes nothing; the
+    columns sent back for each slot are kept as the round's ``views``."""
 
     def __init__(self, t_s: int):
         self.t_s = t_s
@@ -337,12 +317,7 @@ class StoreTlcb:
 
     def broadcast(self, m: bytes):
         slot = len(self.views) + 1
-        if slot == 1:
-            row = self.views[1] = yield 1, lambda: m
-        else:
-            self.views[3] = yield 3, lambda: _SLOT3_SETS + m
-            row = {col: encode_history(decode_slot3(value)[2])
-                   for col, value in self.views[3].items()}
+        row = self.views[slot] = yield slot, lambda: m
         gossip = self.views[slot + 1] = yield slot + 1, functools.partial(
             encode_grouped_set, row.items())
         sets = [grouped_set_bytes(value) for value in gossip.values()]
@@ -504,10 +479,8 @@ def run_workload(
 def _slot_history(slot: int, value: bytes) -> Optional[History]:
     """Decode one slot value: the history a slot-1 or slot-3 value holds,
     or None for a gossip set, which holds none of its own."""
-    if slot == 1:
+    if slot in (1, 3):
         return history_bytes(value)
-    if slot == 3:
-        return decode_slot3(value)[2]
     grouped_set_bytes(value)
     return None
 

@@ -32,7 +32,5 @@ class Tlcf:
     def broadcast(self, m: bytes):
         first = yield from self.witness.broadcast(m)
         second = yield from self.gossip.broadcast(encode_entry_set(first.r))
-        r = set(first.r)
-        for _, payload in second.r:
-            r |= entry_set_bytes(payload)
-        return TsbResult(r=frozenset(r), b=first.b)
+        r = frozenset(first.r).union(*[entry_set_bytes(p) for _, p in second.r])
+        return TsbResult(r=r, b=first.b)

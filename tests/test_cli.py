@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ import pytest
 from quesera import qscod
 from quesera.cli import main as sim_main
 from quesera.cli import parse_crash, validate_trace
-from quesera.kvstore import MemoryStore
+from quesera.kvstore import FileStore, MemoryStore, encode_request
 from quesera.netsim import SimConfig, run
 
 
@@ -377,6 +378,44 @@ def test_store_server_speaks_the_protocol_over_pipes(tmp_path):
                  input_text="R a2V5\nW a2V5 bmV3\nW a2V5 dmFs\n")
     assert second.returncode == 0
     assert second.stdout.splitlines() == ["V dmFs", "V dmFs", "A"]
+
+
+def test_a_killed_store_process_keeps_every_acknowledged_write(tmp_path):
+    """SIGKILL a store server while writes are queued behind the ones it
+    acknowledged: its log reopens, a torn final append cut off, and holds
+    every acknowledged write."""
+    log = tmp_path / "store.log"
+    acked = {}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "quesera.kvstore", "--backend", "file", "--path", str(log)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    try:
+        for k in range(40):
+            key, value = b"k%d" % k, b"v%d" % k * 30
+            child.stdin.write(encode_request("W", key, value))
+            child.stdin.flush()
+            assert child.stdout.readline() == "A\n"
+            acked[key] = value
+        # well under a pipe's buffer, so the flush returns at once
+        for k in range(200):
+            child.stdin.write(encode_request("W", b"q%d" % k, b"x%d" % k * 20))
+        child.stdin.flush()
+        child.send_signal(signal.SIGKILL)
+        assert child.wait(timeout=30) == -signal.SIGKILL
+    finally:
+        child.kill()
+        child.wait(timeout=30)
+        child.stdout.close()
+        try:
+            child.stdin.close()
+        except BrokenPipeError:
+            pass  # writes still buffered for the dead server
+    store = FileStore(str(log))
+    try:
+        assert {key: store.read(key) for key in acked} == acked
+    finally:
+        store.close()
+    assert log.read_bytes().endswith(b"\n")
 
 
 def test_qscod_tool_runs_contending_clients_clean():

@@ -14,11 +14,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quesera import qscod
-from quesera.chain import GENESIS, History, Proposal
+from quesera.chain import GENESIS, Proposal
 from quesera.kvstore import FileStore, MemoryStore, encode_request, serve
 from quesera.qscod import (
     Client,
-    ClientReport,
     CountingStore,
     ByteTally,
     RoundLog,
@@ -33,7 +32,6 @@ from quesera.qscod import (
 )
 from quesera.netsim import configure
 from quesera.qsc import QscState, qsc_round
-from quesera.tlcb import gather
 from quesera.tlcr import ConfigError
 from quesera.wire import (
     DECODE_MEMO_SIZE,
@@ -53,11 +51,6 @@ def test_params_defaults_and_admission():
     assert (p.t_r, p.t_s, p.t_b, p.f) == (4, 3, 2, 2)
     with pytest.raises(ConfigError, match="t_r [+] t_s > n"):
         configure("qscod", 6, 2, t_s=2)  # columns could miss each other's winners
-
-
-def slot3(r1, b1, best):
-    """A slot-3 value in the full form: R1 and B1 sets before the candidate."""
-    return encode_entry_set(r1) + encode_entry_set(b1) + encode_history(best)
 
 
 def play(state, layer, message, priority, answer):
@@ -81,9 +74,11 @@ def test_slot_keys_and_slot3_codec():
     assert len(keys) == 12  # distinct rounds and slots never collide
     h = GENESIS.extend(Proposal(proposer=0, message=b"m", priority=9,
                                 prev=GENESIS.digest))
-    r1 = frozenset({(0, b"x"), (2, b"yy")})
-    b1 = frozenset({(2, b"yy")})
-    assert decode_slot3(slot3(r1, b1, h)) == (r1, b1, h)
+    assert decode_slot3(encode_history(h)) == (frozenset(), frozenset(), h)
+    # the form written before, with empty R1 and B1 sets ahead of the
+    # candidate, is no slot-3 value
+    with pytest.raises(WireError, match="trailing bytes after history"):
+        decode_slot3(encode_entry_set(()) * 2 + encode_history(h))
 
 
 MINE = GENESIS.extend(Proposal(proposer=0, message=b"mine", priority=5, prev=GENESIS.digest))
@@ -112,7 +107,7 @@ def test_slot3_offers_only_the_step2_candidate():
     # a lone writer: its proposal fills R1 and B1 and is committed
     chosen, committed, offered = scripted({})
     assert (chosen.digest, committed) == (MINE.digest, True)
-    assert offered[3] == slot3(frozenset(), frozenset(), MINE)
+    assert offered[3] == encode_history(MINE)
 
     # a rival's higher-priority proposal holds one column and every gossip:
     # it is B1's best, so slot 3 offers it, and it is adopted, not committed
@@ -120,56 +115,7 @@ def test_slot3_offers_only_the_step2_candidate():
     chosen, committed, offered = scripted(
         {1: cols1, 2: dict.fromkeys(range(3), encode_grouped_set(cols1.items()))})
     assert (chosen.digest, committed) == (RIVAL.digest, False)
-    assert offered[3] == slot3(frozenset(), frozenset(), RIVAL)
-
-
-entry_sets = st.frozensets(st.tuples(st.integers(0, 2**32 - 1), st.binary(max_size=40)),
-                           min_size=1, max_size=4)
-
-
-@given(st.lists(st.tuples(entry_sets, entry_sets), min_size=3, max_size=3))
-def test_slot3_sets_never_change_a_decision(sets):
-    """Columns whose slot-3 values carry R1 and B1 sets, as clients wrote
-    them before, adopt and commit exactly as columns carrying empty ones."""
-    cols1 = {0: encode_history(MINE), 1: encode_history(RIVAL), 2: encode_history(MINE)}
-    cols2 = dict.fromkeys(range(3), encode_grouped_set(cols1.items()))
-    best = {0: RIVAL, 1: MINE, 2: RIVAL}
-    outcomes = []
-    for r1_b1 in ([(frozenset(), frozenset())] * 3, sets):
-        cols3 = {col: slot3(r1, b1, best[col]) for col, (r1, b1) in enumerate(r1_b1)}
-        chosen, committed, offered = scripted({1: cols1, 2: cols2, 3: cols3}, RIVAL.digest)
-        outcomes.append((chosen.digest, committed, offered[4]))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][:2] == (RIVAL.digest, True)
-
-
-def test_audit_accepts_slot3_values_in_the_full_form():
-    """Stores and round logs holding the slot-3 values clients wrote before
-    (R1 and B1 filled in) still audit clean."""
-    stores = [MemoryStore() for _ in range(3)]
-    params = qscod_params(3)
-    state, log = QscState(node=0), []
-    for rnd, message in enumerate([b"a", b"b"], 1):
-        layer = StoreTlcb(params.t_s)
-        views = layer.views
-
-        def answer(slot, offer):
-            value = offer()
-            if slot == 3:
-                sets = [grouped_set_bytes(v) for v in views[2].values()]
-                r1, b1 = gather(views[1].items(), sets, params.t_s)
-                value = slot3(r1, b1, decode_slot3(value)[2])
-            key = slot_key(rnd, slot)
-            return {col: s.write_read(key, value) for col, s in enumerate(stores)}
-
-        chosen, committed, mine = play(state, layer, message, rnd, answer)
-        assert (chosen.digest, committed) == (mine.digest, True)
-        assert all(len(decode_slot3(v)[0]) == 3 for v in views[3].values())
-        log.append(RoundLog(round=rnd, message=message, proposed=mine.digest,
-                            adopted=chosen.digest, length=chosen.length,
-                            committed=committed, views=views))
-    report = ClientReport(client=0, rounds=2, commits=2, delivered=[b"a", b"b"], log=log)
-    assert audit(stores, params, [report]) == []
+    assert offered[3] == encode_history(RIVAL)
 
 
 def race(workloads, budget, seed=7, stores=None):
@@ -486,12 +432,12 @@ def test_lone_client_store_bytes_are_pinned():
     done, problems, dead, short, tally = run_workload(
         raw, configure("qscod", 5, 0), 1, 20, 40, seed=9)
     assert (problems, dead, short) == ([], [], [])
-    assert tally.total == 55_000
+    assert tally.total == 54_000
     digest = hashlib.sha256()
     for store in raw:
         for key, value in sorted(store.snapshot().items()):
             digest.update(key + value)
-    assert digest.hexdigest().startswith("bf91a6893648ed54")
+    assert digest.hexdigest().startswith("4aa699e89c9d9929")
 
 
 def test_lone_client_proposals_and_decisions_are_pinned():
@@ -503,15 +449,12 @@ def test_lone_client_proposals_and_decisions_are_pinned():
     done, problems, dead, short, tally = run_workload(
         raw, configure("qscod", 5, 0), 1, 20, 40, seed=9)
     assert (problems, dead, short) == ([], [], [])
-    digest, bare = hashlib.sha256(), hashlib.sha256()
+    digest = hashlib.sha256()
     for store in raw:
         for key, value in sorted(store.snapshot().items()):
             if key[-1] in (1, 3):
                 digest.update(key + value)
-                # slot 3 without its two empty set counts: the candidate alone
-                bare.update(key + (value[8:] if key[-1] == 3 else value))
-    assert digest.hexdigest().startswith("3cc84e4d0ec631dc")
-    assert bare.hexdigest().startswith("fab02107fa3f988b")
+    assert digest.hexdigest().startswith("fab02107fa3f988b")
     (report,) = done
     assert [e.committed for e in report.log] == [True] * 20
     adopted = hashlib.sha256(b"".join(e.adopted for e in report.log))
@@ -530,8 +473,8 @@ def test_audit_replays_without_encoding_offers(monkeypatch):
     monkeypatch.setattr(qscod, "encode_grouped_set", counted)
     assert audit(stores, params, [report]) == []
     assert calls == []
-    # the same round played with its offers encodes two sets, slots 2 and
-    # 4: slot 3's empty ones are a constant
+    # the same round played with its offers encodes two sets, the gossip
+    # of slots 2 and 4
     scripted({})
     assert len(calls) == 2
 
@@ -543,10 +486,10 @@ def test_audit_decodes_each_distinct_slot_value_once_per_pass():
     distinct value is decoded once; the memos count each decode as a
     miss."""
     params, stores, (report,), _ = race([[b"m%d" % k for k in range(200)]], 200)
-    gossip = {2: 2, 4: 2}  # slots 2 and 4 hold values of one kind
-    distinct = {(gossip.get(key[-1], key[-1]), value)
+    # slots 1 and 3 hold histories, slots 2 and 4 grouped sets: one codec each
+    distinct = {(key[-1] % 2, value)
                 for store in stores for key, value in store.snapshot().items()}
-    decoders = (history_bytes, decode_slot3, grouped_set_bytes)
+    decoders = (history_bytes, grouped_set_bytes)
     for decoder in decoders:
         decoder.cache_clear()
     assert audit(stores, params, [report]) == []
@@ -621,7 +564,7 @@ def test_audit_reports_store_contents_it_cannot_parse():
     ]
 
     # every 5-byte key names a round and a slot, but only rounds from 1 and
-    # slots 1-4 are slot keys; slot-2 and slot-4 values are entry sets
+    # slots 1-4 are slot keys; slot-2 and slot-4 values are grouped sets
     stores = [MemoryStore() for _ in range(3)]
     stores[0].write_read(slot_key(1, 9), b"x")
     stores[0].write_read(slot_key(0, 1), encode_history(GENESIS))
@@ -641,10 +584,14 @@ def test_audit_reports_store_contents_it_cannot_parse():
     stores[0].write_read(b"foreign", b"x")
     stores[2].write_read(slot_key(3, 3), b"junk")
     stores[1].write_read(slot_key(3, 2), b"junk")
+    # a slot-3 value in the form written before: empty R1 and B1 sets
+    # ahead of the candidate
+    stores[1].write_read(slot_key(4, 3), encode_entry_set(()) * 2 + encode_history(GENESIS))
     assert audit(stores, params, [report]) == [
         f"store 0: key {b'foreign'.hex()} is not a slot key",
         "store 1 round 3 slot 2: value does not decode (truncated set entry)",
-        "store 2 round 3 slot 3: value does not decode (truncated set entry)",
+        "store 2 round 3 slot 3: value does not decode (truncated history head)",
+        "store 1 round 4 slot 3: value does not decode (trailing bytes after history)",
     ]
 
 
@@ -769,8 +716,7 @@ def test_wait_cache_loses_no_wake_among_racing_columns():
 
 def _slot3_encodings():
     h = GENESIS.extend(Proposal(proposer=0, message=b"m", priority=9, prev=GENESIS.digest))
-    r1 = frozenset({(0, encode_history(h)), (2, b"")})
-    return [slot3(r1, frozenset({(2, b"")}), h), slot3(frozenset(), frozenset(), GENESIS)]
+    return [encode_history(h), encode_history(GENESIS)]
 
 
 def _flip(blob, at, mask):
@@ -790,19 +736,17 @@ slot3_inputs = st.one_of(
 
 @given(slot3_inputs)
 def test_decode_slot3_fails_only_with_wire_error_and_stays_bounded(data):
+    """A slot-3 value is a history: it decodes to no sets and what
+    :func:`wire.history_bytes` reads, or fails with WireError alone, and
+    the history memo stays bounded."""
     try:
-        fresh = decode_slot3.__wrapped__(data)
-    except WireError:
-        for _ in range(2):  # a failure is never remembered
-            with pytest.raises(WireError):
-                decode_slot3(data)
-    else:
         got = decode_slot3(data)
-        assert got is decode_slot3(data)
-        r1, b1, best = got
-        assert (r1, b1) == fresh[:2] and isinstance(best, History)
-        assert (best.head, best.length) == (fresh[2].head, fresh[2].length)
-    assert decode_slot3.cache_info().currsize <= DECODE_MEMO_SIZE
+    except WireError:
+        with pytest.raises(WireError):
+            history_bytes(data)
+    else:
+        assert got == (frozenset(), frozenset(), history_bytes(data))
+    assert history_bytes.cache_info().currsize <= DECODE_MEMO_SIZE
 
 
 @given(st.lists(st.tuples(

@@ -16,7 +16,10 @@ empty byte string is spelled ``-``)::
                            V <existing> (lost: key holds another value)
     R <key>             -> V <value> or N
 
-Stores are thread-safe.  Every field is canonical: a line that parses
+A :class:`PipeStore` is a client of that protocol: it runs a file store in
+a child process and talks to it over pipes, so a store can hang or die
+apart from its clients.  In-process stores are thread-safe; a pipe store
+serves one thread at a time.  Every field is canonical: a line that parses
 re-encodes to the same fields, so one key or value has one spelling.
 """
 
@@ -132,6 +135,34 @@ class MemoryStore(_Store):
     """Write-once map living in the process."""
 
 
+def read_log(path: str) -> tuple[dict[bytes, bytes], Optional[int]]:
+    """Replay a store log: each key's first ``W`` value, and the offset of a
+    final line without its newline (an append torn or still being written)
+    or None.  A missing log is empty; a complete line that does not parse
+    raises ProtocolError."""
+    data: dict[bytes, bytes] = {}
+    try:
+        with open(path, "rb") as fh:
+            offset = 0
+            for raw in fh:
+                if not raw.endswith(b"\n"):
+                    return data, offset
+                offset += len(raw)
+                try:
+                    line = raw.decode("ascii").strip()
+                except UnicodeDecodeError as exc:
+                    raise ProtocolError(f"log line is not ASCII: {raw!r}") from exc
+                if not line:
+                    continue
+                verb, key, value = parse_request(line)
+                if verb != "W" or value is None:
+                    raise ProtocolError(f"log holds a non-write line: {line!r}")
+                data.setdefault(key, value)
+    except FileNotFoundError:
+        pass
+    return data, None
+
+
 class FileStore(_Store):
     """Write-once map backed by an append-only log of ``W key value`` lines.
 
@@ -146,27 +177,7 @@ class FileStore(_Store):
     def __init__(self, path: str):
         super().__init__()
         self.path = path
-        torn_at: Optional[int] = None
-        try:
-            with open(path, "rb") as fh:
-                offset = 0
-                for raw in fh:
-                    if not raw.endswith(b"\n"):
-                        torn_at = offset
-                        break
-                    offset += len(raw)
-                    try:
-                        line = raw.decode("ascii").strip()
-                    except UnicodeDecodeError as exc:
-                        raise ProtocolError(f"log line is not ASCII: {raw!r}") from exc
-                    if not line:
-                        continue
-                    verb, key, value = parse_request(line)
-                    if verb != "W" or value is None:
-                        raise ProtocolError(f"log holds a non-write line: {line!r}")
-                    self._data.setdefault(key, value)
-        except FileNotFoundError:
-            pass
+        self._data, torn_at = read_log(path)
         if torn_at is not None:
             os.truncate(path, torn_at)
         self._fh = open(path, "ab", buffering=0)
@@ -181,6 +192,70 @@ class FileStore(_Store):
     def close(self) -> None:
         with self._lock:
             self._fh.close()
+
+
+class PipeStore:
+    """A file store served by a child process, ``python -m quesera.kvstore
+    --backend file --path P``, over its stdin and stdout, for one thread.
+    :meth:`write_read` is :meth:`send` then :meth:`receive`; a caller that
+    waits on several stores keeps one write in flight and waits for
+    :meth:`fileno` to be readable in between.  :attr:`sent` and
+    :attr:`received` count the bytes on the pipes.  The log is the store:
+    :meth:`snapshot` replays its complete lines, and does not cut a live
+    log.  Once the child dies, every write raises."""
+
+    piped = True
+
+    def __init__(self, path: str):
+        import subprocess
+
+        self.path = path
+        read_log(path)  # a log the child would refuse fails here, by name
+        self.sent = self.received = 0
+        self.offered = (b"", b"")  # the write in flight
+        self.child = subprocess.Popen(
+            [sys.executable, "-m", "quesera.kvstore", "--backend", "file", "--path", path],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+
+    def send(self, key: bytes, value: bytes) -> None:
+        line = encode_request("W", key, value).encode("ascii")
+        self.child.stdin.write(line)
+        self.child.stdin.flush()
+        self.sent += len(line)
+        self.offered = key, value
+
+    def fileno(self) -> int:
+        return self.child.stdout.fileno()
+
+    def receive(self) -> bytes:
+        """The reply to the request in flight: the value its key holds."""
+        line = self.child.stdout.readline()
+        self.received += len(line)
+        if line == b"A\n":
+            return self.offered[1]
+        if line.startswith(b"V ") and line.endswith(b"\n"):
+            return unb64(line[2:-1].decode("ascii"))
+        if not line:
+            raise ProtocolError(f"store process {self.child.pid} closed its pipe")
+        raise ProtocolError(f"store process {self.child.pid} answered {line!r}")
+
+    def write_read(self, key: bytes, value: bytes) -> bytes:
+        self.send(key, value)
+        return self.receive()
+
+    def snapshot(self) -> dict[bytes, bytes]:
+        return read_log(self.path)[0]
+
+    def close(self) -> None:
+        """Close the child's stdin and reap it, killed if it has not exited
+        within 10 seconds."""
+        import subprocess
+
+        try:
+            self.child.communicate(timeout=10)  # ignores a dead child's broken pipe
+        except subprocess.TimeoutExpired:
+            self.child.kill()
+            self.child.communicate()
 
 
 def open_store(backend: str, path: Optional[str] = None) -> _Store:

@@ -15,14 +15,10 @@ collect:
 
 A gossip value (slots 2 and 4) is a grouped set
 (:func:`wire.encode_grouped_set`): each distinct payload once, with the
-columns that hold it.  A lone client's t_r columns all hold the same
-history, so its gossip carries that history once, not t_r times.
-
-A slot-3 value is the candidate alone, in slot 1's format
-(:func:`wire.encode_history`).  The message-passing layers piggyback the
-R1 and B1 sets on a step-2 broadcast only so that a lagging node can catch
-up, and every store already keeps every slot, so both steps of a round
-write, read and gossip their slot the same way.
+columns that hold it, so a lone client's gossip carries its history once,
+not t_r times.  A slot-3 value is the bare candidate, in slot 1's format
+(:func:`wire.encode_history`): the stores keep every slot, so no R1 or B1
+set rides along for a lagging client to catch up from.
 
 Each slot pair is one step of a store-backed TLCB layer (:class:`StoreTlcb`),
 so a client plays the very round the message-passing nodes play,
@@ -31,18 +27,12 @@ lottery commits it when it appears in B2 and was uniquely best in R1.  The
 client commits only when that history is its own proposal, because nobody
 else will retry a foreign message.
 
-Each client runs its rounds through one :class:`WaitCache`, which drives
-its n stores with n threads under one lock.  Any thread serves any store
-column with commands waiting, one thread per column at a time and in
-submit order.  A thread stuck on a hung store holds only that column, so
-one slow or dead store never stalls a round: progress needs any t_r
-columns, and the store operations that raised are counted per column.
-The round is one generator, whose layer yields each slot's offer through
-:func:`qsc.qsc_round`.  The thread whose answer completes a slot sends
-exactly its t_r columns into the round, queues the next slot on every
-column as it arms it, and goes on to write it itself while the stores
-answer at once; the client thread sleeps once per round, until the round
-returns or raises.  So slots 2 and 4 gossip exactly t_r columns.
+Each client plays its rounds on its own thread (:class:`WaitCache`): a
+slot is written to every store column and its first t_r answers go into
+the round, so slots 2 and 4 gossip exactly t_r columns.  In-process stores
+answer on the spot; store processes (:class:`kvstore.PipeStore`) answer
+across pipes, one write in flight each, so a hung or dead store holds only
+its own column, and a round proceeds on any t_r.
 
 Lost proposals are retried after a randomized, exponentially growing number
 of back-off rounds in which the client plays an empty proposal (it must keep
@@ -58,12 +48,13 @@ import functools
 import os
 import struct
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Generator, Iterable, Optional
 
 from .chain import ChainError, History, Proposal
-from .kvstore import MemoryStore, ProtocolError, open_store, write_size
+from .kvstore import FileStore, MemoryStore, PipeStore, ProtocolError, write_size
 from .netsim import configure, mix64
 from .qsc import QscState, check_one_chain, qsc_round
 from .tlcb import gather
@@ -73,7 +64,7 @@ from .wire import EntrySet, WireError, encode_grouped_set, grouped_set_bytes, hi
 
 _S_PRIORITY, _S_BACKOFF = 101, 102
 
-WAIT_TIMEOUT = 60.0  # seconds; in-process stores answer in microseconds
+WAIT_TIMEOUT = 60.0  # seconds a round may wait on store processes
 
 
 def slot_key(rnd: int, slot: int) -> bytes:
@@ -83,10 +74,9 @@ def slot_key(rnd: int, slot: int) -> bytes:
 
 
 def decode_slot3(data: bytes) -> tuple[EntrySet, EntrySet, History]:
-    """A slot-3 value as the triple it once decoded to: no R1 or B1 sets,
-    and the candidate (:func:`wire.history_bytes`).  Only ``bench/run.py``
-    calls it, and the benchmark-only change that switches that reader to
-    :func:`wire.history_bytes` deletes it."""
+    """A slot-3 value as the triple it once decoded to: no sets, and the
+    candidate.  Only ``bench/run.py`` calls it, until a benchmark-only
+    change reads slot 3 with :func:`wire.history_bytes`."""
     return frozenset(), frozenset(), history_bytes(data)
 
 
@@ -103,15 +93,24 @@ class CountingStore:
     request, then ``A`` if the key holds the offered value or ``V`` with the
     value it holds instead, just as :func:`kvstore.serve` answers.  The cost
     is sized from the line format (:func:`kvstore.write_size`), not
-    encoded."""
+    encoded.  Around a pipe store it forwards the send/receive split and
+    bills each write when its answer is received."""
 
     def __init__(self, inner, tally: "ByteTally"):
         self.inner = inner
         self.tally = tally
 
+    def __getattr__(self, name: str):  # a pipe store's piped, send and fileno
+        return getattr(self.inner, name)
+
     def write_read(self, key: bytes, value: bytes) -> bytes:
         got = self.inner.write_read(key, value)
         self.tally.add(write_size(key, value, got))
+        return got
+
+    def receive(self) -> bytes:
+        got = self.inner.receive()
+        self.tally.add(write_size(*self.inner.offered, got))
         return got
 
 
@@ -128,173 +127,117 @@ class ByteTally:
 
 
 class WaitCache:
-    """Runs a client's rounds over its store columns, served by the n
-    driver threads it starts, one per column (:attr:`drivers`).
-
-    A round is a generator yielding ``(slot, offer)`` and sent each slot's
-    columns.  :meth:`start` arms its first slot.  Arming a slot queues its
-    command on every column, in the lock acquisition that arms it.  The
-    answer that brings the slot to ``need`` columns takes exactly those,
-    sends them into the round outside the lock, in the answering thread,
-    and arms the next slot.  Answers for any other key, for a slot that
-    has its columns, or for an abandoned round are dropped.
-
-    A column is ready while it has commands and no thread holds it; a thread
-    holds one column for one command at a time, so each store sees at most
-    one thread, in submit order.  A thread that takes a column while others
-    are still ready wakes one idle thread first, unless one is already on
-    its way: a hung store then holds one thread and one column, and with n
-    threads for n columns every other column keeps a thread.
-
-    One lock guards it all; idle driver threads sleep on one condition, and
-    the client thread on another, in :meth:`wait`, once per round."""
+    """Plays a client's rounds over its store :attr:`columns`, on the calling
+    thread.  A round is a generator yielding ``(slot, offer)`` and sent each
+    slot's first ``need`` columns.  A slot's write is queued on every pipe
+    column, written to the in-process columns in column order, and the
+    pipes are waited on until the slot has its columns.  A pipe column has
+    one write in flight, registered with the selector, and queues the rest:
+    its store sees them in submit order, and a stopped store process never
+    fills its pipe.  Answers for other keys, or beyond ``need``, are dropped."""
 
     def __init__(self, stores, need: int) -> None:
-        self._lock = threading.Lock()
-        self._work = threading.Condition(self._lock)  # idle driver threads
-        self._cond = threading.Condition(self._lock)  # the client thread
-        self._ready: deque[_Driver] = deque()
-        self._idle = 0  # threads asleep in take()
-        self._waking = False  # one of them is notified and not yet running
-        self._stopped = False
         self._need = need
-        self._rnd = 0  # the number of the round in flight
-        self._round: Optional[Generator] = None  # None once ended or abandoned
-        self._key = b""  # the slot it waits on
-        self._cols: dict[int, bytes] = {}  # its columns so far
-        self._outcome: Optional[tuple] = None  # (result, exception) of the ended round
-        self.drivers = [_Driver(i, s, self) for i, s in enumerate(stores)]
-        for d in self.drivers:
-            d.start()
+        self.columns = [_Driver(i, s) for i, s in enumerate(stores)]
+        self._inline = [c for c in self.columns if not getattr(c.store, "piped", False)]
+        self._pipes = [c for c in self.columns if c not in self._inline]
+        self._key, self._cols = b"", {}  # the slot being collected, its columns
+        if self._pipes:
+            import selectors
 
-    def start(self, rnd: int, offers: Generator) -> None:
-        """Play round ``rnd``, whose slots ``offers`` yields, on the
-        columns; :meth:`wait` for its end."""
-        with self._lock:
-            self._rnd, self._round, self._key = rnd, offers, b""
-        self._advance(offers, None)
+            self._selector = selectors.DefaultSelector()
 
-    def _advance(self, offers: Generator, cols: Optional[dict[int, bytes]]) -> None:
-        """Send an answered slot's columns into the round, then arm its next
-        slot; or end the round with what it returned or raised."""
-        try:
-            slot, offer = offers.send(cols)
-            key, value = slot_key(self._rnd, slot), offer()
-        except StopIteration as stop:
-            self._finish(offers, (stop.value, None))
-            return
-        except Exception as exc:
-            self._finish(offers, (None, exc))
-            return
-        with self._lock:
-            if self._round is not offers:
-                return  # abandoned while it ran
-            self._key, self._cols = key, {}
-            for c in self.drivers:
+    def wait(self, rnd: int, offers: Generator, timeout: float):
+        """Play round ``rnd``, whose slots ``offers`` yields, and return what
+        it returns or raise what it raises.  A slot short of its columns
+        ``timeout`` seconds into the round, or once no pipe column can still
+        answer, raises a TimeoutError naming its key and its columns."""
+        deadline, need = time.monotonic() + timeout, self._need
+        cols = None
+        while True:
+            try:
+                slot, offer = offers.send(cols)
+            except StopIteration as stop:
+                return stop.value
+            key, value, cols = slot_key(rnd, slot), offer(), {}
+            self._key, self._cols = key, cols
+            for c in self._pipes:
                 c.commands.append((key, value))
-                if not c.busy:
-                    c.busy = True
-                    self._ready.append(c)
-            self._wake()
+                self._send(c)
+            for c in self._inline:
+                got = c.run(key, value)
+                if got is not None and len(cols) < need:
+                    cols[c.column] = got
+            self._collect(deadline)
+            if len(cols) < need:
+                raise TimeoutError(f"{len(cols)}/{need} columns answered for {key.hex()}")
 
-    def put(self, key: bytes, column: int, value: bytes) -> None:
-        """Report the value ``column`` holds at ``key``."""
-        with self._lock:
-            if key != self._key or self._round is None or len(self._cols) >= self._need:
+    def _collect(self, deadline: float) -> None:
+        """Take pipe answers until the slot has its columns, the deadline
+        passes or no write is in flight; then take those already there."""
+        while self._pipes and self._selector.get_map():
+            short = len(self._cols) < self._need
+            ready = self._selector.select(deadline - time.monotonic() if short else 0)
+            if not ready:
                 return
-            self._cols[column] = value
-            if len(self._cols) < self._need:
-                return
-            offers, cols = self._round, self._cols
-        self._advance(offers, cols)
+            for event, _ in ready:
+                self._receive(event.data)
 
-    def _finish(self, offers: Generator, outcome: tuple) -> None:
-        with self._lock:
-            if self._round is offers:
-                self._round, self._outcome = None, outcome
-                self._cond.notify()
+    def _send(self, c: "_Driver") -> None:
+        """Send pipe column ``c``'s first queued write unless one is in
+        flight; a write that raises is dropped, and the next one tried."""
+        inflight = self._selector.get_map()
+        while c.commands and c.store not in inflight:
+            try:
+                c.store.send(*c.commands[0])
+            except Exception as exc:
+                c.failed(exc)
+                c.commands.popleft()
+            else:
+                self._selector.register(c.store, 1, c)  # selectors.EVENT_READ
 
-    def wait(self, timeout: float):
-        """Sleep until the round ends, then return what it returned or raise
-        what it raised.  On timeout the round is abandoned, and the
-        TimeoutError names the slot key it stalled on and its columns."""
-        with self._lock:
-            if not self._cond.wait_for(lambda: self._outcome is not None, timeout):
-                self._round = None  # a late column resumes nothing
-                raise TimeoutError(f"{len(self._cols)}/{self._need} columns answered "
-                                   f"for {self._key.hex()}")
-            (result, error), self._outcome = self._outcome, None
-        if error is not None:
-            raise error
-        return result
-
-    def take(self, done: Optional["_Driver"]) -> Optional[tuple["_Driver", bytes, bytes]]:
-        """Hand back ``done``, the column this thread served last, and take
-        the first command of the next ready column, sleeping while there is
-        none.  Returns None once closed with no column ready, so the
-        commands queued before :meth:`close` are all performed."""
-        with self._lock:
-            if done is not None:
-                if done.commands:
-                    self._ready.append(done)
-                else:
-                    done.busy = False
-            while not self._ready:
-                if self._stopped:
-                    return None
-                self._idle += 1
-                self._work.wait()
-                self._idle -= 1
-                self._waking = False
-            column = self._ready.popleft()
-            self._wake()
-            return (column, *column.commands.popleft())
-
-    def _wake(self) -> None:
-        """Wake one idle thread for the ready columns, unless one is already
-        on its way: that one wakes the next when it takes a column."""
-        if self._ready and self._idle and not self._waking:
-            self._waking = True
-            self._work.notify()
+    def _receive(self, c: "_Driver") -> None:
+        self._selector.unregister(c.store)
+        key, _ = c.commands.popleft()
+        try:
+            got = c.store.receive()
+        except Exception as exc:
+            c.failed(exc)
+        else:
+            if key == self._key and len(self._cols) < self._need:
+                self._cols[c.column] = got
+        self._send(c)
 
     def close(self) -> None:
-        """Stop the driver threads once every queued command is performed."""
-        with self._lock:
-            self._stopped = True
-            self._work.notify_all()
+        """Let the pipe columns perform every queued write, for up to
+        :data:`WAIT_TIMEOUT` seconds."""
+        self._key, self._cols = b"", {}  # no key: short until nothing is in flight
+        self._collect(time.monotonic() + WAIT_TIMEOUT)
+        if self._pipes:
+            self._selector.close()
 
 
-class _Driver(threading.Thread):
-    """One store column, with its FIFO of write_read commands, and one of
-    the client's driver threads, which serves any ready column of the
-    :class:`WaitCache` and reports winners to it; the report that completes
-    a slot runs the round on in that thread.  A broken store kills only its
-    column; its failed operations are counted, and the last one kept."""
+class _Driver:
+    """One store column: its store, its failed operations, counted and the
+    last one kept, and, for a pipe column, the FIFO of its writes."""
 
-    def __init__(self, column: int, store, cache: WaitCache):
-        super().__init__(daemon=True)
+    def __init__(self, column: int, store):
         self.column = column
         self.store = store
-        self.cache = cache
-        self.commands: deque[tuple[bytes, bytes]] = deque()  # guarded by the cache
-        self.busy = False  # ready or held by a thread
-        self.errors = 0  # store operations that raised
+        self.commands: deque[tuple[bytes, bytes]] = deque()
+        self.errors = 0
         self.last_error: Optional[Exception] = None
 
-    def run(self) -> None:
-        column = None
-        while True:
-            got = self.cache.take(column)
-            if got is None:
-                return
-            column, key, value = got
-            try:
-                winner = column.store.write_read(key, value)
-            except Exception as exc:  # the client proceeds on the others
-                column.errors += 1
-                column.last_error = exc
-                continue
-            self.cache.put(key, column.column, winner)
+    def run(self, key: bytes, value: bytes) -> Optional[bytes]:
+        """One write to an in-process store: the value ``key`` holds, or None."""
+        try:
+            return self.store.write_read(key, value)
+        except Exception as exc:  # the client proceeds on the others
+            self.failed(exc)
+            return None
+
+    def failed(self, exc: Exception) -> None:
+        self.errors, self.last_error = self.errors + 1, exc
 
 
 # --- the round -----------------------------------------------------------------
@@ -356,35 +299,28 @@ class Client:
         self.params = params
         self.seed = seed
         self.cache = WaitCache(stores, params.t_r)
-        self.drivers = self.cache.drivers
+        # no threads to join: kept only for bench/run.py's stop_clients,
+        # until the benchmark-only change that drops that call deletes it
+        self.drivers = ()
         self.state = QscState(node=0)
 
     def close(self) -> None:
-        """Stop the driver threads once every queued command is performed."""
+        """:meth:`WaitCache.close`; the caller closes the stores."""
         self.cache.close()
 
     # -- round machinery --
 
     def run_round(self, message: bytes, priority: int) -> RoundLog:
         """Play one round of :func:`qsc.qsc_round` over a fresh
-        :class:`StoreTlcb`, committing only the client's own proposal.  The
-        column that completes a slot runs the round on, so this thread
-        sleeps once, until the round returns or raises."""
+        :class:`StoreTlcb`, committing only the client's own proposal."""
         layer = StoreTlcb(self.params.t_s)
         mine: list[bytes] = []
-        self.cache.start(self.state.round + 1, qsc_round(
-            self.state, layer, message, priority, on_propose=lambda _, h: mine.append(h.digest)))
-        chosen, committed = self.cache.wait(WAIT_TIMEOUT)
-        proposed = mine[0]
-        return RoundLog(
-            round=self.state.round,
-            message=message,
-            proposed=proposed,
-            adopted=chosen.digest,
-            length=chosen.length,
-            committed=committed and chosen.digest == proposed,
-            views=layer.views,
-        )
+        chosen, committed = self.cache.wait(self.state.round + 1, qsc_round(
+            self.state, layer, message, priority, on_propose=lambda _, h: mine.append(h.digest)),
+            WAIT_TIMEOUT)
+        return RoundLog(round=self.state.round, message=message, proposed=mine[0],
+                        adopted=chosen.digest, length=chosen.length,
+                        committed=committed and chosen.digest == mine[0], views=layer.views)
 
     def run(self, messages: Iterable[bytes], max_rounds: int) -> ClientReport:
         """Push a workload through, retrying lost proposals with randomized
@@ -415,7 +351,7 @@ def run_clients(
     stores, params: Thresholds, workloads: list[list[bytes]], max_rounds: int, seed: int
 ) -> tuple[list[ClientReport], list[str], list[str]]:
     """Race one client per workload over the shared stores, each on its own
-    thread and seeded ``mix64(seed, client)``, then stop their drivers.
+    thread and seeded ``mix64(seed, client)``, then close them.
 
     Returns the reports of the clients that finished, in client order; one
     line per client that raised instead, naming it and its exception; and
@@ -440,18 +376,12 @@ def run_clients(
         c.close()
     dead = []
     for column in range(params.n):
-        drivers = [c.drivers[column] for c in clients]
-        for d in drivers:
-            d.join(WAIT_TIMEOUT)
-        raised = [d for d in drivers if d.errors]
+        raised = [c.cache.columns[column] for c in clients if c.cache.columns[column].errors]
         if raised:
             dead.append(f"column {column}: {sum(d.errors for d in raised)} store "
                         f"operations raised, last {raised[-1].last_error!r}")
-    return (
-        [reports[cid] for cid in sorted(reports)],
-        [failed[cid] for cid in sorted(failed)],
-        dead,
-    )
+    return ([reports[cid] for cid in sorted(reports)],
+            [failed[cid] for cid in sorted(failed)], dead)
 
 
 def run_workload(
@@ -617,41 +547,36 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--messages", type=budget, default=4, help="workload per client")
     parser.add_argument("--rounds", type=budget, default=200, help="round budget per client")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--backend", choices=("memory", "file"), default="memory")
-    parser.add_argument(
-        "--path-template",
-        default="qscod-store-{i}.log",
-        help="file backend path per store, '{i}' expands to the column",
-    )
+    parser.add_argument("--backend", choices=("memory", "file", "process"), default="memory",
+                        help="process: one store process per column, on pipes")
+    parser.add_argument("--path-template", default="qscod-store-{i}.log",
+                        help="file or process backend log per store, '{i}' expands to the column")
     args = parser.parse_args(argv)
 
     try:
         params = qscod_params(args.stores)
     except ConfigError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    if args.backend == "process" and args.clients > 1:
+        parser.error("--backend process takes one client: a store process answers one pipe")
     if args.backend == "memory":
         raw = [MemoryStore() for _ in range(args.stores)]
     else:
+        make = FileStore if args.backend == "file" else PipeStore
         try:
-            raw = [open_store("file", p) for p in _store_paths(args.path_template, args.stores)]
+            raw = [make(p) for p in _store_paths(args.path_template, args.stores)]
         except (OSError, ValueError, ProtocolError) as exc:
             parser.exit(2, f"{parser.prog}: error: {exc}\n")
     done, problems, dead, short, tally = run_workload(
-        raw, params, args.clients, args.messages, args.rounds, args.seed
-    )
-    delivered_all = 0
+        raw, params, args.clients, args.messages, args.rounds, args.seed)
     for report in done:
-        delivered_all += len(report.delivered)
-        print(
-            f"client={report.client} rounds={report.rounds} commits={report.commits} "
-            f"delivered={len(report.delivered)}"
-        )
+        print(f"client={report.client} rounds={report.rounds} commits={report.commits} "
+              f"delivered={len(report.delivered)}")
     agreements = max(1, sum(r.commits for r in done))
-    print(
-        f"total stores={args.stores} clients={args.clients} delivered={delivered_all} "
-        f"bytes={tally.total} bytes_per_agreement={tally.total // agreements} "
-        f"audit={'ok' if not problems else 'FAIL'}"
-    )
+    print(f"total stores={args.stores} clients={args.clients} "
+          f"delivered={sum(len(r.delivered) for r in done)} "
+          f"bytes={tally.total} bytes_per_agreement={tally.total // agreements} "
+          f"audit={'ok' if not problems else 'FAIL'}")
     for line in dead + short:
         print(line)
     for p in problems:

@@ -337,11 +337,12 @@ def test_qscod_refuses_a_path_template_without_one_log_per_column(
 
 def test_qscod_refuses_a_damaged_log(capsys, tmp_path):
     (tmp_path / "s0.log").write_text("R a2V5\n", encoding="ascii")
-    with pytest.raises(SystemExit) as exit_:
-        qscod.main(["--stores", "3", "--clients", "1", "--messages", "1",
-                    "--backend", "file", "--path-template", str(tmp_path / "s{i}.log")])
-    assert exit_.value.code == 2
-    assert capsys.readouterr().err == "qscod: error: log holds a non-write line: 'R a2V5'\n"
+    for backend in ("file", "process"):  # a store process is not started on it
+        with pytest.raises(SystemExit) as exit_:
+            qscod.main(["--stores", "3", "--clients", "1", "--messages", "1",
+                        "--backend", backend, "--path-template", str(tmp_path / "s{i}.log")])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err == "qscod: error: log holds a non-write line: 'R a2V5'\n"
 
 
 def test_qscod_audits_a_log_holding_a_foreign_key(tmp_path):
@@ -354,6 +355,43 @@ def test_qscod_audits_a_log_holding_a_foreign_key(tmp_path):
     assert "delivered=2 " in got.stdout and " audit=FAIL\n" in got.stdout
     assert f"audit: store 0: key {b'foo'.hex()} is not a slot key\n" in got.stdout
     assert "Traceback" not in got.stderr
+
+
+def test_qscod_process_backend_bills_what_the_file_backend_bills(capsys, tmp_path):
+    """A lone client on store processes, one per column, logging where the
+    file backend would: the same deliveries and the same bill, since a
+    lone client's bytes depend on its seed alone."""
+    totals = {}
+    for backend in ("file", "process"):
+        code = qscod.main(["--stores", "5", "--clients", "1", "--messages", "20",
+                           "--backend", backend,
+                           "--path-template", str(tmp_path / f"{backend}-{{i}}.log")])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        totals[backend] = parse_metrics(lines[1].removeprefix("total "))
+        assert (totals[backend]["delivered"], totals[backend]["audit"]) == ("20", "ok")
+    assert totals["process"]["bytes"] == totals["file"]["bytes"] == "52800"
+    assert totals["process"]["bytes_per_agreement"] == "2640"
+
+
+def test_qscod_process_backend_takes_one_client(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exit_:
+        qscod.main(["--stores", "3", "--clients", "2", "--backend", "process",
+                    "--path-template", str(tmp_path / "s{i}.log")])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith("qscod: error: --backend process takes one "
+                                            "client: a store process answers one pipe\n")
+    assert list(tmp_path.iterdir()) == []  # no store process was started
+
+
+def test_importing_the_tools_starts_no_process_machinery():
+    """``subprocess`` and ``selectors`` are imported only where a store
+    process is used, so they add nothing to the import of the tools."""
+    got = subprocess.run(
+        [sys.executable, "-c", "import sys, quesera.cli, quesera.qscod; "
+         "print(sorted({'subprocess', 'selectors'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=120)
+    assert (got.returncode, got.stdout, got.stderr) == (0, "[]\n", "")
 
 
 def test_a_deadlocked_run_exits_1_with_its_report():

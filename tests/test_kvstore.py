@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from quesera.kvstore import (
     FileStore,
     MemoryStore,
+    PipeStore,
     ProtocolError,
     b64,
     encode_request,
@@ -198,3 +199,25 @@ def test_open_store_rejects_nonsense():
         open_store("file")
     with pytest.raises(ProtocolError, match="needs a value"):
         encode_request("W", b"k")
+
+
+def test_pipe_store_speaks_the_protocol_and_counts_its_bytes(tmp_path):
+    """A store process answers ``A`` or ``V``; its pipe store counts both
+    directions, replays the log without cutting an append in progress, and
+    reaps the child when closed."""
+    log = tmp_path / "pipe.log"
+    store = PipeStore(str(log))
+    try:
+        assert store.write_read(b"k", b"first") == b"first"
+        store.send(b"k", b"second")
+        assert store.receive() == b"first"
+        requests = encode_request("W", b"k", b"first") + encode_request("W", b"k", b"second")
+        assert store.sent == len(requests)
+        assert store.received == len("A\n" + f"V {b64(b'first')}\n")
+        with open(log, "ab") as fh:
+            fh.write(b"W a2V5")  # an append still being written
+        assert store.snapshot() == {b"k": b"first"}
+        assert log.read_bytes().endswith(b"W a2V5")
+    finally:
+        store.close()
+    assert store.child.returncode == 0

@@ -5,9 +5,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import io
+import select
+import signal
 import sys
 import threading
 import time
+from collections import deque
 
 import pytest
 from hypothesis import example, given
@@ -15,14 +18,13 @@ from hypothesis import strategies as st
 
 from quesera import qscod
 from quesera.chain import GENESIS, Proposal
-from quesera.kvstore import FileStore, MemoryStore, encode_request, serve
+from quesera.kvstore import FileStore, MemoryStore, PipeStore, encode_request, serve
 from quesera.qscod import (
     Client,
     CountingStore,
     ByteTally,
     RoundLog,
     StoreTlcb,
-    WaitCache,
     audit,
     decode_slot3,
     qscod_params,
@@ -248,31 +250,43 @@ def test_dead_column_does_not_stall_the_client():
                       "last RuntimeError('disk on fire')"]
 
 
+@pytest.fixture
+def pipe_stores(tmp_path):
+    """Makes pipe stores, of ``PipeStore`` or a subclass, each logging to a
+    fresh file; at teardown each child is resumed and closed, so none
+    outlives the test, even one that fails."""
+    made = []
+
+    def make(kind=PipeStore):
+        made.append(kind(str(tmp_path / f"pipe-{len(made)}.log")))
+        return made[-1]
+
+    yield make
+    for store in made:
+        store.child.send_signal(signal.SIGCONT)
+        store.close()
+        assert store.child.returncode is not None
+
+
 @pytest.mark.parametrize("n, hung", [(4, {2}), (7, {2, 5})], ids=["n4-f1", "n7-f2"])
-def test_hung_column_does_not_stall_the_client(n, hung):
-    """Up to f columns whose stores never answer until the run is over: the
-    client proceeds on the other t_r, each hung store holding one of its n
-    threads, and once the columns answer, what they wrote late still audits
-    clean."""
-    release = threading.Event()
-
-    class HungStore(MemoryStore):
-        def write_read(self, key, value):
-            release.wait(30)
-            return super().write_read(key, value)
-
-    stores = [HungStore() if col in hung else MemoryStore() for col in range(n)]
+def test_hung_column_does_not_stall_the_client(n, hung, pipe_stores):
+    """Up to f columns whose store processes are stopped until the run is
+    over: the client proceeds on the other t_r, and once the stores
+    resume, what they wrote late still audits clean."""
+    stores = [pipe_stores() if col in hung else MemoryStore() for col in range(n)]
     params = qscod_params(n)
     assert (params.f, params.t_r) == (len(hung), n - len(hung))
+    baseline = threading.active_count()
+    for col in hung:
+        stores[col].child.send_signal(signal.SIGSTOP)
     client = Client(0, stores, params, seed=5)
     try:
         report = client.run([b"x", b"y", b"z"], 20)
     finally:
-        release.set()
+        for col in hung:
+            stores[col].child.send_signal(signal.SIGCONT)
         client.close()
-        for d in client.drivers:
-            d.join(30)
-            assert not d.is_alive()
+    assert threading.active_count() == baseline
     assert report.delivered == [b"x", b"y", b"z"]
     assert all(hung.isdisjoint(view) for e in report.log for view in e.views.values())
     for col in hung:
@@ -281,8 +295,8 @@ def test_hung_column_does_not_stall_the_client(n, hung):
 
 
 def test_each_store_sees_one_thread_at_a_time_in_submit_order():
-    """The pool's threads serve any column, but a column's commands run one
-    at a time and in the order they were offered, at every thread switch."""
+    """A column's commands run one at a time and in the order they were
+    offered, at every thread switch."""
     overlaps = []
 
     class OneAtATime(MemoryStore):
@@ -303,6 +317,7 @@ def test_each_store_sees_one_thread_at_a_time_in_submit_order():
 
     rounds = 200
     stores = [OneAtATime() for _ in range(5)]
+    baseline = threading.active_count()
     client = Client(0, stores, qscod_params(5), seed=6)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -311,38 +326,30 @@ def test_each_store_sees_one_thread_at_a_time_in_submit_order():
     finally:
         sys.setswitchinterval(interval)
         client.close()
-        for d in client.drivers:
-            d.join(30)
-            assert not d.is_alive()
+    assert threading.active_count() == baseline
     assert len(report.delivered) == report.rounds == rounds
     assert overlaps == []
     offered = [slot_key(rnd, slot) for rnd in range(1, rounds + 1) for slot in (1, 2, 3, 4)]
     assert all(store.keys == offered for store in stores)
 
 
-def test_the_client_sleeps_once_per_round(monkeypatch):
-    """The column that completes a slot runs the round on, so the client
-    thread enters the cache's wait once a round, not once a slot."""
-    entered = []
-    wait = WaitCache.wait
+def test_a_client_on_in_process_stores_starts_no_thread():
+    """The client calls every store from its own thread, and no other
+    thread runs while it plays its rounds."""
+    baseline = threading.active_count()
+    calls = []
 
-    def counted(self, *args):
-        entered.append(threading.get_ident())
-        return wait(self, *args)
+    class Seen(MemoryStore):
+        def write_read(self, key, value):
+            calls.append((threading.get_ident(), threading.active_count()))
+            return super().write_read(key, value)
 
-    monkeypatch.setattr(WaitCache, "wait", counted)
-    client = Client(0, [MemoryStore() for _ in range(3)], qscod_params(3), seed=2)
-    client.cache._cond = cond = _CountingCondition(client.cache._lock)
-    try:
-        report = client.run([b"a", b"b", b"c", b"d"], 20)
-    finally:
-        client.close()
-        for d in client.drivers:
-            d.join(30)
-            assert not d.is_alive()
+    client = Client(0, [Seen() for _ in range(3)], qscod_params(3), seed=2)
+    report = client.run([b"a", b"b", b"c", b"d"], 20)
+    client.close()
     assert report.rounds == len(report.delivered) == 4
-    assert entered == [threading.get_ident()] * 4
-    assert cond.waits == cond.wakes <= 4  # a round may end before the wait
+    assert calls == [(threading.get_ident(), baseline)] * (4 * 4 * 3)  # rounds x slots x stores
+    assert threading.active_count() == baseline
 
 
 class SlotTwoJunk(MemoryStore):
@@ -368,44 +375,111 @@ def test_a_column_that_does_not_decode_fails_the_client_at_once():
 
 
 def test_a_round_that_raises_leaves_the_drivers_running():
+    """A round that raises leaves the client's columns as they were: the
+    next round plays on all of them, and no store operation raised."""
     stores = [SlotTwoJunk(rounds=1) for _ in range(3)]
+    baseline = threading.active_count()
     client = Client(0, stores, qscod_params(3), seed=4)
     try:
         with pytest.raises(WireError, match="truncated set entry"):
             client.run_round(b"lost", 1)
-        assert all(d.is_alive() for d in client.drivers)
         entry = client.run_round(b"kept", 2)
     finally:
         client.close()
-        for d in client.drivers:
-            d.join(30)
-            assert not d.is_alive()
+    assert threading.active_count() == baseline
     assert entry.round == 2 and entry.committed and entry.adopted == entry.proposed
-    assert sum(d.errors for d in client.drivers) == 0
+    assert sum(c.errors for c in client.cache.columns) == 0
 
 
-def test_a_stalled_round_names_its_slot_key_and_columns(monkeypatch):
-    release = threading.Event()
+class SlotTwoStops(PipeStore):
+    """A pipe store whose child is stopped as its first slot-2 write is sent."""
 
-    class SlotTwoHangs(MemoryStore):
-        def write_read(self, key, value):
-            if key[-1] == 2:
-                release.wait(30)
-            return super().write_read(key, value)
+    def send(self, key, value):
+        if key[-1] == 2:
+            self.child.send_signal(signal.SIGSTOP)
+        super().send(key, value)
 
+
+def test_a_stalled_round_names_its_slot_key_and_columns(monkeypatch, pipe_stores):
     monkeypatch.setattr(qscod, "WAIT_TIMEOUT", 0.2)
-    stores = [MemoryStore(), SlotTwoHangs(), SlotTwoHangs()]
+    stores = [MemoryStore(), pipe_stores(SlotTwoStops), pipe_stores(SlotTwoStops)]
+    for store in stores[1:]:  # serving, so slot 1 does not wait for a child to start
+        assert store.write_read(b"warm-up", b"") == b""
     client = Client(0, stores, qscod_params(3), seed=4)
     try:
         with pytest.raises(TimeoutError) as err:
             client.run_round(b"m", 1)
     finally:
-        release.set()
+        for store in stores[1:]:
+            store.child.send_signal(signal.SIGCONT)
         client.close()
-        for d in client.drivers:
-            d.join(30)
-            assert not d.is_alive()
     assert str(err.value) == f"1/2 columns answered for {slot_key(1, 2).hex()}"
+
+
+def test_a_slot_that_cannot_get_its_columns_fails_at_once():
+    """With f + 1 columns raising and no store process left to answer, a
+    slot is short for good: the round fails at once, not after
+    WAIT_TIMEOUT."""
+    class BrokenStore(MemoryStore):
+        def write_read(self, key, value):
+            raise OSError("disk on fire")
+
+    t0 = time.monotonic()
+    reports, failed, dead = run_clients(
+        [MemoryStore(), BrokenStore(), BrokenStore()], qscod_params(3), [[b"a"]], 20, 7)
+    assert time.monotonic() - t0 < 5
+    assert reports == []
+    assert failed == ["client 0 raised TimeoutError("
+                      f"'1/2 columns answered for {slot_key(1, 1).hex()}')"]
+    assert dead == [f"column {col}: 1 store operations raised, last OSError('disk on fire')"
+                    for col in (1, 2)]
+
+
+def test_a_killed_store_process_is_a_dead_column(pipe_stores):
+    """A lone client on four columns, the fourth a store process killed
+    with a write in flight at round 4: the client delivers every message
+    on the other three, the column is reported dead, and the killed log
+    reopens holding every write the process acknowledged."""
+    acked = {}
+
+    class KilledAtRound4(PipeStore):
+        def send(self, key, value):
+            self.key = key
+            if key == slot_key(4, 1):  # stopped first, so it cannot answer
+                self.child.send_signal(signal.SIGSTOP)
+            super().send(key, value)
+            if key == slot_key(4, 1):
+                self.child.kill()
+                self.child.wait(30)
+
+        def receive(self):
+            acked[self.key] = got = super().receive()
+            return got
+
+    stores = [MemoryStore(), MemoryStore(), MemoryStore(), pipe_stores(KilledAtRound4)]
+    messages = [b"m%d" % k for k in range(6)]
+    params, _, (report,), dead = race([messages], 20, stores=stores)
+    assert report.delivered == messages and report.rounds == 6
+    # the write in flight got no answer, and each later one found no reader
+    assert dead == [f"column 3: {4 * 3} store operations raised, "
+                    "last BrokenPipeError(32, 'Broken pipe')"]
+    assert set(acked) == {slot_key(rnd, slot) for rnd in (1, 2, 3) for slot in (1, 2, 3, 4)}
+    reopened = FileStore(stores[3].path)
+    try:
+        assert {key: reopened.read(key) for key in acked} == acked
+    finally:
+        reopened.close()
+    assert audit(stores[:3], params, []) == []
+
+
+def test_pipe_bytes_are_the_bill(pipe_stores):
+    """A lone client on five store processes: the bytes counted on their
+    pipes, both ways, are exactly what :class:`CountingStore` bills."""
+    raw = [pipe_stores() for _ in range(5)]
+    done, problems, dead, short, tally = run_workload(raw, qscod_params(5), 1, 20, 40, seed=3)
+    assert (problems, dead, short) == ([], [], [])
+    assert tally.ops == 5 * 4 * done[0].rounds
+    assert sum(store.sent + store.received for store in raw) == tally.total
 
 
 def test_lone_client_bytes_are_a_function_of_the_seed():
@@ -606,112 +680,49 @@ def test_run_clients_reports_a_client_that_raises():
     assert audit(stores, params, reports) == []
 
 
-def test_wait_cache_drops_answered_keys():
-    cache = WaitCache([], 2)  # no columns: this thread answers for them
-    first, second = slot_key(1, 3), slot_key(1, 4)
-    got = []
+def test_wait_cache_drops_answered_keys(pipe_stores):
+    """Column 3's store process is stopped for two rounds and resumed before
+    three more, each slot needing one pipe column: its late answers for the
+    old rounds arrive while later slots wait, and enter no view."""
+    late = []  # (round of the answered key, round in flight)
 
-    def offers():
-        got.append((yield 3, lambda: b"3"))
-        got.append((yield 4, lambda: b"4"))
+    class Late(PipeStore):
+        def __init__(self, path):
+            super().__init__(path)
+            self.keys = deque()
 
-    cache.start(1, offers())
-    cache.put(first, 0, b"x")
-    cache.put(first, 1, b"y")
-    assert got == [{0: b"x", 1: b"y"}]  # exactly the columns it needs
-    cache.put(first, 2, b"late")  # the third column of an answered key
-    cache.put(first, 3, b"later")
-    cache.put(slot_key(2, 4), 1, b"foreign")  # another round's key
-    cache.put(second, 0, b"next")
-    assert got == [{0: b"x", 1: b"y"}]
-    with pytest.raises(TimeoutError, match=f"^1/2 columns answered for {second.hex()}$"):
-        cache.wait(0.01)  # nothing ended the round
-    cache.put(second, 1, b"too late")  # the round was abandoned
-    assert got == [{0: b"x", 1: b"y"}]
+        def send(self, key, value):
+            super().send(key, value)
+            self.keys.append(key)
 
+        def receive(self):
+            got = super().receive()
+            late.append((int.from_bytes(self.keys.popleft()[:4], "big"), client.state.round))
+            return got
 
-class _CountingCondition(threading.Condition):
-    """Counts the waits entered and the wake-ups that ended them."""
-
-    def __init__(self, lock):
-        super().__init__(lock)
-        self.waits = self.wakes = 0
-
-    def wait(self, timeout=None):
-        self.waits += 1
-        try:
-            return super().wait(timeout)
-        finally:
-            self.wakes += 1
-
-
-def test_wait_cache_wakes_the_client_once_its_key_has_the_columns():
-    """The client sleeps through a slot's columns and the round they run
-    on; the thread that ends the round wakes it, once."""
-    cache = WaitCache([], 2)
-    cache._cond = cond = _CountingCondition(cache._lock)
-    key = slot_key(3, 2)
-
-    def offers():
-        cols = yield 2, lambda: b""
-        return sorted(cols.items())
-
-    cache.start(3, offers())
-    got = []
-    client = threading.Thread(target=lambda: got.append(cache.wait(30)))
-    client.start()
-    deadline = time.monotonic() + 30
-    while cond.waits == 0 and time.monotonic() < deadline:
-        time.sleep(0.001)
-    assert cond.waits == 1  # the client holds the lock until it sleeps
-    cache.put(key, 4, b"a")  # one column of two
-    client.join(0.1)
-    assert client.is_alive() and got == [] and cond.wakes == 0
-    driver = threading.Thread(target=cache.put, args=(key, 1, b"b"))
-    driver.start()
-    driver.join(30)
-    client.join(30)
-    assert not client.is_alive()
-    assert got == [[(1, b"b"), (4, b"a")]]
-    assert (cond.waits, cond.wakes) == (1, 1)
-
-
-def test_wait_cache_loses_no_wake_among_racing_columns():
-    """More driver threads than cores race through rounds of slots, each
-    answer that completes a slot arming the next on every column; a lost
-    hand-off or wake-up would leave the client's wait to time out."""
-
-    class ColumnStore:
-        def __init__(self, col):
-            self.col = b"%d" % col
-
-        def write_read(self, key, value):
-            return self.col
-
-    columns, rounds, slots, need = 5, 100, 4, 3
-    answers = []
-
-    def offers():
-        for slot in range(1, slots + 1):
-            answers.append((yield slot, lambda: b""))
-        return len(answers)
-
-    cache = WaitCache([ColumnStore(c) for c in range(columns)], need)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
+    stores = [MemoryStore(), MemoryStore(), pipe_stores(), pipe_stores(Late)]
+    params = qscod_params(4)
+    assert params.t_r == 3
+    stores[3].child.send_signal(signal.SIGSTOP)
+    client = Client(0, stores, params, seed=8)
     try:
-        for rnd in range(1, rounds + 1):
-            cache.start(rnd, offers())
-            assert cache.wait(30) == rnd * slots
+        first = client.run([b"a", b"b"], 20)
+        stores[3].child.send_signal(signal.SIGCONT)
+        select.select([stores[3].fileno()], [], [], 30)  # its first late answer is there
+        second = client.run([b"c", b"d", b"e"], 20)
+        during = list(late)
     finally:
-        sys.setswitchinterval(interval)
-        cache.close()
-        for d in cache.drivers:
-            d.join(30)
-            assert not d.is_alive()
-    assert len(answers) == rounds * slots >= 300
-    assert all(len(cols) == need and all(v == b"%d" % c for c, v in cols.items())
-               for cols in answers)
+        stores[3].child.send_signal(signal.SIGCONT)
+        client.close()
+    assert first.rounds == 2 and second.rounds == 3
+    assert (1, 3) in during  # round 1's answer came while round 3 waited
+    assert all(3 not in view for e in first.log for view in e.views.values())
+    held = stores[0].snapshot()
+    for e in second.log:
+        for slot, view in e.views.items():
+            assert view.get(3, held[slot_key(e.round, slot)]) == held[slot_key(e.round, slot)]
+    assert stores[3].snapshot() == held  # every write landed
+    assert audit(stores, params, [first, second]) == []
 
 
 def _slot3_encodings():

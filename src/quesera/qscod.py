@@ -559,16 +559,22 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     if args.backend == "process" and args.clients > 1:
         parser.error("--backend process takes one client: a store process answers one pipe")
-    if args.backend == "memory":
-        raw = [MemoryStore() for _ in range(args.stores)]
-    else:
-        make = FileStore if args.backend == "file" else PipeStore
-        try:
-            raw = [make(p) for p in _store_paths(args.path_template, args.stores)]
-        except (OSError, ValueError, ProtocolError) as exc:
-            parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    done, problems, dead, short, tally = run_workload(
-        raw, params, args.clients, args.messages, args.rounds, args.seed)
+    raw: list = []
+    try:  # closes every store opened, also when a later one fails to open
+        if args.backend == "memory":
+            raw += (MemoryStore() for _ in range(args.stores))
+        else:
+            make = FileStore if args.backend == "file" else PipeStore
+            try:
+                for path in _store_paths(args.path_template, args.stores):
+                    raw.append(make(path))
+            except (OSError, ValueError, ProtocolError) as exc:
+                parser.exit(2, f"{parser.prog}: error: {exc}\n")
+        done, problems, dead, short, tally = run_workload(
+            raw, params, args.clients, args.messages, args.rounds, args.seed)
+    finally:
+        for s in raw:
+            s.close()
     for report in done:
         print(f"client={report.client} rounds={report.rounds} commits={report.commits} "
               f"delivered={len(report.delivered)}")
@@ -581,8 +587,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(line)
     for p in problems:
         print(f"audit: {p}")
-    for s in raw:
-        s.close()
     return 1 if problems or short else 0
 
 

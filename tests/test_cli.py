@@ -61,68 +61,6 @@ def test_sweep_aggregates_node_rounds(capsys):
     assert aggregate["rate"] == f"{commits / 45:.4f}"
 
 
-def test_run_qscod_layer_reports_the_audit(capsys):
-    code = sim_main(["run", "--layer", "qscod", "--n", "3", "--clients", "2",
-                     "--messages", "2", "--rounds", "40", "--seed", "5",
-                     "--validate"])
-    assert code == 0
-    lines = capsys.readouterr().out.splitlines()
-    metrics = parse_metrics(lines[0])
-    assert metrics["layer"] == "qscod"
-    assert int(metrics["bytes"]) > 0
-    assert lines[1] == "validate=ok"
-
-
-@pytest.mark.parametrize("command", ["run", "sweep"])
-@pytest.mark.parametrize("f", ["0", "1"])
-def test_qscod_layer_runs_with_the_f_given(capsys, command, f):
-    argv = [command, "--layer", "qscod", "--n", "4", "--f", f, "--rounds", "20",
-            "--messages", "2", "--seed", "3", "--validate"]
-    assert sim_main(argv + (["--seeds", "1"] if command == "sweep" else [])) == 0
-    assert parse_metrics(capsys.readouterr().out.splitlines()[0])["f"] == f
-
-
-@pytest.mark.parametrize("command", ["run", "sweep"])
-@pytest.mark.parametrize("extra,named", [
-    (["--crash", "0@4b", "--delay", "adversarial"], "--crash, --delay"),
-    (["--delay", "random"], "--delay"),  # the simulator's default, but given
-    (["--trace-level", "light"], "--trace-level"),
-])
-def test_qscod_layer_refuses_simulator_flags(capsys, command, extra, named):
-    argv = [command, "--layer", "qscod", "--n", "4", "--f", "1", "--rounds", "20",
-            "--messages", "2", "--validate", *extra]
-    with pytest.raises(SystemExit) as exited:
-        sim_main(argv)
-    assert exited.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == (f"qsc-sim: error: --layer qscod does not take {named} "
-                       "(simulated layers only)\n")
-
-
-@pytest.mark.parametrize("command", ["run", "sweep"])
-@pytest.mark.parametrize("extra,named", [
-    (["--clients", "5", "--messages", "9"], "--clients, --messages"),
-    (["--messages", "4"], "--messages"),  # the qscod default, but given
-])
-def test_simulated_layers_refuse_qscod_flags(capsys, command, extra, named):
-    with pytest.raises(SystemExit) as exited:
-        sim_main([command, "--layer", "tlcr", "--n", "3", "--rounds", "2", *extra])
-    assert exited.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == f"qsc-sim: error: --layer tlcr does not take {named} (qscod only)\n"
-
-
-def test_qscod_run_refuses_a_trace_file(capsys, tmp_path):
-    with pytest.raises(SystemExit) as exited:
-        sim_main(["run", "--layer", "qscod", "--n", "3", "--rounds", "20",
-                  "--trace-out", str(tmp_path / "t")])
-    assert exited.value.code == 2
-    assert "does not take --trace-out" in capsys.readouterr().err
-    assert not (tmp_path / "t").exists()
-
-
 def test_qscod_tools_fail_when_a_client_raises(capsys, monkeypatch):
     run = qscod.Client.run
 
@@ -141,13 +79,6 @@ def test_qscod_tools_fail_when_a_client_raises(capsys, monkeypatch):
     assert lines[0].startswith("client=0 ")
     assert lines[1].startswith("total ") and lines[1].endswith(" audit=FAIL")
     assert lines[2:] == [f"audit: {failure}"]
-
-    code = sim_main(["run", "--layer", "qscod", "--n", "3", "--clients", "2",
-                     "--messages", "2", "--rounds", "40", "--seed", "5",
-                     "--validate"])
-    assert code == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[1:] == ["validate=FAIL", f"violation: {failure}"]
 
 
 def test_qscod_tools_name_a_dead_store_column(capsys, monkeypatch):
@@ -173,24 +104,17 @@ def test_qscod_tools_name_a_dead_store_column(capsys, monkeypatch):
     assert lines[1].endswith(" audit=ok")
     assert lines[2:] == [dead]
 
-    code = sim_main(["run", "--layer", "qscod", "--n", "3", "--f", "1", "--clients", "1",
-                     "--messages", "2", "--rounds", "40", "--seed", "5",
-                     "--validate"])
-    assert code == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert int(parse_metrics(lines[0])["rounds"]) == rounds
-    assert lines[1:] == [dead, "validate=ok"]
 
-
-@pytest.mark.parametrize("flag,value", [("--clients", "-2"), ("--messages", "-1"),
-                                        ("--rounds", "-1")])
-@pytest.mark.parametrize("tool", ["qscod", "qsc-sim"])
+@pytest.mark.parametrize("tool,flag,value", [
+    ("qscod", "--clients", "-2"), ("qscod", "--messages", "-1"), ("qscod", "--rounds", "-1"),
+    ("qsc-sim", "--rounds", "-1"),
+])
 def test_qscod_tools_refuse_negative_budgets(capsys, tool, flag, value):
     with pytest.raises(SystemExit) as exited:
         if tool == "qscod":
             qscod.main(["--stores", "3", flag, value])
         else:
-            sim_main(["run", "--layer", "qscod", "--n", "4", "--f", "1", "--validate",
+            sim_main(["run", "--layer", "qsc-tlcb", "--n", "4", "--f", "1", "--validate",
                       flag, value])
     assert exited.value.code == 2
     out = capsys.readouterr()
@@ -199,20 +123,18 @@ def test_qscod_tools_refuse_negative_budgets(capsys, tool, flag, value):
                             f"argument {flag}: must be >= 0, got {value}\n")
 
 
-@pytest.mark.parametrize("layer", ["qscod", "qsc-tlcb"])
+@pytest.mark.parametrize("layer", ["qsc-tlcb"])
 def test_a_negative_f_exits_2_naming_the_rule(capsys, layer):
-    # over 3 stores, f = -1 would default t_r to 4 and wait out every slot
     with pytest.raises(SystemExit) as exited:
         sim_main(["run", "--layer", layer, "--n", "3", "--f", "-1", "--t-s", "2",
-                  "--t-b", "1", "--rounds", "2", "--validate"]
-                 + (["--messages", "1"] if layer == "qscod" else []))
+                  "--t-b", "1", "--rounds", "2", "--validate"])
     assert exited.value.code == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "qsc-sim: error: 0 <= f violated (f=-1)\n"
 
 
-@pytest.mark.parametrize("layer,seeds", [("qsc-tlcb", "-1"), ("qscod", "0")])
+@pytest.mark.parametrize("layer,seeds", [("qsc-tlcb", "-1"), ("tlcr", "0")])
 def test_a_sweep_of_no_seeds_exits_2_naming_the_flag(capsys, layer, seeds):
     with pytest.raises(SystemExit) as exited:
         sim_main(["sweep", "--layer", layer, "--seeds", seeds, "--validate"])
@@ -237,20 +159,6 @@ def test_qscod_tools_fail_when_messages_are_undelivered(capsys):
     assert lines[3:] == [f"client {c}: {2 - d} of 2 messages undelivered after 1 rounds"
                          for c, d in ((c, int(parse_metrics(lines[c])["delivered"]))
                                       for c in (0, 1))]
-
-    code = sim_main(["run", "--layer", "qscod", "--n", "4", "--f", "1", "--rounds", "0",
-                     "--validate"])
-    assert code == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[1:] == ["client 0: 4 of 4 messages undelivered after 0 rounds", "validate=ok"]
-
-    # a lone client commits every round, so one round lands one message
-    code = sim_main(["sweep", "--layer", "qscod", "--n", "3", "--clients", "1",
-                     "--messages", "2", "--rounds", "1", "--seeds", "2", "--validate"])
-    assert code == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[1::2][:2] == ["client 0: 1 of 2 messages undelivered after 1 rounds"] * 2
-    assert lines[-1].endswith(" validate=ok")
 
 
 def test_panel_checks_b_within_r_where_the_stack_claims_it():
@@ -296,6 +204,13 @@ def test_bad_arguments_exit_with_usage_errors():
     got = cli("quesera.cli", "run", "--layer", "tlcr", "--crash", "oops")
     assert got.returncode == 2
     assert "bad crash spec" in got.stderr
+    # clients over stores run under qscod, not qsc-sim
+    got = cli("quesera.cli", "run", "--layer", "qscod")
+    assert got.returncode == 2
+    assert "argument --layer: invalid choice: 'qscod'" in got.stderr
+    got = cli("quesera.cli", "run", "--layer", "tlcr", "--clients", "2")
+    assert got.returncode == 2
+    assert "unrecognized arguments: --clients 2" in got.stderr
 
 
 def test_bad_configurations_exit_2_with_the_violation_named():
@@ -335,14 +250,37 @@ def test_qscod_refuses_a_path_template_without_one_log_per_column(
     assert list(tmp_path.iterdir()) == []  # no log was opened
 
 
-def test_qscod_refuses_a_damaged_log(capsys, tmp_path):
-    (tmp_path / "s0.log").write_text("R a2V5\n", encoding="ascii")
-    for backend in ("file", "process"):  # a store process is not started on it
-        with pytest.raises(SystemExit) as exit_:
-            qscod.main(["--stores", "3", "--clients", "1", "--messages", "1",
-                        "--backend", backend, "--path-template", str(tmp_path / "s{i}.log")])
-        assert exit_.value.code == 2
-        assert capsys.readouterr().err == "qscod: error: log holds a non-write line: 'R a2V5'\n"
+def test_qscod_refuses_a_damaged_log(capsys, tmp_path, monkeypatch):
+    """A damaged log exits 2 naming it, before a store process starts on it,
+    and every store opened ahead of it is closed, its child reaped."""
+    opened = []
+    for name in ("FileStore", "PipeStore"):
+        class Recorded(getattr(qscod, name)):
+            def __init__(self, path):
+                super().__init__(path)
+                self.closed = False
+                opened.append(self)
+
+            def close(self):
+                super().close()
+                self.closed = True
+
+        monkeypatch.setattr(qscod, name, Recorded)
+    for column in (0, 1):
+        for backend in ("file", "process"):
+            logs = tmp_path / f"{backend}{column}"
+            logs.mkdir()
+            (logs / f"s{column}.log").write_text("R a2V5\n", encoding="ascii")
+            opened.clear()
+            with pytest.raises(SystemExit) as exit_:
+                qscod.main(["--stores", "3", "--clients", "1", "--messages", "1",
+                            "--backend", backend, "--path-template", str(logs / "s{i}.log")])
+            assert exit_.value.code == 2
+            assert capsys.readouterr().err == "qscod: error: log holds a non-write line: 'R a2V5'\n"
+            assert len(opened) == column
+            assert all(store.closed for store in opened)
+            if backend == "process":
+                assert all(store.child.returncode is not None for store in opened)
 
 
 def test_qscod_audits_a_log_holding_a_foreign_key(tmp_path):

@@ -154,7 +154,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # an OSError: --trace-out cannot be written
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except DeadlockError as exc:
         parser.exit(1, f"{parser.prog}: deadlock: {exc}\n")

@@ -34,11 +34,10 @@ answer on the spot; store processes (:class:`kvstore.PipeStore`) answer
 across pipes, one write in flight each, so a hung or dead store holds only
 its own column, and a round proceeds on any t_r.
 
-Lost proposals are retried after a randomized, exponentially growing number
-of back-off rounds in which the client plays an empty proposal (it must keep
-proposing to keep the lottery fair, but an empty win changes nothing).
-Delivery is at-least-once: a client that fails to observe its own win
-retries, so a message can land in the chain twice; it can never be lost.
+A lost proposal is proposed again in the next round, as a node proposes in
+every round of the paper's QSC: the lottery, not the client, decides who
+wins.  Delivery is at-least-once: a client that fails to observe its own
+win retries, so a message can land in the chain twice; it can never be lost.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from .tlcr import ConfigError
 from .tsb import Thresholds, TsbResult
 from .wire import EntrySet, WireError, encode_grouped_set, grouped_set_bytes, history_bytes
 
-_S_PRIORITY, _S_BACKOFF = 101, 102
+_S_PRIORITY = 101
 
 WAIT_TIMEOUT = 60.0  # seconds a round may wait on store processes
 
@@ -147,12 +146,13 @@ class WaitCache:
 
             self._selector = selectors.DefaultSelector()
 
-    def wait(self, rnd: int, offers: Generator, timeout: float):
+    def wait(self, rnd: int, offers: Generator):
         """Play round ``rnd``, whose slots ``offers`` yields, and return what
         it returns or raise what it raises.  A slot short of its columns
-        ``timeout`` seconds into the round, or once no pipe column can still
-        answer, raises a TimeoutError naming its key and its columns."""
-        deadline, need = time.monotonic() + timeout, self._need
+        :data:`WAIT_TIMEOUT` seconds into the round, or once no pipe column
+        can still answer, raises a TimeoutError naming its key and its
+        columns."""
+        deadline, need = time.monotonic() + WAIT_TIMEOUT, self._need
         cols = None
         while True:
             try:
@@ -316,34 +316,26 @@ class Client:
         layer = StoreTlcb(self.params.t_s)
         mine: list[bytes] = []
         chosen, committed = self.cache.wait(self.state.round + 1, qsc_round(
-            self.state, layer, message, priority, on_propose=lambda _, h: mine.append(h.digest)),
-            WAIT_TIMEOUT)
+            self.state, layer, message, priority, on_propose=lambda _, h: mine.append(h.digest)))
         return RoundLog(round=self.state.round, message=message, proposed=mine[0],
                         adopted=chosen.digest, length=chosen.length,
                         committed=committed and chosen.digest == mine[0], views=layer.views)
 
     def run(self, messages: Iterable[bytes], max_rounds: int) -> ClientReport:
-        """Push a workload through, retrying lost proposals with randomized
-        exponential back-off, until delivered or out of rounds."""
+        """Push a workload through in order: each round proposes the first
+        undelivered message, until it commits, with the priority
+        ``mix64(seed, _S_PRIORITY, id, round)``.  Stops once every message
+        is delivered or ``max_rounds`` rounds are played."""
         report = ClientReport(client=self.id, rounds=0, commits=0)
         pending = deque(messages)
-        backoff = attempts = 0
         while pending and report.rounds < max_rounds:
-            rnd = self.state.round + 1
-            priority = mix64(self.seed, _S_PRIORITY, self.id, rnd)
-            entry = self.run_round(b"" if backoff else pending[0], priority)
+            priority = mix64(self.seed, _S_PRIORITY, self.id, self.state.round + 1)
+            entry = self.run_round(pending[0], priority)
             report.rounds += 1
             report.log.append(entry)
-            report.commits += entry.committed
-            if backoff:
-                backoff -= 1
-            elif entry.committed:
+            if entry.committed:
+                report.commits += 1
                 report.delivered.append(pending.popleft())
-                attempts = 0
-            else:
-                attempts += 1
-                window = 1 << min(attempts, 6)
-                backoff = 1 + mix64(self.seed, _S_BACKOFF, self.id, rnd) % window
         return report
 
 

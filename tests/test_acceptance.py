@@ -333,17 +333,19 @@ def test_a8_every_client_lands_its_workload():
         params, stores, reports = run_contenders(n_clients, 6, 500, seed=30 + n_clients)
         assert audit(stores, params, reports) == []
         winners = {}
-        backoff_rounds = 0
+        lost_rounds = 0
         for rep in reports:
             assert rep.delivered == [b"c%d-m%d" % (rep.client, k) for k in range(6)]
+            assert rep.commits == len(rep.delivered)
             for e in rep.log:
+                assert e.message != b"", f"round {e.round} proposed no message"
                 if e.committed:
                     assert winners.setdefault(e.round, e.adopted) == e.adopted, (
                         f"round {e.round} has two winners")
-                backoff_rounds += e.message == b""
-        assert backoff_rounds > 0, "contention never exercised the back-off"
+                lost_rounds += not e.committed
+        assert lost_rounds > 0, "contention never made a client lose a round"
         details.append(f"{n_clients} clients: all {6 * n_clients} messages "
-                       f"delivered, {backoff_rounds} back-off rounds")
+                       f"delivered, {lost_rounds} lost rounds")
     verdict("delivery", True, "; ".join(details))
 
 

@@ -197,7 +197,7 @@ def test_replays_are_byte_identical_across_interpreter_salt(tmp_path):
     assert texts[0].count("\n") > 100  # a real trace, not a stub
 
 
-def test_bad_arguments_exit_with_usage_errors():
+def test_bad_arguments_exit_with_usage_errors(tmp_path):
     got = cli("quesera.cli", "run", "--layer", "smoke")
     assert got.returncode == 2
     assert "--layer" in got.stderr
@@ -211,6 +211,11 @@ def test_bad_arguments_exit_with_usage_errors():
     got = cli("quesera.cli", "run", "--layer", "tlcr", "--clients", "2")
     assert got.returncode == 2
     assert "unrecognized arguments: --clients 2" in got.stderr
+    missing = str(tmp_path / "no-such-dir" / "x")
+    got = cli("quesera.cli", "run", "--layer", "tlcr", "--trace-out", missing)
+    assert got.returncode == 2
+    assert got.stderr.startswith("qsc-sim: error:") and missing in got.stderr
+    assert "Traceback" not in got.stderr
 
 
 def test_bad_configurations_exit_2_with_the_violation_named():

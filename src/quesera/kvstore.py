@@ -20,13 +20,16 @@ A :class:`PipeStore` is a client of that protocol: it runs a file store in
 a child process and talks to it over pipes, so a store can hang or die
 apart from its clients.  In-process stores are thread-safe; a pipe store
 serves one thread at a time.  Every field is canonical: a line that parses
-re-encodes to the same fields, so one key or value has one spelling.
+re-encodes to the same fields, so one key or value has one spelling, and
+:func:`write_line` encodes a write once for every store it is offered to.
 """
 
 from __future__ import annotations
 
 import argparse
 import base64
+import binascii
+import functools
 import os
 import sys
 import threading
@@ -61,6 +64,19 @@ def encode_request(verb: str, key: bytes, value: Optional[bytes] = None) -> str:
             raise ProtocolError("W needs a value")
         return f"W {b64(key)} {b64(value)}\n"
     raise ProtocolError(f"unknown verb {verb!r}")
+
+
+# A client offers one slot's key and value objects to each of its n store
+# columns, so the slot's W line is encoded once and the other columns hit the
+# memo; each client thread has one slot in flight.
+WRITE_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=WRITE_MEMO_SIZE)
+def write_line(key: bytes, value: bytes) -> bytes:
+    """``encode_request("W", key, value).encode("ascii")``."""
+    return b" ".join((b"W", binascii.b2a_base64(key, newline=False) if key else b"-",
+                      binascii.b2a_base64(value) if value else b"-\n"))  # with its newline
 
 
 def parse_request(line: str) -> tuple[str, bytes, Optional[bytes]]:
@@ -108,16 +124,18 @@ class _Store:
         """Store value if the key is fresh; either way return whether the key
         now holds the offered bytes (this write won, or an equal earlier one
         did) and the key's settled value."""
-        with self._lock:
-            if key not in self._data:
-                self._commit(key, value)
-                return True, value
-            settled = self._data[key]
+        settled = self.write_read(key, value)
         return settled == value, settled
 
     def write_read(self, key: bytes, value: bytes) -> bytes:
-        """:meth:`write` without the verdict: the key's settled value."""
-        return self.write(key, value)[1]
+        """The key's settled value: ``value`` itself if this write stands,
+        else the value held, in one lock and one lookup."""
+        with self._lock:
+            held = self._data.get(key)
+            if held is None:
+                self._commit(key, value)
+                return value
+        return held
 
     def read(self, key: bytes) -> Optional[bytes]:
         with self._lock:
@@ -171,7 +189,8 @@ class FileStore(_Store):
     A final line without its newline is an append torn by a crash, whose
     write never returned: opening cuts it off.  Any complete line that does
     not parse still raises.  The log is unbuffered, so each append reaches
-    the file in one write call (more only if the write comes back short).
+    the file in one write call (more only if the write comes back short);
+    the line is :func:`write_line`'s, shared by every store offered the write.
     """
 
     def __init__(self, path: str):
@@ -183,11 +202,11 @@ class FileStore(_Store):
         self._fh = open(path, "ab", buffering=0)
 
     def _commit(self, key: bytes, value: bytes) -> None:
-        line = encode_request("W", key, value).encode("ascii")
+        line = write_line(key, value)
         done = self._fh.write(line)
         while done < len(line):  # a short write: append the rest
             done += self._fh.write(line[done:])
-        super()._commit(key, value)
+        self._data[key] = value
 
     def close(self) -> None:
         with self._lock:
@@ -197,9 +216,10 @@ class FileStore(_Store):
 class PipeStore:
     """A file store served by a child process, ``python -m quesera.kvstore
     --backend file --path P``, over its stdin and stdout, for one thread.
-    :meth:`write_read` is :meth:`send` then :meth:`receive`; a caller that
-    waits on several stores keeps one write in flight and waits for
-    :meth:`fileno` to be readable in between.  :attr:`sent` and
+    :meth:`write_read` is :meth:`send`, which writes :func:`write_line`'s
+    line, shared by every store offered the write, then :meth:`receive`; a
+    caller that waits on several stores keeps one write in flight and waits
+    for :meth:`fileno` to be readable in between.  :attr:`sent` and
     :attr:`received` count the bytes on the pipes.  The log is the store:
     :meth:`snapshot` replays its complete lines, and does not cut a live
     log.  Once the child dies, every write raises."""
@@ -218,7 +238,7 @@ class PipeStore:
             stdin=subprocess.PIPE, stdout=subprocess.PIPE)
 
     def send(self, key: bytes, value: bytes) -> None:
-        line = encode_request("W", key, value).encode("ascii")
+        line = write_line(key, value)
         self.child.stdin.write(line)
         self.child.stdin.flush()
         self.sent += len(line)
@@ -233,7 +253,7 @@ class PipeStore:
         self.received += len(line)
         if line == b"A\n":
             return self.offered[1]
-        if line.startswith(b"V ") and line.endswith(b"\n"):
+        if line.startswith(b"V ") and line.endswith(b"\n") and line.isascii():
             return unb64(line[2:-1].decode("ascii"))
         if not line:
             raise ProtocolError(f"store process {self.child.pid} closed its pipe")

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import io
+import re
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quesera.kvstore import (
+    WRITE_MEMO_SIZE,
     FileStore,
     MemoryStore,
     PipeStore,
@@ -20,6 +24,7 @@ from quesera.kvstore import (
     parse_request,
     serve,
     unb64,
+    write_line,
 )
 
 
@@ -46,6 +51,15 @@ def test_first_write_settles_the_key(store):
     serve(store, [encode_request("W", b"s", b"v"), encode_request("W", b"s", b"v"),
                   encode_request("W", b"s", b"other"), encode_request("R", b"s")], out)
     assert out.getvalue().splitlines() == ["A", "A", f"V {b64(b'v')}", f"V {b64(b'v')}"]
+
+
+def test_a_write_that_stands_returns_the_offered_object(store):
+    """The traced benchmark counts a write as won when ``write_read`` hands
+    back the very object offered; a losing write gets the value held."""
+    first = bytes(bytearray(b"first"))
+    assert store.write_read(b"k", first) is first
+    assert store.write_read(b"k", bytes(bytearray(b"first"))) is first
+    assert store.write_read(b"k", b"second") == first
 
 
 def test_empty_bytes_are_legal_keys_and_values(store):
@@ -167,6 +181,15 @@ def test_request_lines_round_trip(key, value):
     assert parse_request(encode_request("R", key)) == ("R", key, None)
 
 
+@given(st.binary(max_size=64), st.binary(max_size=64))
+@example(b"", b"")
+def test_write_line_is_the_w_request(key, value):
+    line = write_line(key, value)
+    assert line == encode_request("W", key, value).encode("ascii")
+    assert parse_request(line.decode("ascii")) == ("W", key, value)
+    assert write_line.cache_info().maxsize == WRITE_MEMO_SIZE
+
+
 def test_serve_speaks_the_protocol():
     feed = [
         encode_request("R", b"k"),
@@ -218,6 +241,24 @@ def test_pipe_store_speaks_the_protocol_and_counts_its_bytes(tmp_path):
             fh.write(b"W a2V5")  # an append still being written
         assert store.snapshot() == {b"k": b"first"}
         assert log.read_bytes().endswith(b"W a2V5")
+    finally:
+        store.close()
+    assert store.child.returncode == 0
+
+
+def test_pipe_store_refuses_a_reply_that_is_not_ascii(tmp_path):
+    """A store process whose ``V`` reply is not ASCII fails the write with
+    ProtocolError naming the process and the line."""
+    store = PipeStore(str(tmp_path / "pipe.log"))
+    store.close()
+    reply = b"V \xff\xfe\n"
+    stub = "import sys; sys.stdin.readline(); sys.stdout.buffer.write(%r)" % reply
+    store.child = subprocess.Popen([sys.executable, "-c", stub],
+                                   stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    try:
+        with pytest.raises(ProtocolError, match=re.escape(
+                f"store process {store.child.pid} answered {reply!r}")):
+            store.write_read(b"k", b"v")
     finally:
         store.close()
     assert store.child.returncode == 0

@@ -780,3 +780,17 @@ def test_lone_client_bill_is_its_logs_plus_one_ack_per_write(tmp_path):
     logs = [(tmp_path / f"s{i}.log").read_bytes() for i in range(5)]
     assert sum(log.count(b"\n") for log in logs) == tally.ops
     assert tally.total == sum(map(len, logs)) + 2 * tally.ops
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_every_column_of_a_lone_client_logs_the_same_bytes(n, tmp_path):
+    """A slot's one W line goes to every column, and a lone client wins
+    every write, so its n logs are byte-identical."""
+    raw = [FileStore(str(tmp_path / f"s{i}.log")) for i in range(n)]
+    done, problems, dead, short, tally = run_workload(raw, qscod_params(n), 1, 20, 40, seed=3)
+    for s in raw:
+        s.close()
+    assert (problems, dead, short) == ([], [], [])
+    logs = {(tmp_path / f"s{i}.log").read_bytes() for i in range(n)}
+    assert len(logs) == 1
+    assert n * logs.pop().count(b"\n") == tally.ops

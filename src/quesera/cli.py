@@ -98,6 +98,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    netsim.check_seed(args.seed + args.seeds - 1)  # before the first seed's line
     total_rounds = 0
     total_commits = 0
     failures = 0

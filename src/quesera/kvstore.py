@@ -254,7 +254,11 @@ class PipeStore:
         if line == b"A\n":
             return self.offered[1]
         if line.startswith(b"V ") and line.endswith(b"\n") and line.isascii():
-            return unb64(line[2:-1].decode("ascii"))
+            try:
+                return unb64(line[2:-1].decode("ascii"))
+            except ProtocolError as exc:
+                raise ProtocolError(
+                    f"store process {self.child.pid} answered {line!r}: {exc}") from None
         if not line:
             raise ProtocolError(f"store process {self.child.pid} closed its pipe")
         raise ProtocolError(f"store process {self.child.pid} answered {line!r}")

@@ -1,9 +1,10 @@
 """Deterministic asynchronous network simulator for the broadcast stacks.
 
 Every node runs its whole protocol stack as one generator; the scheduler is a
-single event heap of pending unicast deliveries.  A delivery runs the handler
-of the receiving node's current step at once, and the node's generator
-resumes only when that handler reports the step complete.  Channels are reliable FIFO
+heap of the distinct virtual times with unicasts pending, each holding its
+deliveries in send order (a calendar queue).  A delivery runs the handler of
+the receiving node's current step at once, and the node's generator resumes
+only when that handler reports the step complete.  Channels are reliable FIFO
 with arbitrary (but schedule-determined) delays, so runs model a genuinely
 asynchronous network: steps interleave, nodes fall behind and catch up
 virally, and an adversarial delay policy can stall any subset of channels for
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import re
+import struct
 from collections import defaultdict, deque
 from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
@@ -69,6 +71,34 @@ def _fold(h: int, p: int) -> int:
     return h ^ (h >> 31)
 
 
+_BLOCK = 32  # hops a RandomDelay draws at once, lane j in bits 128j .. 128j + 127
+_LANES = sum(1 << 128 * j for j in range(_BLOCK))  # 1 in every lane
+_IOTA = sum(j << 128 * j for j in range(_BLOCK))  # j in lane j
+_M64_LANES = _M64 * _LANES
+_LOW_LANES = struct.Struct("<" + "Q8x" * _BLOCK)  # each lane's low 64 bits
+_LOW6_LANES, _BIT6_LANES = 63 * _LANES, 64 * _LANES
+# a hop's random delay before its tail, by the lowest zero bit of its draw
+_RUN_DELAY = {1 << run: 1 + run * _SCALE for run in range(64)} | {0: 1 + 64 * _SCALE}
+
+
+def _fold_block(key: int, start: int) -> int:
+    """Lane j's low 64 bits are ``_fold(key, start + j)``, 0 <= start <= 2**64 -
+    _BLOCK.  A lane's upper half takes a 64 x 64-bit product, and what a shift
+    brings into it from the next lane is masked off before each multiply."""
+    h = ((key * _LANES ^ start * _LANES + _IOTA) + 0x9E3779B97F4A7C15 * _LANES) & _M64_LANES
+    h ^= h >> 30
+    h = ((h & _M64_LANES) * 0xBF58476D1CE4E5B9) & _M64_LANES
+    h ^= h >> 27
+    h = ((h & _M64_LANES) * 0x94D049BB133111EB) & _M64_LANES
+    return h ^ (h >> 31)
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a seed outside [0, 2**64): mix64 would alias it to one inside."""
+    if not 0 <= seed <= _M64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+
+
 # --- delay policies -------------------------------------------------------
 
 
@@ -91,24 +121,41 @@ class FixedDelay:
 
 class RandomDelay:
     """Geometric-ish per-hop delays with a sparse heavy tail, so most traffic
-    is quick but any channel occasionally lags several steps behind."""
+    is quick but any channel occasionally lags several steps behind.
+
+    Each channel holds one block of _BLOCK delays: the hop after its end draws
+    the next, any other index is drawn on its own.  First blocks are cut to
+    ``1 + chan % _BLOCK`` hops, so channels in lockstep refill in turn."""
 
     def __init__(self, seed: int, n: int):
         self.n = n
         self._delay_keys = _channel_keys(seed, _S_DELAY, n)
         self._tail_keys = _channel_keys(seed, _S_TAIL, n)
+        self._start = [1] * (n * n)  # per channel: the hop index of block[0]
+        self._blocks = [self._draw(chan, 1)[: 1 + chan % _BLOCK] for chan in range(n * n)]
+
+    def _draw(self, chan: int, start: int) -> list[int]:
+        u = _fold_block(self._delay_keys[chan], start) & _M64_LANES
+        # lane j of (u + 1) & ~u is 1 << run, for the run of trailing ones
+        lowest_zero = ((u + _LANES) & (u ^ _M64_LANES)).to_bytes(16 * _BLOCK, "little")
+        delays = list(map(_RUN_DELAY.__getitem__, _LOW_LANES.unpack(lowest_zero)))
+        low6 = _fold_block(self._tail_keys[chan], start) & _LOW6_LANES
+        tails = ~(low6 + _LOW6_LANES) & _BIT6_LANES  # bit 6 set: a tail, low 6 bits all 0
+        while tails:
+            at = tails.bit_length() - 7  # the lane's bit 0
+            tails ^= 1 << (at + 6)
+            rest = ((u >> at) & _M64) >> ((delays[at >> 7] - 1) // _SCALE + 3)
+            delays[at >> 7] += _SCALE * (8 + rest % 56)
+        return delays
 
     def delay(self, sender: int, dest: int, index: int) -> int:
         chan = sender * self.n + dest
-        u = _fold(self._delay_keys[chan], index)
-        run = 0
-        while u & 1:  # trailing ones: P(run = k) = 2**-(k+1)
-            run += 1
-            u >>= 1
-        d = 1 + run * _SCALE
-        if _fold(self._tail_keys[chan], index) % 64 == 0:
-            d += _SCALE * (8 + (u >> 3) % 56)
-        return d
+        block = self._blocks[chan]
+        k = index - self._start[chan]
+        if k == len(block):  # the next hop: its block replaces this one
+            self._start[chan], k = index, 0
+            block = self._blocks[chan] = self._draw(chan, index)
+        return block[k] if 0 <= k < len(block) else self._draw(chan, index)[0]
 
 
 class AdversarialDelay:
@@ -267,6 +314,7 @@ class SimConfig:
             raise ConfigError(f"unknown trace level {self.trace_level!r}")
         if self.n < 1 or self.rounds < 0:  # f is admitted by the row's rules
             raise ConfigError("n must be >= 1, rounds >= 0")
+        check_seed(self.seed)
         for node, step, phase in self.crashes:
             if not 0 <= node < self.n:
                 raise ConfigError(f"crash node {node} out of range")
@@ -407,7 +455,9 @@ class Simulator:
         self.order = 0
         self.unicasts = 0
         self.bytes = 0
-        self._heap: list = []
+        # the calendar: arrival times, each with its (sender, dest, seq, msg)s
+        self._heap: list[int] = []
+        self._slots: defaultdict[int, list] = defaultdict(list)
         # per channel, indexed sender * n + dest: unicasts sent, last arrival
         self._chan_seq = [0] * (cfg.n * cfg.n)
         self._chan_last = [0] * (cfg.n * cfg.n)
@@ -455,8 +505,10 @@ class Simulator:
         if arrival <= chan_last[chan]:
             arrival = chan_last[chan] + 1  # FIFO: never overtake
         chan_last[chan] = arrival
-        self.unicasts += 1  # doubles as the heap's tie-break sequence
-        heappush(self._heap, (arrival, self.unicasts, sender, dest, seq, msg))
+        self.unicasts += 1
+        if arrival not in self._slots:
+            heappush(self._heap, arrival)
+        self._slots[arrival].append((sender, dest, seq, msg))
         self.bytes += size
         if self._full:
             self.order += 1
@@ -506,7 +558,7 @@ class Simulator:
     def run(self) -> SimResult:
         make = self._consensus_program if self.stack.consensus else self._broadcast_program
         gens = [make(i, self.stack.build(self, i)) for i in range(self.n)]
-        ctxs, heap, full = self.ctxs, self._heap, self._full
+        ctxs, heap, slots, full = self.ctxs, self._heap, self._slots, self._full
         dlvrs = self.trace.dlvrs
 
         def advance(node: int) -> None:
@@ -519,14 +571,16 @@ class Simulator:
 
         for node in range(self.n):
             advance(node)
+        # in (arrival, send) order: every policy's delay is at least 1, so what
+        # a delivery sends lands in a later slot, never in the one drained
         while heap:
-            when, _, sender, dest, seq, msg = heappop(heap)
-            self.now = when
-            if full:
-                self.order += 1
-                dlvrs.append((self.order, sender, dest, seq))
-            if ctxs[dest].deliver(msg):
-                advance(dest)
+            self.now = when = heappop(heap)
+            for sender, dest, seq, msg in slots.pop(when):
+                if full:
+                    self.order += 1
+                    dlvrs.append((self.order, sender, dest, seq))
+                if ctxs[dest].deliver(msg):
+                    advance(dest)
 
         stuck = [(ctx.node, ctx.waiting) for ctx in ctxs if ctx.waiting is not None]
         if stuck:

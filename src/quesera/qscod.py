@@ -54,7 +54,7 @@ from typing import Generator, Iterable, Optional
 
 from .chain import ChainError, History, Proposal
 from .kvstore import FileStore, MemoryStore, PipeStore, ProtocolError, write_size
-from .netsim import configure, mix64
+from .netsim import check_seed, configure, mix64
 from .qsc import QscState, check_one_chain, qsc_round
 from .tlcb import gather
 from .tlcr import ConfigError
@@ -547,6 +547,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         params = qscod_params(args.stores)
+        check_seed(args.seed)
     except ConfigError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     if args.backend == "process" and args.clients > 1:

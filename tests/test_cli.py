@@ -123,6 +123,28 @@ def test_qscod_tools_refuse_negative_budgets(capsys, tool, flag, value):
                             f"argument {flag}: must be >= 0, got {value}\n")
 
 
+QSCOD_RUN = ["--stores", "3", "--clients", "1", "--messages", "3"]
+SIM_RUN = ["--layer", "qsc-tlcb", "--n", "3", "--f", "1", "--rounds", "2"]
+
+
+@pytest.mark.parametrize("tool, argv, seed", [
+    ("qscod", [*QSCOD_RUN, "--seed", "-5"], -5),
+    ("qscod", [*QSCOD_RUN, "--seed", str(2**64)], 2**64),
+    ("qsc-sim", ["run", *SIM_RUN, "--seed", "-5"], -5),
+    ("qsc-sim", ["run", *SIM_RUN, "--seed", str(2**64)], 2**64),
+    ("qsc-sim", ["sweep", *SIM_RUN, "--seed", str(2**64 - 2), "--seeds", "3"], 2**64),
+], ids=["qscod-below", "qscod-above", "run-below", "run-above", "sweep-past"])
+def test_the_tools_refuse_a_seed_outside_64_bits(capsys, tool, argv, seed):
+    """mix64 takes each part modulo 2**64, so seed -5 would replay seed
+    2**64 - 5, and a sweep past 2**64 - 1 would wrap round to seed 0."""
+    with pytest.raises(SystemExit) as exited:
+        (qscod.main if tool == "qscod" else sim_main)(argv)
+    assert exited.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"{tool}: error: seed must be in [0, 2**64), got {seed}\n"
+
+
 @pytest.mark.parametrize("layer", ["qsc-tlcb"])
 def test_a_negative_f_exits_2_naming_the_rule(capsys, layer):
     with pytest.raises(SystemExit) as exited:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import io
-import re
 import subprocess
 import sys
 import threading
@@ -246,19 +245,35 @@ def test_pipe_store_speaks_the_protocol_and_counts_its_bytes(tmp_path):
     assert store.child.returncode == 0
 
 
-def test_pipe_store_refuses_a_reply_that_is_not_ascii(tmp_path):
-    """A store process whose ``V`` reply is not ASCII fails the write with
-    ProtocolError naming the process and the line."""
+def stub_refusal(tmp_path, reply):
+    """The message of the ProtocolError a PipeStore write raises when its
+    process answers ``reply``, and that process's pid.  The stub process is
+    reaped."""
     store = PipeStore(str(tmp_path / "pipe.log"))
     store.close()
-    reply = b"V \xff\xfe\n"
     stub = "import sys; sys.stdin.readline(); sys.stdout.buffer.write(%r)" % reply
     store.child = subprocess.Popen([sys.executable, "-c", stub],
                                    stdin=subprocess.PIPE, stdout=subprocess.PIPE)
     try:
-        with pytest.raises(ProtocolError, match=re.escape(
-                f"store process {store.child.pid} answered {reply!r}")):
+        with pytest.raises(ProtocolError) as refused:
             store.write_read(b"k", b"v")
     finally:
         store.close()
     assert store.child.returncode == 0
+    return str(refused.value), store.child.pid
+
+
+def test_pipe_store_refuses_a_reply_that_is_not_ascii(tmp_path):
+    """A store process whose ``V`` reply is not ASCII fails the write with
+    ProtocolError naming the process and the line."""
+    reply = b"V \xff\xfe\n"
+    message, pid = stub_refusal(tmp_path, reply)
+    assert message == f"store process {pid} answered {reply!r}"
+
+
+def test_pipe_store_names_itself_for_a_reply_that_is_not_base64(tmp_path):
+    """A ``V`` reply whose field does not decode names the process and the
+    line too, and then the field's fault."""
+    reply = b"V ab@!\n"
+    message, pid = stub_refusal(tmp_path, reply)
+    assert message == f"store process {pid} answered {reply!r}: bad base64 field 'ab@!'"

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from quesera import netsim
 from quesera.netsim import (
     _ADV_PERIOD,
+    _BLOCK,
+    _M64,
     _S_DELAY,
     _S_TAIL,
     AdversarialDelay,
@@ -18,6 +23,8 @@ from quesera.netsim import (
     RandomDelay,
     SimConfig,
     Simulator,
+    _fold,
+    _fold_block,
     configure,
     mix64,
     run,
@@ -101,6 +108,40 @@ def test_per_channel_keys_give_the_unfolded_delays(seed, n, draws):
             ad, seed, scale, sender, dest, index)
 
 
+@given(key=st.integers(0, _M64), start=st.integers(0, 2**64 - _BLOCK))
+@example(key=_M64, start=2**64 - _BLOCK)  # the top lanes at the top of the range
+@example(key=0, start=0)
+def test_a_block_of_folds_is_the_scalar_folds(key, start):
+    block = _fold_block(key, start)
+    assert [(block >> 128 * j) & _M64 for j in range(_BLOCK)] == [
+        _fold(key, start + j) for j in range(_BLOCK)]
+
+
+@pytest.mark.parametrize("seed", [7, 2**64 - 1])
+def test_in_turn_draws_cross_blocks_and_keep_one_per_channel(seed):
+    """Every channel of an n = 7 policy, drawn hop by hop as the simulator
+    does, in a seeded interleaving of the channels, across 5 block
+    boundaries, with out-of-turn draws mixed in, gives the unfolded delays;
+    and the policy never holds more than one block per channel."""
+    n, hops = 7, 5 * _BLOCK + 1
+    rd = RandomDelay(seed, n)
+    rng = random.Random(seed)
+    drawn = [0] * (n * n)
+    live = list(range(n * n))
+    while live:
+        chan = rng.choice(live)
+        if rng.random() < 0.1:  # out of turn
+            index = rng.randrange(10**6)
+        else:
+            index = drawn[chan] = drawn[chan] + 1
+            if index == hops:
+                live.remove(chan)
+        sender, dest = divmod(chan, n)
+        assert rd.delay(sender, dest, index) == reference_random_delay(
+            seed, 4, sender, dest, index)
+        assert len(rd._blocks) == n * n and len(rd._blocks[chan]) <= _BLOCK
+
+
 def test_threshold_defaults():
     def resolved(layer, n, f):
         c = configure(layer, n, f)
@@ -127,6 +168,9 @@ def test_config_validation():
         SimConfig(layer="tlcr", crashes=((5, 1, "before"),), **ok)
     with pytest.raises(ConfigError, match="bad crash spec"):
         SimConfig(layer="tlcr", crashes=((1, 1, "during"),), **ok)
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}"):
+            SimConfig(layer="tlcr", n=3, seed=seed, rounds=1)
     with pytest.raises(ConfigError, match="crash node 0 given twice"):
         SimConfig(layer="tlcr", crashes=((0, 4, "before"), (0, 9, "after")), **ok)
     with pytest.raises(ConfigError):
@@ -259,3 +303,36 @@ def test_gossip_stack_cost_is_four_broadcasts_per_round():
         assert res.metrics.unicasts == 4 * n * n * rounds
         assert res.metrics.rounds == rounds
         assert res.metrics.bytes == sum(sz for *_, sz in res.trace.xmits)
+
+
+# One consensus run per delay policy, and the sha256 of its (node, round,
+# virtual time) triples, one per decision in decision order.  No trace record
+# holds a time, so the golden digests pin the order of deliveries but not
+# when they land; these pin the arrival times a scheduler change must keep.
+VIRTUAL_TIME_PINS = {
+    "fixed": (dict(layer="qsc-tlcb", n=4, f=1, rounds=6),
+              "f74ce4eec9eb7bbaa41173b10beaa5dff4f1d27f56487375cf66bac0bbb57b80"),
+    "random": (dict(layer="qsc-tlcb", n=7, f=2, rounds=8),
+               "05309105101a1169b63cd80fcd34f170326b343ab0205e51ccf02274410a5ac9"),
+    "adversarial": (dict(layer="qsc-tlcf", n=5, f=2, rounds=6, crashes=((3, 9, "before"),)),
+                    "5a9ed4fc71767f14ec655ee5f56f3de6a9fa1ad436f52837996c4f0744ae76e2"),
+}
+
+
+@pytest.mark.parametrize("delay", sorted(VIRTUAL_TIME_PINS))
+def test_decisions_land_at_their_pinned_virtual_times(monkeypatch, delay):
+    kwargs, pinned = VIRTUAL_TIME_PINS[delay]
+    original, stamps = netsim.run_qsc_node, []
+
+    def run_qsc_node(state, tsb, rounds, choose, on_propose=None, on_decide=None):
+        def decide(rnd, hist, committed):
+            on_decide(rnd, hist, committed)
+            stamps.append((state.node, rnd, tsb.sim.now))
+
+        return (yield from original(state, tsb, rounds, choose, on_propose, decide))
+
+    monkeypatch.setattr(netsim, "run_qsc_node", run_qsc_node)
+    res = run(SimConfig(seed=23, delay=delay, trace_level="light", **kwargs))
+    assert [(node, rnd) for node, rnd, _ in stamps] == [
+        (rec.node, rec.round) for rec in res.trace.deliveries]
+    assert hashlib.sha256(repr(stamps).encode()).hexdigest() == pinned

@@ -36,7 +36,7 @@ from .tlcf import Tlcf
 from .tlcr import ConfigError, StepCollector, Tlcr
 from .tlcw import Tlcw
 from .tsb import ProposalInfo, RunTrace, Thresholds, TsbParams
-from .wire import StepMessage, frame_size, payload_digest
+from .wire import StepMessage, frame_size
 
 TRACE_LEVELS = ("full", "steps", "light")
 
@@ -46,7 +46,6 @@ _MIX_IV = 0x6A09E667F3BCC909
 # stream labels keeping the seed-derived substreams apart
 _S_DELAY, _S_TAIL, _S_ADV, _S_PRIORITY, _S_MESSAGE, _S_PAYLOAD = range(1, 7)
 
-_ADV_PERIOD = 32  # channel sequence numbers per adversarial victim window
 _SCALE = 4  # virtual time units per delay step, in every policy
 
 
@@ -77,6 +76,9 @@ _IOTA = sum(j << 128 * j for j in range(_BLOCK))  # j in lane j
 _M64_LANES = _M64 * _LANES
 _LOW_LANES = struct.Struct("<" + "Q8x" * _BLOCK)  # each lane's low 64 bits
 _LOW6_LANES, _BIT6_LANES = 63 * _LANES, 64 * _LANES
+_ADV_PERIOD = _BLOCK  # channel sequence numbers per adversarial victim window
+_FAST = (1,) * _ADV_PERIOD  # a window's delays on a channel no victim is on
+_JITTER_LANES, _CRAWL_LANES = (_SCALE - 1) * _LANES, _SCALE * 40 * _LANES  # _SCALE: 2**k
 # a hop's random delay before its tail, by the lowest zero bit of its draw
 _RUN_DELAY = {1 << run: 1 + run * _SCALE for run in range(64)} | {0: 1 + 64 * _SCALE}
 
@@ -162,7 +164,9 @@ class AdversarialDelay:
     """Rotating targeted stalls: in each window a seed-picked victim subset
     has all its channels crawl (both directions) while everyone else is fast.
     Content-oblivious, but about as nasty as a delay-only adversary gets --
-    quorums keep reshaping and laggards must rejoin virally."""
+    quorums keep reshaping and laggards must rejoin virally.  Each channel
+    holds one window's delays: the next window replaces it, any other index
+    is drawn on its own."""
 
     def __init__(self, seed: int, n: int):
         self.seed = seed
@@ -170,6 +174,7 @@ class AdversarialDelay:
         self.victims = max(1, n // 3)
         self._jitter_keys = _channel_keys(seed, _S_DELAY, n)
         self._victim_set = functools.cache(self._draw_victims)  # one draw a window
+        self._window, self._blocks = [-1] * (n * n), [()] * (n * n)  # held, per channel
 
     def _draw_victims(self, window: int) -> frozenset[int]:
         return frozenset(
@@ -177,11 +182,17 @@ class AdversarialDelay:
         )
 
     def delay(self, sender: int, dest: int, index: int) -> int:
-        victims = self._victim_set(index // _ADV_PERIOD)
-        if sender in victims or dest in victims:
-            jitter = _fold(self._jitter_keys[sender * self.n + dest], index) % _SCALE
-            return _SCALE * 40 + jitter
-        return 1
+        chan = sender * self.n + dest
+        window, k = divmod(index, _ADV_PERIOD)
+        if window == self._window[chan]:
+            return self._blocks[chan][k]
+        victims, block = self._victim_set(window), _FAST
+        if sender in victims or dest in victims:  # _SCALE * 40 plus a lane's low bits
+            jitter = _fold_block(self._jitter_keys[chan], window * _ADV_PERIOD) & _JITTER_LANES
+            block = _LOW_LANES.unpack((jitter + _CRAWL_LANES).to_bytes(16 * _BLOCK, "little"))
+        if window == self._window[chan] + 1:  # the next window: it replaces this one
+            self._window[chan], self._blocks[chan] = window, block
+        return block[k]
 
 
 DELAY_POLICIES = {"fixed": FixedDelay, "random": RandomDelay, "adversarial": AdversarialDelay}
@@ -367,9 +378,10 @@ class NodeCrashed(Exception):
 class _NodeCtx:
     """Per-node transport endpoint handed to the protocol stack.  ``waiting``
     is the layer whose step takes this node's deliveries on its lane; other
-    lanes queue in ``inbox`` until a step of theirs collects them."""
+    lanes queue in ``inbox`` until a step of theirs collects them, unless the
+    node's program has ``ended`` (finished or crashed)."""
 
-    __slots__ = ("sim", "node", "inbox", "steps", "crash", "armed", "waiting")
+    __slots__ = ("sim", "node", "inbox", "steps", "crash", "armed", "waiting", "ended")
 
     def __init__(self, sim: "Simulator", node: int, crash: Optional[tuple[int, str]]):
         self.sim = sim
@@ -379,6 +391,7 @@ class _NodeCtx:
         self.crash = crash
         self.armed = False
         self.waiting: Optional[StepCollector] = None
+        self.ended = False
 
     def step_begin(self) -> None:
         self.steps += 1
@@ -411,7 +424,8 @@ class _NodeCtx:
         """True when ``msg`` completes the waiting step: resume the node."""
         layer = self.waiting
         if layer is None or msg.layer != layer.tag:
-            self.inbox[msg.layer].append(msg)
+            if not self.ended:
+                self.inbox[msg.layer].append(msg)
         elif layer.handle(msg):
             self.waiting = None
             return True
@@ -461,8 +475,7 @@ class Simulator:
         # per channel, indexed sender * n + dest: unicasts sent, last arrival
         self._chan_seq = [0] * (cfg.n * cfg.n)
         self._chan_last = [0] * (cfg.n * cfg.n)
-        # recorder memo: returned set -> its trace rendering
-        self._rendered: dict[frozenset, tuple] = {}
+        self._sets: dict[frozenset, frozenset] = {}  # recorded sets, one object a value
         crash_plan = {node: (step, phase) for node, step, phase in cfg.crashes}
         self.ctxs = [_NodeCtx(self, i, crash_plan.get(i)) for i in range(cfg.n)]
 
@@ -472,28 +485,17 @@ class Simulator:
         self.order += 1
         return self.order
 
-    def _render(self, entries: frozenset) -> tuple:
-        """A returned set as recorded: its (sender, payload digest) pairs,
-        sorted.  Layers hand sets on (tlcf returns tlcw's B), so each set
-        object is usually rendered once."""
-        got = self._rendered.get(entries)
-        if got is None:
-            got = self._rendered[entries] = tuple(
-                sorted((s, payload_digest(p)) for s, p in entries)
-            )
-        return got
-
     def rec_send(self, name: str, step: int, node: int, payload: bytes) -> None:
         if self.level != "light":
             self.order += 1
-            self.trace.sends.append((self.order, name, step, node, payload_digest(payload)))
+            self.trace.sends.append((self.order, name, step, node, payload))
 
     def rec_ret(self, name: str, step: int, node: int, res) -> None:
         if self.level != "light":
             self.order += 1
-            self.trace.rets.append(
-                (self.order, name, step, node, self._render(res.r), self._render(res.b))
-            )
+            sets = self._sets
+            self.trace.rets.append((self.order, name, step, node, sets.setdefault(res.r, res.r),
+                                    sets.setdefault(res.b, res.b)))
 
     # -- transport --
 
@@ -564,10 +566,11 @@ class Simulator:
         def advance(node: int) -> None:
             try:
                 gens[node].send(None)
-            except StopIteration:
-                pass
-            except NodeCrashed as crashed:
-                self.trace.crashes[node] = (ctxs[node].steps, str(crashed))
+            except (StopIteration, NodeCrashed) as end:
+                ctxs[node].ended = True  # what it has queued or will be sent goes nowhere
+                ctxs[node].inbox.clear()
+                if isinstance(end, NodeCrashed):
+                    self.trace.crashes[node] = (ctxs[node].steps, str(end))
 
         for node in range(self.n):
             advance(node)

@@ -16,14 +16,17 @@ list means the trace passes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Iterable, Optional
 
-Entry = tuple[int, bytes]  # (sender, payload digest) in trace records
+Entry = tuple[int, bytes]  # (sender, payload), in returned sets and trace records
 # layer -> node -> that node's (order, step, R, B) returns, in order
-RetIndex = dict[str, dict[int, list[tuple[int, int, tuple[Entry, ...], tuple[Entry, ...]]]]]
+RetIndex = dict[str, dict[int, list[tuple[int, int, frozenset[Entry], frozenset[Entry]]]]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,7 +71,7 @@ class TsbResult:
 
 
 def senders(entries: Iterable[Entry]) -> set[int]:
-    return {s for s, _ in entries}
+    return set(map(itemgetter(0), entries))
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,14 +89,15 @@ class RunTrace:
 
     Layer records use (order, layer, step, node, ...) tuples where ``order``
     is a global monotone counter, ``step`` counts that layer's own broadcast
-    calls from 1, and digests identify payloads.  Transport records (``xmits``,
-    ``dlvrs``) are kept only at the full trace level.
+    calls from 1, and a send holds its payload, a return its R and B sets:
+    only ``serialize`` hashes them.  Transport records (``xmits``, ``dlvrs``)
+    are kept only at the full trace level.
     """
 
     n: int
     layers: dict[str, TsbParams]  # claim per recorded layer, top layer first
     sends: list[tuple[int, str, int, int, bytes]] = field(default_factory=list)
-    rets: list[tuple[int, str, int, int, tuple[Entry, ...], tuple[Entry, ...]]] = field(
+    rets: list[tuple[int, str, int, int, frozenset[Entry], frozenset[Entry]]] = field(
         default_factory=list
     )
     crashes: dict[int, tuple[int, str]] = field(default_factory=dict)
@@ -114,6 +118,8 @@ class RunTrace:
     def serialize(self, include_transport: bool = True) -> str:
         """Line-oriented ``step,node,event,payload-digest`` rendering in event
         order, stable byte-for-byte for identical runs."""
+        digest = functools.cache(lambda payload: hashlib.sha256(payload).digest())
+        set_digest = functools.cache(lambda entries: _set_digest(entries, digest))
         lines: list[tuple[int, str]] = []
         head = ";".join(
             f"{name}:{p.t_r}/{p.t_b}/{p.t_s}" for name, p in self.layers.items()
@@ -122,12 +128,10 @@ class RunTrace:
             f"{node}@{step}{phase[0]}" for node, (step, phase) in sorted(self.crashes.items())
         )
         lines.append((-1, f"0,0,run:n={self.n}:{head},{crash or '-'}"))
-        for order, layer, step, node, digest in self.sends:
-            lines.append((order, f"{step},{node},send:{layer},{digest.hex()[:16]}"))
+        for order, layer, step, node, payload in self.sends:
+            lines.append((order, f"{step},{node},send:{layer},{digest(payload).hex()[:16]}"))
         for order, layer, step, node, r, b in self.rets:
-            lines.append(
-                (order, f"{step},{node},ret:{layer},{_set_digest(r)}:{_set_digest(b)}")
-            )
+            lines.append((order, f"{step},{node},ret:{layer},{set_digest(r)}:{set_digest(b)}"))
         if include_transport:
             for order, sender, dest, seq, size in self.xmits:
                 lines.append((order, f"{seq},{sender},xmit:{dest},{size}"))
@@ -146,25 +150,25 @@ class RunTrace:
         return "\n".join(text for _, text in lines) + "\n"
 
 
-def _set_digest(entries: tuple[Entry, ...]) -> str:
+def _set_digest(entries: Iterable[Entry], digest: Callable[[bytes], bytes]) -> str:
     h = hashlib.sha256()
-    for sender, digest in sorted(entries):
+    for sender, payload_digest in sorted((s, digest(p)) for s, p in entries):
         h.update(sender.to_bytes(4, "big"))
-        h.update(digest)
+        h.update(payload_digest)
     return h.hexdigest()[:16]
 
 
 def _layer_sends(trace: RunTrace, layer: str):
-    """A layer's sends as step -> node -> payload digest, and its repeats."""
+    """A layer's sends as step -> node -> payload, and its repeats."""
     by_step: dict[int, dict[int, bytes]] = {}
     dups: list[str] = []
-    for _, lname, step, node, digest in trace.sends:
+    for _, lname, step, node, payload in trace.sends:
         if lname != layer:
             continue
         sent = by_step.setdefault(step, {})
         if node in sent:
             dups.append(f"node {node} sent twice at {layer} step {step}")
-        sent[node] = digest
+        sent[node] = payload
     return by_step, dups
 
 
@@ -267,7 +271,8 @@ def validate_layer(
     that step counts as reached (it crashed: the message was on the wire to
     it, and delivery is only a matter of waiting).  At t_s = n this spread
     count is the full-spread check.  Containment: where the claim has
-    ``b_in_r``, every returned B lies within the same call's R."""
+    ``b_in_r``, every returned B lies within the same call's R.  Returned sets
+    are checked as sets; their failing entries are reported sender by sender."""
     claim = trace.layers[layer]
     sends, bad = _layer_sends(trace, layer)
     per_node = (index_rets(trace) if index is None else index).get(layer, {})
@@ -279,33 +284,28 @@ def validate_layer(
         steps.sort()
         if steps != list(range(1, len(steps) + 1)):
             bad.append(f"node {node} {layer} send steps not consecutive: {steps[:8]}...")
-    by_step: dict[int, list[tuple[int, set[Entry], tuple[Entry, ...]]]] = {}
+    sent_entries = {step: frozenset(sent.items()) for step, sent in sends.items()}
+    by_step: dict[int, list[tuple[int, frozenset[Entry], frozenset[Entry], bool]]] = {}
+    b_in_r, unsent, nothing = claim.b_in_r, {}, frozenset()
     for node, seq in sorted(per_node.items()):
         want = 1
         for _, step, r, b in seq:
             if step != want:
                 bad.append(f"node {node} {layer} returned step {step}, expected {want}")
             want = step + 1
-            at_step = sends.get(step, {})
+            at_step = sends.get(step, unsent)
             if node not in at_step:
                 bad.append(f"node {node} {layer} step {step} returned without sending")
-            for tag, entries in (("R", r), ("B", b)):
-                for sender, digest in entries:
-                    sent = at_step.get(sender)
-                    if sent is None:
-                        bad.append(
-                            f"node {node} {layer} step {step} {tag} holds a message "
-                            f"never sent by {sender} at that step"
-                        )
-                    elif sent != digest:
-                        bad.append(
-                            f"node {node} {layer} step {step} {tag} holds a foreign "
-                            f"payload for sender {sender}"
-                        )
-            r_set = set(r)
-            if claim.b_in_r and not r_set.issuperset(b):
+            r, b, sent = frozenset(r), frozenset(b), sent_entries.get(step, nothing)
+            clean = r <= sent and b <= sent  # then no two entries share a sender
+            for tag, entries in () if clean else (("R", r), ("B", b)):
+                for sender, _ in sorted(entries - sent):
+                    what = (f"a foreign payload for sender {sender}" if sender in at_step
+                            else f"a message never sent by {sender} at that step")
+                    bad.append(f"node {node} {layer} step {step} {tag} holds {what}")
+            if b_in_r and not b <= r:
                 bad.append(f"node {node} {layer} step {step}: B not within R")
-            by_step.setdefault(step, []).append((node, r_set, b))
+            by_step.setdefault(step, []).append((node, r, b, clean))
     for node in sorted(set(send_steps) | set(per_node)):
         sent, got = len(send_steps.get(node, [])), len(per_node.get(node, []))
         if node not in trace.crashes and sent != got:
@@ -314,24 +314,21 @@ def validate_layer(
             )
     t_r, t_b, t_s = claim.t_r, claim.t_b, claim.t_s
     for step, rows in sorted(by_step.items()):
-        reached = Counter(entry for _, r_set, _ in rows for entry in r_set)
         silent = trace.n - len(rows)  # nodes that never returned this step
-        for node, r_set, b in rows:
-            have = len(senders(r_set))
+        reached = Counter(chain.from_iterable(r for _, r, _, _ in rows))
+        spread = {entry for entry, k in reached.items() if k + silent >= t_s}
+        for node, r, b, clean in rows:
+            have = len(r) if clean else len(senders(r))
             if have < t_r:
-                bad.append(
-                    f"node {node} {layer} step {step}: |R senders| {have} < t_r={t_r}"
-                )
-            have = len(senders(b))
+                bad.append(f"node {node} {layer} step {step}: |R senders| {have} < t_r={t_r}")
+            have = len(b) if clean else len(senders(b))
             if have < t_b:
-                bad.append(
-                    f"node {node} {layer} step {step}: |B senders| {have} < t_b={t_b}"
-                )
-            for entry in b:
-                reach = reached[entry] + silent
-                if reach < t_s:
+                bad.append(f"node {node} {layer} step {step}: |B senders| {have} < t_b={t_b}")
+            if silent < t_s and not b <= spread:
+                thin = sorted(b - spread, key=lambda e: (e[0], hashlib.sha256(e[1]).digest()))
+                for entry in thin:  # by sender, then payload digest, as serialized
                     bad.append(
                         f"node {node} {layer} step {step}: B message from "
-                        f"{entry[0]} reached {reach} < t_s={t_s} nodes"
+                        f"{entry[0]} reached {reached[entry] + silent} < t_s={t_s} nodes"
                     )
     return bad

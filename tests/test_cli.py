@@ -188,7 +188,7 @@ def test_panel_checks_b_within_r_where_the_stack_claims_it():
     assert validate_trace(trace, True) == []
     k, (order, layer, step, node, r, b) = next(
         (k, ret) for k, ret in enumerate(trace.rets) if ret[1] == "tlcw")
-    trace.rets[k] = (order, layer, step, node, tuple(e for e in r if e != b[0]), b)
+    trace.rets[k] = (order, layer, step, node, tuple(e for e in r if e != min(b)), b)
     assert f"node {node} tlcw step {step}: B not within R" in validate_trace(trace, True)
 
 

@@ -117,14 +117,10 @@ def test_a_block_of_folds_is_the_scalar_folds(key, start):
         _fold(key, start + j) for j in range(_BLOCK)]
 
 
-@pytest.mark.parametrize("seed", [7, 2**64 - 1])
-def test_in_turn_draws_cross_blocks_and_keep_one_per_channel(seed):
-    """Every channel of an n = 7 policy, drawn hop by hop as the simulator
-    does, in a seeded interleaving of the channels, across 5 block
-    boundaries, with out-of-turn draws mixed in, gives the unfolded delays;
-    and the policy never holds more than one block per channel."""
-    n, hops = 7, 5 * _BLOCK + 1
-    rd = RandomDelay(seed, n)
+def in_turn_draws(seed, n, hops):
+    """(sender, dest, index) of every channel of n nodes, drawn hop by hop
+    up to ``hops`` as the simulator does, in a seeded interleaving of the
+    channels, with out-of-turn draws mixed in."""
     rng = random.Random(seed)
     drawn = [0] * (n * n)
     live = list(range(n * n))
@@ -136,10 +132,32 @@ def test_in_turn_draws_cross_blocks_and_keep_one_per_channel(seed):
             index = drawn[chan] = drawn[chan] + 1
             if index == hops:
                 live.remove(chan)
-        sender, dest = divmod(chan, n)
+        yield (*divmod(chan, n), index)
+
+
+@pytest.mark.parametrize("seed", [7, 2**64 - 1])
+def test_in_turn_draws_cross_blocks_and_keep_one_per_channel(seed):
+    """Every channel of an n = 7 policy, drawn in turn across 5 block
+    boundaries, gives the unfolded delays; and the policy never holds more
+    than one block per channel."""
+    n = 7
+    rd = RandomDelay(seed, n)
+    for sender, dest, index in in_turn_draws(seed, n, 5 * _BLOCK + 1):
         assert rd.delay(sender, dest, index) == reference_random_delay(
             seed, 4, sender, dest, index)
-        assert len(rd._blocks) == n * n and len(rd._blocks[chan]) <= _BLOCK
+        assert len(rd._blocks) == n * n and len(rd._blocks[sender * n + dest]) <= _BLOCK
+
+
+@pytest.mark.parametrize("seed", [7, 2**64 - 1])
+def test_adversarial_in_turn_draws_cross_windows_and_keep_one_per_channel(seed):
+    """The same for the adversarial policy, across 5 victim-window
+    boundaries: one held window per channel."""
+    n = 7
+    ad = AdversarialDelay(seed, n)
+    for sender, dest, index in in_turn_draws(seed, n, 5 * _ADV_PERIOD + 1):
+        assert ad.delay(sender, dest, index) == reference_adversarial_delay(
+            ad, seed, 4, sender, dest, index)
+        assert len(ad._blocks) == n * n and len(ad._blocks[sender * n + dest]) <= _ADV_PERIOD
 
 
 def test_threshold_defaults():
@@ -227,6 +245,30 @@ def test_every_transmission_is_eventually_delivered():
     assert validate_delivery(res.trace) == []
     assert validate_fifo(res.trace) == []
     assert len(res.trace.dlvrs) == len(res.trace.xmits)
+
+
+def test_ended_nodes_queue_no_frames():
+    """A crashed or finished node's program reads no more frames, so none
+    stay queued for it; they are still delivered, as the trace records."""
+    sim = Simulator(SimConfig(layer="qsc-tlcf", n=5, f=2, seed=4, rounds=6,
+                              delay="adversarial", crashes=((1, 5, "after"),)))
+    res = sim.run()
+    assert res.trace.crashes == {1: (5, "after")}
+    crashed_at = max(order for order, sender, *_ in res.trace.xmits if sender == 1)
+    assert any(dest == 1 and order > crashed_at for order, _, dest, _ in res.trace.dlvrs)
+    assert all(ctx.ended and not any(ctx.inbox.values()) for ctx in sim.ctxs)
+    assert validate_delivery(res.trace) == []
+    assert len(res.trace.dlvrs) == len(res.trace.xmits)
+
+
+def test_equal_returned_sets_are_recorded_as_one_object():
+    """The full trace holds the layers' own sets, each value once: nodes
+    return equal R sets, and tlcf returns its tlcw sub-step's B."""
+    trace = run(SimConfig(layer="qsc-tlcf", n=5, f=2, seed=3, rounds=4,
+                          delay="adversarial")).trace
+    sets = [s for *_, r, b in trace.rets for s in (r, b)]
+    assert all(isinstance(s, frozenset) for s in sets)
+    assert len({id(s) for s in sets}) == len(set(sets)) < len(sets)
 
 
 def test_crashing_beyond_the_budget_deadlocks_with_a_report():

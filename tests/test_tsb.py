@@ -1,11 +1,15 @@
 """Trace validators: a clean hand-built trace passes, every broken promise
 is caught by the layer check, and that check finds the same over a shared
-index of the returns as over one it builds itself."""
+index of the returns as over one it builds itself, and over tuple rows as
+over the frozensets a simulator records."""
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
+from quesera.cli import validate_trace
+from quesera.netsim import SimConfig, run
 from quesera.tsb import (
     RunTrace,
     TsbParams,
@@ -36,9 +40,12 @@ def two_node_trace() -> RunTrace:
 
 def panel(t: RunTrace) -> list[str]:
     """Layer x's findings through ``validate_layer``, after checking that
-    it finds the same whether it is handed an index or builds its own."""
+    it finds the same whether it is handed an index or builds its own, and
+    whether the rows are the hand-built tuples or frozensets of them."""
     shared = validate_layer(t, "x", index=index_rets(t))
     assert validate_layer(t, "x") == shared
+    as_sets = replace(t, rets=[(*head, frozenset(r), frozenset(b)) for *head, r, b in t.rets])
+    assert validate_layer(as_sets, "x") == shared
     return shared
 
 
@@ -51,6 +58,12 @@ def test_lockstep_catches_foreign_payload():
     r = ((0, d(b"m0")), (1, d(b"FORGED")))
     t.rets[0] = (3, "x", 1, 0, r, ())
     assert any("foreign payload" in s for s in panel(t))
+
+    # a forged entry beside the sender's own adds no sender to R
+    t = two_node_trace()
+    t.rets[0] = (3, "x", 1, 0, ((0, d(b"m0")), (0, d(b"FORGED"))), ((0, d(b"m0")),))
+    assert panel(t) == ["node 0 x step 1 R holds a foreign payload for sender 0",
+                        "node 0 x step 1: |R senders| 1 < t_r=2"]
 
 
 def test_lockstep_catches_never_sent():
@@ -114,6 +127,25 @@ def test_fullspread_and_containment():
     assert "node 0 x step 1: B not within R" in panel(t)
 
 
+def test_spread_findings_come_in_the_serialized_order():
+    # node 0's B holds two payloads of sender 0: m0, which only node 0's R
+    # holds, and one no R holds.  Their findings come by payload digest, the
+    # order a trace serializes entries in, not by payload
+    t = two_node_trace()
+    other = (0, d(b"d"))
+    assert other < (0, d(b"m0")) and d(other[1]) > d(d(b"m0"))
+    t.rets[0] = (3, "x", 1, 0, ((0, d(b"m0")), (1, d(b"m1"))), ((0, d(b"m0")), other))
+    t.rets[1] = (4, "x", 1, 1, ((1, d(b"m1")),), ())
+    assert panel(t) == [
+        "node 0 x step 1 B holds a foreign payload for sender 0",
+        "node 0 x step 1: B not within R",
+        "node 0 x step 1: B message from 0 reached 1 < t_s=2 nodes",
+        "node 0 x step 1: B message from 0 reached 0 < t_s=2 nodes",
+        "node 1 x step 1: |R senders| 1 < t_r=2",
+        "node 1 x step 1: |B senders| 0 < t_b=1",
+    ]
+
+
 def test_a_dropped_r_entry_is_reported_once():
     # t_s = n: full spread is the spread count, so a B message missing from
     # one returned R is one finding, not one per check
@@ -122,12 +154,11 @@ def test_a_dropped_r_entry_is_reported_once():
     m0, m1 = (0, d(b"m0")), (1, d(b"m1"))
     t.rets = [(3, "x", 1, 0, (m0, m1), (m0,)), (4, "x", 1, 1, (m1,), ())]
     want = ["node 0 x step 1: B message from 0 reached 1 < t_s=2 nodes"]
-    assert validate_layer(t, "x") == want
-    assert validate_layer(t, "x", index=index_rets(t)) == want
+    assert panel(t) == want
 
     # a node listing the same entry twice still reaches it once
     t.rets[0] = (3, "x", 1, 0, (m0, m0, m1), (m0,))
-    assert validate_layer(t, "x") == want
+    assert panel(t) == want
 
 
 def test_substeps_counts_and_ordering():
@@ -180,3 +211,25 @@ def test_serialization_is_stable():
     a, b = two_node_trace(), two_node_trace()
     assert a.serialize() == b.serialize()
     assert a.serialize().startswith("0,0,run:n=2:x:2/1/2,-\n")
+
+
+def test_findings_on_a_tampered_run_are_pinned():
+    """A real qsc-tlcf trace with one tlcw return tampered: two forged
+    payloads, two entries never sent, and B entries dropped from R.  Its
+    findings come sender by sender, so they do not follow the hash
+    seed that orders the recorded frozensets."""
+    trace = run(SimConfig(layer="qsc-tlcf", n=4, f=1, seed=3, rounds=2)).trace
+    assert validate_trace(trace, True) == []
+    k, (order, layer, step, node, r, b) = next(
+        (k, ret) for k, ret in enumerate(trace.rets) if ret[1] == "tlcw")
+    kept = sorted(r)[2:]
+    forged = [(sender, payload + b"!") for sender, payload in sorted(r)[:2]]
+    trace.rets[k] = (order, layer, step, node,
+                     frozenset(kept + forged + [(6, b"ghost"), (5, b"ghost")]), b)
+    assert validate_trace(trace, True) == [
+        "node 0 tlcw step 1 R holds a foreign payload for sender 0",
+        "node 0 tlcw step 1 R holds a foreign payload for sender 1",
+        "node 0 tlcw step 1 R holds a message never sent by 5 at that step",
+        "node 0 tlcw step 1 R holds a message never sent by 6 at that step",
+        "node 0 tlcw step 1: B not within R",
+    ]

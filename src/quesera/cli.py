@@ -70,7 +70,9 @@ def build_config(args: argparse.Namespace, seed: int) -> SimConfig:
         t_s=args.t_s,
         delay=args.delay,
         crashes=tuple(args.crash or ()),
-        trace_level=args.trace_level,
+        # a light trace keeps the consensus ledger and the metrics; the
+        # validators and a written trace need the full one
+        trace_level="full" if args.validate or args.trace_out else "light",
     )
 
 
@@ -138,8 +140,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--delay", choices=netsim.DELAY_POLICIES, default=SimConfig.delay,
                        help="default: %(default)s")
         p.add_argument("--crash", action="append", type=parse_crash, metavar="N@Sb|a")
-        p.add_argument("--trace-level", choices=netsim.TRACE_LEVELS,
-                       default=SimConfig.trace_level, help="default: %(default)s")
         p.add_argument("--validate", action="store_true")
 
     p_run = sub.add_parser("run", help="one simulation")
@@ -150,7 +150,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_sweep = sub.add_parser("sweep", help="same configuration across seeds")
     common(p_sweep)
     p_sweep.add_argument("--seeds", type=int, default=10, help="seed count (seed, seed+1, ...)")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, trace_out=None)
 
     args = parser.parse_args(argv)
     try:

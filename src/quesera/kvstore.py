@@ -120,13 +120,6 @@ class _Store:
     def _commit(self, key: bytes, value: bytes) -> None:
         self._data[key] = value
 
-    def write(self, key: bytes, value: bytes) -> tuple[bool, bytes]:
-        """Store value if the key is fresh; either way return whether the key
-        now holds the offered bytes (this write won, or an equal earlier one
-        did) and the key's settled value."""
-        settled = self.write_read(key, value)
-        return settled == value, settled
-
     def write_read(self, key: bytes, value: bytes) -> bytes:
         """The key's settled value: ``value`` itself if this write stands,
         else the value held, in one lock and one lookup."""
@@ -304,9 +297,9 @@ def serve(store: _Store, lines: Iterable[str], out: TextIO) -> None:
             if verb == "R":
                 got = store.read(key)
                 out.write("N\n" if got is None else encode_hit(got))
-            else:  # W
-                held, settled = store.write(key, value)
-                out.write("A\n" if held else encode_hit(settled))
+            else:  # W: A when the key holds the offered bytes, equal or won
+                settled = store.write_read(key, value)
+                out.write("A\n" if settled == value else encode_hit(settled))
         except ProtocolError as exc:
             out.write(f"E {exc}\n")
         out.flush()

@@ -35,10 +35,10 @@ from .tlcb import Tlcb, spread_fault_budget
 from .tlcf import Tlcf
 from .tlcr import ConfigError, StepCollector, Tlcr
 from .tlcw import Tlcw
-from .tsb import ProposalInfo, RunTrace, Thresholds, TsbParams
+from .tsb import ProposalInfo, RunTrace, Thresholds
 from .wire import StepMessage, frame_size
 
-TRACE_LEVELS = ("full", "steps", "light")
+TRACE_LEVELS = ("full", "light")
 
 _M64 = (1 << 64) - 1
 _MIX_IV = 0x6A09E667F3BCC909
@@ -225,10 +225,10 @@ class Stack:
 
     rules: tuple[str, ...]  # names in RULES
     witnessed: bool  # default thresholds: n - f throughout, else the gossip scheme
-    layer: Optional[type] = None  # the top layer; None where stores replace nodes
+    layer: type  # the top layer
     consensus: bool = False  # QSC rounds run on top
 
-    def claims(self, th: Thresholds) -> dict[str, TsbParams]:
+    def claims(self, th: Thresholds) -> dict[str, Thresholds]:
         """Recorded layer names -> claimed thresholds, top of the stack first."""
         claims = {self.layer.name: self.layer.claim(th)}
         for _, sub, _ in self.layer.subs:
@@ -245,7 +245,6 @@ class Stack:
 
 _TLCR = ("0 <= f", "0 <= t_r <= n", "f <= n - t_r")
 _TLCB = ("0 <= f", "0 < t_r <= n - f", "0 < t_s <= t_r", "0 < t_b", "t_b <= n - f_b")
-_TLCB_FULL = _TLCB + ("t_r + t_s > n",)
 _TLCW = ("0 <= f", "0 < t_b <= n - f", "0 < t_s <= n - f")
 _TLCF = ("0 <= f", "0 < t_r <= n - f", "0 < t_b <= n - f", "0 < t_s <= n - f",
          "t_r + t_s > n")
@@ -254,17 +253,15 @@ STACKS: dict[str, Stack] = {
     # rules, witnessed, layer, consensus
     "tlcr": Stack(_TLCR, False, Tlcr),
     "tlcb": Stack(_TLCB, False, Tlcb),
-    "tlcb-full": Stack(_TLCB_FULL, False, Tlcb),
     "tlcw": Stack(_TLCW, True, Tlcw),
     "tlcf": Stack(_TLCF, True, Tlcf),
-    "qsc-tlcb": Stack(_TLCB_FULL, False, Tlcb, True),
+    # QSC needs full spread; QSCOD's store columns (quesera.qscod) admit
+    # their thresholds by the qsc-tlcb row too
+    "qsc-tlcb": Stack(_TLCB + ("t_r + t_s > n",), False, Tlcb, True),
     "qsc-tlcf": Stack(_TLCF, True, Tlcf, True),
-    # the same rounds over write-once store columns (quesera.qscod)
-    "qscod": Stack(_TLCB_FULL, False, consensus=True),
 }
 
-# the stacks the simulator runs
-LAYERS = tuple(name for name, stack in STACKS.items() if stack.layer is not None)
+LAYERS = tuple(STACKS)  # the stacks the simulator runs
 
 
 def configure(layer: str, n: int, f: int, t_r: Optional[int] = None,
@@ -486,12 +483,12 @@ class Simulator:
         return self.order
 
     def rec_send(self, name: str, step: int, node: int, payload: bytes) -> None:
-        if self.level != "light":
+        if self._full:
             self.order += 1
             self.trace.sends.append((self.order, name, step, node, payload))
 
     def rec_ret(self, name: str, step: int, node: int, res) -> None:
-        if self.level != "light":
+        if self._full:
             self.order += 1
             sets = self._sets
             self.trace.rets.append((self.order, name, step, node, sets.setdefault(res.r, res.r),

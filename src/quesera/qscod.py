@@ -80,10 +80,9 @@ def decode_slot3(data: bytes) -> tuple[EntrySet, EntrySet, History]:
 
 
 def qscod_params(n: int) -> Thresholds:
-    """Thresholds over n store columns with f = n // 3: the gossip stack's
-    admission with full spread required (t_r + t_s > n) and its defaults,
-    from the stack table's qscod row."""
-    return configure("qscod", n, n // 3)
+    """Thresholds over n store columns with f = n // 3: the admission and
+    defaults of the stack table's qsc-tlcb row, whose round QSCOD runs."""
+    return configure("qsc-tlcb", n, n // 3)
 
 
 class CountingStore:

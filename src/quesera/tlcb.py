@@ -18,7 +18,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .tlcr import ConfigError, Tlcr
-from .tsb import Thresholds, TsbParams, TsbResult
+from .tsb import Thresholds, TsbResult
 from .wire import Entry, EntrySet, encode_entry_set, entry_set_bytes
 
 
@@ -50,10 +50,10 @@ class Tlcb:
     subs = (("inner", Tlcr, 2),)
 
     @staticmethod
-    def claim(th: Thresholds) -> TsbParams:
-        """B lies within R; with t_r + t_s > n the spread is full."""
+    def claim(th: Thresholds) -> Thresholds:
+        """With t_r + t_s > n the spread is full."""
         t_s = th.n if th.t_r + th.t_s > th.n else th.t_s
-        return TsbParams(th.n, th.t_r, th.t_b, t_s, b_in_r=True)
+        return Thresholds(th.n, th.f, th.t_r, th.t_b, t_s)
 
     def __init__(self, ctx, node: int, th: Thresholds):
         self.t_s = th.t_s

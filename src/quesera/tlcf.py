@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .tlcr import Tlcr
 from .tlcw import Tlcw
-from .tsb import Thresholds, TsbParams, TsbResult
+from .tsb import Thresholds, TsbResult
 from .wire import encode_entry_set, entry_set_bytes
 
 
@@ -22,8 +22,8 @@ class Tlcf:
     subs = (("witness", Tlcw, 1), ("gossip", Tlcr, 1))
 
     @staticmethod
-    def claim(th: Thresholds) -> TsbParams:
-        return TsbParams(th.n, th.t_r, th.t_b, th.n, b_in_r=True)
+    def claim(th: Thresholds) -> Thresholds:
+        return Thresholds(th.n, th.f, th.t_r, th.t_b, th.n)
 
     def __init__(self, ctx, node: int, th: Thresholds):
         self.witness = Tlcw(ctx, node, th)

@@ -28,7 +28,7 @@ deterministic scheduler; it yields at most once per step.
 
 from __future__ import annotations
 
-from .tsb import Thresholds, TsbParams, TsbResult
+from .tsb import Thresholds, TsbResult
 from .wire import PLAIN, StepMessage
 
 
@@ -98,8 +98,8 @@ class Tlcr(StepCollector):
     tag = "r"
 
     @staticmethod
-    def claim(th: Thresholds) -> TsbParams:
-        return TsbParams(th.n, th.t_r, 0, 0)
+    def claim(th: Thresholds) -> Thresholds:
+        return Thresholds(th.n, th.f, th.t_r, 0, 0)
 
     def __init__(self, ctx, node: int, th: Thresholds):
         super().__init__(ctx, node, th.t_r)

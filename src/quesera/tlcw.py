@@ -17,7 +17,7 @@ receive set before any of its announcements (keeping B within R).
 from __future__ import annotations
 
 from .tlcr import StepCollector, TransportIntegrityError
-from .tsb import Thresholds, TsbParams, TsbResult
+from .tsb import Thresholds, TsbResult
 from .wire import ACK, REQ, WIT, StepMessage
 
 
@@ -28,10 +28,10 @@ class Tlcw(StepCollector):
     tag = "w"
 
     @staticmethod
-    def claim(th: Thresholds) -> TsbParams:
+    def claim(th: Thresholds) -> Thresholds:
         # receive threshold matches t_b: B is within R, so t_b senders in B
         # means at least that many in R
-        return TsbParams(th.n, th.t_b, th.t_b, th.t_s, b_in_r=True)
+        return Thresholds(th.n, th.f, th.t_b, th.t_b, th.t_s)
 
     def __init__(self, ctx, node: int, th: Thresholds):
         super().__init__(ctx, node, th.t_b)

@@ -2,10 +2,11 @@
 
 A layer satisfying the contract exposes ``broadcast(m) -> (R, B)`` where the
 call made at logical step s returns exactly one step later, R holds the step-s
-messages of at least ``t_r`` distinct senders, B holds messages of at least
-``t_b`` senders, and every message in B reached the step-s receive sets of at
-least ``t_s`` nodes (nodes that stopped mid-run count: the message was on the
-wire to them and they would receive it, only too late to matter).
+messages of at least ``t_r`` distinct senders, B lies within R and holds
+messages of at least ``t_b`` senders, and every message in B reached the
+step-s receive sets of at least ``t_s`` nodes (nodes that stopped mid-run
+count: the message was on the wire to them and they would receive it, only
+too late to matter).
 
 Full spread is the same promise at t_s = n.  ``validate_layer`` replays a
 :class:`RunTrace` against the contract, one recorded layer at its claim, in one
@@ -31,34 +32,15 @@ RetIndex = dict[str, dict[int, list[tuple[int, int, frozenset[Entry], frozenset[
 
 @dataclass(frozen=True, slots=True)
 class Thresholds:
-    """One stack's admitted thresholds over n nodes with up to f faults.
-    Every layer of the stack reads the ones it needs."""
+    """TSB(t_r, t_b, t_s) over n nodes with up to f faults: a stack's
+    admitted thresholds, which every layer of it reads, and what each layer
+    claims over them."""
 
     n: int
     f: int
     t_r: int
     t_b: int
     t_s: int
-
-
-@dataclass(frozen=True, slots=True)
-class TsbParams:
-    """Claimed thresholds of one layer: TSB(t_r, t_b, t_s) over n nodes, and
-    whether every returned B lies within the same call's R."""
-
-    n: int
-    t_r: int
-    t_b: int
-    t_s: int
-    b_in_r: bool = False
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        for name in ("t_r", "t_b", "t_s"):
-            v = getattr(self, name)
-            if not 0 <= v <= self.n:
-                raise ValueError(f"{name}={v} outside 0..n")
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,7 +77,7 @@ class RunTrace:
     """
 
     n: int
-    layers: dict[str, TsbParams]  # claim per recorded layer, top layer first
+    layers: dict[str, Thresholds]  # claim per recorded layer, top layer first
     sends: list[tuple[int, str, int, int, bytes]] = field(default_factory=list)
     rets: list[tuple[int, str, int, int, frozenset[Entry], frozenset[Entry]]] = field(
         default_factory=list
@@ -270,9 +252,9 @@ def validate_layer(
     of ``t_s`` nodes, each node counted once; a node that never returned
     that step counts as reached (it crashed: the message was on the wire to
     it, and delivery is only a matter of waiting).  At t_s = n this spread
-    count is the full-spread check.  Containment: where the claim has
-    ``b_in_r``, every returned B lies within the same call's R.  Returned sets
-    are checked as sets; their failing entries are reported sender by sender."""
+    count is the full-spread check.  Containment: every returned B lies
+    within the same call's R.  Returned sets are checked as sets; their
+    failing entries are reported sender by sender."""
     claim = trace.layers[layer]
     sends, bad = _layer_sends(trace, layer)
     per_node = (index_rets(trace) if index is None else index).get(layer, {})
@@ -286,7 +268,7 @@ def validate_layer(
             bad.append(f"node {node} {layer} send steps not consecutive: {steps[:8]}...")
     sent_entries = {step: frozenset(sent.items()) for step, sent in sends.items()}
     by_step: dict[int, list[tuple[int, frozenset[Entry], frozenset[Entry], bool]]] = {}
-    b_in_r, unsent, nothing = claim.b_in_r, {}, frozenset()
+    unsent, nothing = {}, frozenset()
     for node, seq in sorted(per_node.items()):
         want = 1
         for _, step, r, b in seq:
@@ -303,7 +285,7 @@ def validate_layer(
                     what = (f"a foreign payload for sender {sender}" if sender in at_step
                             else f"a message never sent by {sender} at that step")
                     bad.append(f"node {node} {layer} step {step} {tag} holds {what}")
-            if b_in_r and not b <= r:
+            if not b <= r:
                 bad.append(f"node {node} {layer} step {step}: B not within R")
             by_step.setdefault(step, []).append((node, r, b, clean))
     for node in sorted(set(send_steps) | set(per_node)):

@@ -113,7 +113,7 @@ def test_a2_commit_rate_meets_the_lottery_bound():
 def corpus():
     bare = (
         ("tlcr", 4, 1), ("tlcw", 4, 1),
-        ("tlcb", 3, 1), ("tlcb-full", 3, 1), ("tlcb-full", 6, 2),
+        ("tlcb", 3, 1), ("tlcb", 6, 2),
         ("tlcf", 3, 1), ("tlcf", 5, 2),
     )
     for layer, n, f in bare:
@@ -178,8 +178,7 @@ def test_a4_pigeonhole_bound_is_exact_over_all_matrices():
         worst_b = n
         for seed in range(6):
             res = run(SimConfig(layer="tlcb", n=n, seed=seed, rounds=8, f=f,
-                                t_r=t_r, t_b=t_b, t_s=t_s, delay="random",
-                                trace_level="steps"))
+                                t_r=t_r, t_b=t_b, t_s=t_s, delay="random"))
             for *_, b in (r for r in res.trace.rets if r[1] == "tlcb"):
                 worst_b = min(worst_b, len(senders(b)))
         assert worst_b >= floor, f"observed |B|={worst_b} under bound {floor}"
@@ -189,8 +188,7 @@ def test_a4_pigeonhole_bound_is_exact_over_all_matrices():
     # and the admission line is sharp: a config just past it is accepted
     # without the full-spread promise and demonstrably breaks it
     partial = SimConfig(layer="tlcb", n=6, seed=5, rounds=8, f=2,
-                        t_r=4, t_b=3, t_s=2, delay="random",
-                        trace_level="steps")
+                        t_r=4, t_b=3, t_s=2, delay="random")
     res = run(partial)
     assert validate_layer(res.trace, "tlcb") == []
     claim = res.trace.layers["tlcb"]
@@ -198,7 +196,7 @@ def test_a4_pigeonhole_bound_is_exact_over_all_matrices():
     broken = validate_layer(full, "tlcb")  # held to full spread, t_s = n
     assert broken
     try:
-        configure("tlcb-full", 6, 2, t_r=4, t_b=3, t_s=2)
+        configure("qsc-tlcb", 6, 2, t_r=4, t_b=3, t_s=2)
         rejected = False
     except ConfigError:
         rejected = True
@@ -233,7 +231,7 @@ def test_a5_every_delivered_head_is_exactly_two_steps_old():
 def qscod_bytes_per_agreement(n: int, seed: int = 11) -> float:
     # f=0 makes t_r = n: the lone client waits for every column, so the
     # bytes it reads back do not depend on how the driver threads race
-    params = configure("qscod", n, 0)
+    params = configure("qsc-tlcb", n, 0)
     tally = ByteTally()
     stores = [CountingStore(MemoryStore(), tally) for _ in range(n)]
     client = Client(0, stores, params, mix64(seed, 0))

@@ -11,14 +11,12 @@ import hashlib
 from quesera.netsim import STACKS, configure
 from quesera.tlcr import ConfigError
 
-ADMITTED = 14081
-DIGEST = "12c8b5b6f6da2e76ebd347f8925f77be2e05bf9190638121afce56f883a24c56"
+ADMITTED = 13587
+DIGEST = "35748dcbb964c385a187abeaa0c6efe5d67b26c399f9cda6c22f97bbfdb5f348"
 
 
 def _render(stack, th) -> str:
-    """Simulated rows by their claims, store-backed rows by the thresholds."""
-    if stack.layer is None:
-        return f"{th.n}/{th.t_r}/{th.t_b}/{th.t_s}"
+    """A row's admitted thresholds by what its layers claim over them."""
     return ";".join(
         f"{name}:{p.n}/{p.t_r}/{p.t_b}/{p.t_s}" for name, p in stack.claims(th).items()
     )

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from quesera import qscod
+from quesera import netsim, qscod
 from quesera.cli import main as sim_main
 from quesera.cli import parse_crash, validate_trace
 from quesera.kvstore import FileStore, MemoryStore, encode_request
@@ -48,8 +48,7 @@ def test_run_prints_metrics_validates_and_dumps_the_trace(capsys, tmp_path):
 
 def test_sweep_aggregates_node_rounds(capsys):
     code = sim_main(["sweep", "--layer", "qsc-tlcb", "--n", "3", "--f", "1",
-                     "--rounds", "5", "--seeds", "3", "--seed", "2",
-                     "--trace-level", "light", "--validate"])
+                     "--rounds", "5", "--seeds", "3", "--seed", "2", "--validate"])
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     per_seed = lines[:-1]
@@ -183,13 +182,58 @@ def test_qscod_tools_fail_when_messages_are_undelivered(capsys):
                                       for c in (0, 1))]
 
 
-def test_panel_checks_b_within_r_where_the_stack_claims_it():
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_the_trace_level_follows_validate_and_trace_out(capsys, monkeypatch, tmp_path, command):
+    """A run records the full trace only where it is read, by the validators
+    or into --trace-out; either way it prints the same metrics lines."""
+    levels = []
+    simulate = netsim.run
+
+    def run_recording_level(cfg):
+        levels.append(cfg.trace_level)
+        return simulate(cfg)
+
+    monkeypatch.setattr(netsim, "run", run_recording_level)
+    argv = [command, *SIM_RUN, "--seed", "5"] + (["--seeds", "2"] if command == "sweep" else [])
+    out = ["--trace-out", str(tmp_path / "trace.txt")]
+    cases = [([], "light"), (["--validate"], "full")]
+    if command == "run":
+        cases += [(out, "full"), (["--validate", *out], "full")]
+    printed = set()
+    for extra, level in cases:
+        levels.clear()
+        assert sim_main(argv + extra) == 0
+        assert levels == [level] * (2 if command == "sweep" else 1)
+        lines = capsys.readouterr().out.splitlines()
+        printed.add(tuple(line for line in lines if line.startswith("seed=")))
+    assert len(printed) == 1
+
+    with pytest.raises(SystemExit) as exited:
+        sim_main(argv + ["--trace-level", "light"])
+    assert exited.value.code == 2
+    assert "error: unrecognized arguments: --trace-level light" in capsys.readouterr().err
+
+
+def test_panel_checks_b_within_r_on_every_layer():
+    # a tlcw return whose R lost one of its B entries
     trace = run(SimConfig(layer="qsc-tlcf", n=4, f=1, seed=3, rounds=2)).trace
     assert validate_trace(trace, True) == []
     k, (order, layer, step, node, r, b) = next(
         (k, ret) for k, ret in enumerate(trace.rets) if ret[1] == "tlcw")
     trace.rets[k] = (order, layer, step, node, tuple(e for e in r if e != min(b)), b)
     assert f"node {node} tlcw step {step}: B not within R" in validate_trace(trace, True)
+
+    # a tlcr return, whose B is always empty, given an entry sent at that
+    # step that its R does not hold
+    trace = run(SimConfig(layer="tlcf", n=4, f=1, seed=3, rounds=2)).trace
+    assert validate_trace(trace, False) == []
+    sent = [(step, (node, payload))
+            for _, layer, step, node, payload in trace.sends if layer == "tlcr"]
+    k, extra = next((k, entry) for k, ret in enumerate(trace.rets) if ret[1] == "tlcr"
+                    for step, entry in sent if step == ret[2] and entry not in ret[4])
+    order, layer, step, node, r, b = trace.rets[k]
+    trace.rets[k] = (order, layer, step, node, r, b | {extra})
+    assert validate_trace(trace, False) == [f"node {node} tlcr step {step}: B not within R"]
 
 
 def cli(*argv, input_text=None, hashseed=None):

@@ -36,7 +36,6 @@ CONFIGS: dict[str, dict] = {
     "tlcr-crash-before": dict(layer="tlcr", n=4, f=1, rounds=6, crashes=((2, 3, "before"),)),
     "tlcb-random": dict(layer="tlcb", n=4, f=1, rounds=5),
     "tlcb-adversarial": dict(layer="tlcb", n=5, f=1, rounds=5, delay="adversarial"),
-    "tlcb-full-random": dict(layer="tlcb-full", n=4, f=1, rounds=5),
     "tlcw-adversarial": dict(layer="tlcw", n=4, f=1, rounds=5, delay="adversarial"),
     "tlcw-crash-after": dict(layer="tlcw", n=4, f=1, rounds=5, crashes=((0, 2, "after"),)),
     "tlcf-random": dict(layer="tlcf", n=3, f=1, rounds=5),

@@ -37,19 +37,22 @@ def store(request, tmp_path):
 def test_first_write_settles_the_key(store):
     assert store.write_read(b"k", b"first") == b"first"
     assert store.write_read(b"k", b"second") == b"first"
-    won, settled = store.write(b"k", b"third")
-    assert (won, settled) == (False, b"first")
-    assert store.write(b"fresh", b"x") == (True, b"x")
+    assert store.write_read(b"k", b"third") == b"first"
+    assert store.write_read(b"fresh", b"x") == b"x"
     # an equal-bytes repeat, even a copy, finds its value standing
-    assert store.write(b"k", bytes(bytearray(b"first"))) == (True, b"first")
+    assert store.write_read(b"k", bytes(bytearray(b"first"))) == b"first"
     assert store.read(b"k") == b"first"
     assert store.read(b"nope") is None
     assert len(store.snapshot()) == 2
-    # so the server answers A whenever the key holds the offered bytes
+    # so the server answers A whenever the key holds the offered bytes: a
+    # fresh write, a repeat of it, and an equal write to a key another
+    # client settled; a write of other bytes gets the value held
     out = io.StringIO()
     serve(store, [encode_request("W", b"s", b"v"), encode_request("W", b"s", b"v"),
-                  encode_request("W", b"s", b"other"), encode_request("R", b"s")], out)
-    assert out.getvalue().splitlines() == ["A", "A", f"V {b64(b'v')}", f"V {b64(b'v')}"]
+                  encode_request("W", b"k", b"first"), encode_request("W", b"s", b"other"),
+                  encode_request("R", b"s")], out)
+    assert out.getvalue().splitlines() == [
+        "A", "A", "A", f"V {b64(b'v')}", f"V {b64(b'v')}"]
 
 
 def test_a_write_that_stands_returns_the_offered_object(store):

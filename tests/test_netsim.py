@@ -169,9 +169,6 @@ def test_threshold_defaults():
     assert resolved("qsc-tlcf", 5, 2) == (3, 3, 3)
     for n, f, want in ((3, 1, (2, 1, 2)), (6, 2, (4, 2, 3)), (12, 4, (8, 4, 5))):
         assert resolved("qsc-tlcb", n, f) == want
-        # QSCOD's store columns take the gossip stack's defaults too
-        p = configure("qscod", n, f)
-        assert (p.t_r, p.t_b, p.t_s) == want
 
 
 def test_config_validation():
@@ -325,17 +322,13 @@ def test_survivors_run_a_long_race_past_a_dead_founder():
 def test_trace_levels_trade_detail_for_size():
     base = dict(layer="qsc-tlcf", n=3, seed=2, rounds=3, f=1)
     full = run(SimConfig(trace_level="full", **base)).trace
-    steps = run(SimConfig(trace_level="steps", **base)).trace
     light = run(SimConfig(trace_level="light", **base)).trace
-    assert full.xmits and full.rets
-    assert steps.rets and not steps.xmits
-    assert not light.rets and not light.sends
-    # the consensus ledger survives at every level
-    for tr in (full, steps, light):
+    assert full.xmits and full.dlvrs and full.rets and full.sends
+    assert not (light.xmits or light.dlvrs or light.rets or light.sends)
+    # the consensus ledger survives at both levels
+    for tr in (full, light):
         assert tr.deliveries and tr.adopts and tr.proposals
-    assert ([r.committed for r in full.deliveries]
-            == [r.committed for r in steps.deliveries]
-            == [r.committed for r in light.deliveries])
+    assert [r.committed for r in full.deliveries] == [r.committed for r in light.deliveries]
 
 
 def test_gossip_stack_cost_is_four_broadcasts_per_round():

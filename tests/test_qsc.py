@@ -16,7 +16,7 @@ from quesera.qsc import (
     qsc_round,
     run_qsc_node,
 )
-from quesera.tsb import ProposalInfo, RunTrace, TsbParams, TsbResult
+from quesera.tsb import ProposalInfo, RunTrace, Thresholds, TsbResult
 from quesera.wire import encode_history, history_bytes
 
 from test_tlcr import drive
@@ -158,7 +158,7 @@ def test_run_qsc_node_threads_state_through_rounds():
 
 
 def fresh_trace():
-    return RunTrace(n=3, layers={"qsc": TsbParams(3, 2, 1, 3)})
+    return RunTrace(n=3, layers={"qsc": Thresholds(3, 0, 2, 1, 3)})
 
 
 def register(trace, history, created_step=None):

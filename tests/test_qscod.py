@@ -52,7 +52,7 @@ def test_params_defaults_and_admission():
     p = qscod_params(6)
     assert (p.t_r, p.t_s, p.t_b, p.f) == (4, 3, 2, 2)
     with pytest.raises(ConfigError, match="t_r [+] t_s > n"):
-        configure("qscod", 6, 2, t_s=2)  # columns could miss each other's winners
+        configure("qsc-tlcb", 6, 2, t_s=2)  # columns could miss each other's winners
 
 
 def play(state, layer, message, priority, answer):
@@ -494,7 +494,7 @@ def test_lone_client_store_bytes_are_pinned():
     function of the seed alone: its bill and the bytes each store holds."""
     raw = [MemoryStore() for _ in range(5)]
     done, problems, dead, short, tally = run_workload(
-        raw, configure("qscod", 5, 0), 1, 20, 40, seed=9)
+        raw, configure("qsc-tlcb", 5, 0), 1, 20, 40, seed=9)
     assert (problems, dead, short) == ([], [], [])
     assert tally.total == 54_000
     digest = hashlib.sha256()
@@ -511,7 +511,7 @@ def test_lone_client_proposals_and_decisions_are_pinned():
     round."""
     raw = [MemoryStore() for _ in range(5)]
     done, problems, dead, short, tally = run_workload(
-        raw, configure("qscod", 5, 0), 1, 20, 40, seed=9)
+        raw, configure("qsc-tlcb", 5, 0), 1, 20, 40, seed=9)
     assert (problems, dead, short) == ([], [], [])
     digest = hashlib.sha256()
     for store in raw:

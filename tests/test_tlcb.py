@@ -109,8 +109,7 @@ _PARTIAL = dict(n=6, f=2, t_r=4, t_b=3, t_s=2)
 
 
 def test_partial_spread_config_really_is_weaker():
-    cfg = SimConfig(layer="tlcb", seed=5, rounds=8, delay="random",
-                    trace_level="steps", **_PARTIAL)
+    cfg = SimConfig(layer="tlcb", seed=5, rounds=8, delay="random", **_PARTIAL)
     res = run(cfg)
     # the promises it does make all hold...
     assert validate_layer(res.trace, "tlcb") == []
@@ -120,17 +119,17 @@ def test_partial_spread_config_really_is_weaker():
     full = replace(res.trace, layers={**res.trace.layers, "tlcb": replace(claim, t_s=claim.n)})
     broken = validate_layer(full, "tlcb")
     assert broken and all(s.endswith(f"< t_s={claim.n} nodes") for s in broken)
-    # and the strict admission refuses the same thresholds
+    # and consensus, which needs full spread, refuses the same thresholds
     with pytest.raises(ConfigError, match="t_r [+] t_s > n"):
-        configure("tlcb-full", 6, 2, t_r=4, t_b=3, t_s=2)
+        configure("qsc-tlcb", 6, 2, t_r=4, t_b=3, t_s=2)
     with pytest.raises(ConfigError, match="t_r [+] t_s > n"):
-        run(SimConfig(layer="tlcb-full", seed=5, rounds=2, **_PARTIAL))
+        run(SimConfig(layer="qsc-tlcb", seed=5, rounds=2, **_PARTIAL))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_full_spread_config_holds_under_stress(seed):
-    cfg = SimConfig(layer="tlcb-full", n=6, seed=seed, rounds=6, f=2,
-                    delay="adversarial", crashes=((4, 3, "after"),),
-                    trace_level="steps")
+    cfg = SimConfig(layer="tlcb", n=6, seed=seed, rounds=6, f=2,
+                    delay="adversarial", crashes=((4, 3, "after"),))
     res = run(cfg)
+    assert res.trace.layers["tlcb"].t_s == 6  # the defaults meet t_r + t_s > n
     assert validate_layer(res.trace, "tlcb") == []

@@ -34,14 +34,13 @@ def test_full_spread_survives_minority_crashes(n, f, seed, delay):
     """A majority of live nodes is enough: every witnessed message reaches
     every surviving receive set, through crashes and skew alike."""
     cfg = SimConfig(layer="tlcf", n=n, seed=seed, rounds=6, f=f, delay=delay,
-                    crashes=CRASH_MENU[n][seed], trace_level="steps")
+                    crashes=CRASH_MENU[n][seed])
     res = run(cfg)
-    assert validate_layer(res.trace, "tlcf") == []  # the claim has b_in_r: B within R too
+    assert validate_layer(res.trace, "tlcf") == []  # B within R too
 
 
 def test_each_call_uses_one_witness_and_one_gossip_substep():
-    res = run(SimConfig(layer="tlcf", n=3, seed=9, rounds=5, f=1,
-                        trace_level="steps"))
+    res = run(SimConfig(layer="tlcf", n=3, seed=9, rounds=5, f=1))
     assert validate_substeps(res.trace, "tlcf", "tlcw", 1) == []
     assert validate_substeps(res.trace, "tlcf", "tlcr", 1) == []
     assert validate_layer(res.trace, "tlcw") == []

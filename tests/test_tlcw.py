@@ -89,7 +89,6 @@ def test_viral_adoption_replays_req_before_wit():
 @pytest.mark.parametrize("delay", ["random", "adversarial"])
 def test_contract_holds_under_stress(seed, delay):
     cfg = SimConfig(layer="tlcw", n=4, seed=seed, rounds=6, f=1, delay=delay,
-                    crashes=((seed % 4, 4, "after"),) if seed % 2 else (),
-                    trace_level="steps")
+                    crashes=((seed % 4, 4, "after"),) if seed % 2 else ())
     res = run(cfg)
-    assert validate_layer(res.trace, "tlcw") == []  # the claim has b_in_r: B within R too
+    assert validate_layer(res.trace, "tlcw") == []  # B within R too

@@ -12,7 +12,7 @@ from quesera.cli import validate_trace
 from quesera.netsim import SimConfig, run
 from quesera.tsb import (
     RunTrace,
-    TsbParams,
+    Thresholds,
     index_rets,
     validate_delivery,
     validate_fifo,
@@ -28,7 +28,7 @@ def d(payload: bytes) -> bytes:
 def two_node_trace() -> RunTrace:
     """Two nodes, one step, everyone receives everything, node 0's message
     witnessed by both."""
-    t = RunTrace(n=2, layers={"x": TsbParams(2, 2, 1, 2, b_in_r=True)})
+    t = RunTrace(n=2, layers={"x": Thresholds(2, 0, 2, 1, 2)})
     t.sends = [(1, "x", 1, 0, d(b"m0")), (2, "x", 1, 1, d(b"m1"))]
     full = ((0, d(b"m0")), (1, d(b"m1")))
     t.rets = [
@@ -104,7 +104,7 @@ def test_spread_counts_silent_nodes_as_reached():
     t.rets = [(3, "x", 1, 0, ((0, d(b"m0")),), ((0, d(b"m0")),))]
     # at the trace's own claim, t_r=2, R is one sender short
     assert panel(t) == ["node 0 x step 1: |R senders| 1 < t_r=2"]
-    t.layers["x"] = TsbParams(2, 1, 1, 2)
+    t.layers["x"] = Thresholds(2, 0, 1, 1, 2)
     assert panel(t) == []
 
     # but a returned R missing the B message does count against it
@@ -149,7 +149,7 @@ def test_spread_findings_come_in_the_serialized_order():
 def test_a_dropped_r_entry_is_reported_once():
     # t_s = n: full spread is the spread count, so a B message missing from
     # one returned R is one finding, not one per check
-    t = RunTrace(n=2, layers={"x": TsbParams(2, 1, 0, 2, b_in_r=True)})
+    t = RunTrace(n=2, layers={"x": Thresholds(2, 0, 1, 0, 2)})
     t.sends = [(1, "x", 1, 0, d(b"m0")), (2, "x", 1, 1, d(b"m1"))]
     m0, m1 = (0, d(b"m0")), (1, d(b"m1"))
     t.rets = [(3, "x", 1, 0, (m0, m1), (m0,)), (4, "x", 1, 1, (m1,), ())]
@@ -162,7 +162,7 @@ def test_a_dropped_r_entry_is_reported_once():
 
 
 def test_substeps_counts_and_ordering():
-    t = RunTrace(n=1, layers={"o": TsbParams(1, 1, 0, 0), "i": TsbParams(1, 1, 0, 0)})
+    t = RunTrace(n=1, layers={"o": Thresholds(1, 0, 1, 0, 0), "i": Thresholds(1, 0, 1, 0, 0)})
     t.sends = [(1, "o", 1, 0, d(b"m")), (2, "i", 1, 0, d(b"m")),
                (4, "i", 2, 0, d(b"g"))]
     t.rets = [(3, "i", 1, 0, ((0, d(b"m")),), ()),
@@ -178,7 +178,7 @@ def test_substeps_counts_and_ordering():
 
 
 def test_transport_checks():
-    t = RunTrace(n=2, layers={"x": TsbParams(2, 1, 0, 0)})
+    t = RunTrace(n=2, layers={"x": Thresholds(2, 0, 1, 0, 0)})
     t.xmits = [(1, 0, 1, 1, 10), (2, 0, 1, 2, 10)]
     t.dlvrs = [(3, 0, 1, 1), (4, 0, 1, 2)]
     assert validate_fifo(t) == []

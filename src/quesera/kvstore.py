@@ -19,9 +19,13 @@ empty byte string is spelled ``-``)::
 A :class:`PipeStore` is a client of that protocol: it runs a file store in
 a child process and talks to it over pipes, so a store can hang or die
 apart from its clients.  In-process stores are thread-safe; a pipe store
-serves one thread at a time.  Every field is canonical: a line that parses
-re-encodes to the same fields, so one key or value has one spelling, and
-:func:`write_line` encodes a write once for every store it is offered to.
+serves one thread at a time.  Every field is canonical and fields are
+separated by ASCII whitespace alone: a line that parses re-encodes to the
+same fields, so one key or value has one spelling.  The protocol is bytes
+throughout, so the server answers any input line whatever the I/O encoding.
+Each line kind has one encoder, used by the logs, the pipes, the server and
+a client's bill alike: :func:`write_line`, which encodes a write once for
+every store it is offered to, :func:`read_line` and :func:`reply`.
 """
 
 from __future__ import annotations
@@ -33,81 +37,71 @@ import functools
 import os
 import sys
 import threading
-from typing import Iterable, Optional, TextIO
+from typing import BinaryIO, Iterable, Optional
 
 
 class ProtocolError(Exception):
     pass
 
 
-def b64(data: bytes) -> str:
-    return "-" if not data else base64.b64encode(data).decode("ascii")
+def _shown(raw: bytes) -> str:
+    """``raw`` quoted, its ASCII as it is and other bytes as escapes."""
+    return repr(raw)[1:]  # without the b prefix
 
 
-def unb64(text: str) -> bytes:
-    if text == "-":
+def b64(data: bytes) -> bytes:
+    return binascii.b2a_base64(data, newline=False) if data else b"-"
+
+
+def unb64(field: bytes) -> bytes:
+    if field == b"-":
         return b""
     try:
-        data = base64.b64decode(text.encode("ascii"), validate=True)
-    except Exception as exc:
-        raise ProtocolError(f"bad base64 field {text!r}") from exc
-    if b64(data) != text:  # nonzero padding bits, or "" for the empty string
-        raise ProtocolError(f"non-canonical base64 field {text!r}")
+        data = base64.b64decode(field, validate=True)
+    except ValueError as exc:  # binascii.Error, a non-alphabet byte included
+        raise ProtocolError(f"bad base64 field {_shown(field)}") from exc
+    if b64(data) != field:  # nonzero padding bits, or b"" for the empty string
+        raise ProtocolError(f"non-canonical base64 field {_shown(field)}")
     return data
 
 
-def encode_request(verb: str, key: bytes, value: Optional[bytes] = None) -> str:
-    if verb == "R":
-        return f"R {b64(key)}\n"
-    if verb == "W":
-        if value is None:
-            raise ProtocolError("W needs a value")
-        return f"W {b64(key)} {b64(value)}\n"
-    raise ProtocolError(f"unknown verb {verb!r}")
-
-
 # A client offers one slot's key and value objects to each of its n store
-# columns, so the slot's W line is encoded once and the other columns hit the
-# memo; each client thread has one slot in flight.
+# columns, so the slot's W line is encoded once and the other columns, and
+# the bill of each, hit the memo; each client thread has one slot in flight.
 WRITE_MEMO_SIZE = 64
 
 
 @functools.lru_cache(maxsize=WRITE_MEMO_SIZE)
 def write_line(key: bytes, value: bytes) -> bytes:
-    """``encode_request("W", key, value).encode("ascii")``."""
-    return b" ".join((b"W", binascii.b2a_base64(key, newline=False) if key else b"-",
-                      binascii.b2a_base64(value) if value else b"-\n"))  # with its newline
+    """The ``W`` request: write ``value`` unless ``key`` holds one."""
+    return b"".join((b"W ", b64(key), b" ", b64(value), b"\n"))
 
 
-def parse_request(line: str) -> tuple[str, bytes, Optional[bytes]]:
+def read_line(key: bytes) -> bytes:
+    """The ``R`` request: the value ``key`` holds."""
+    return b"R %s\n" % b64(key)
+
+
+def parse_request(line: bytes) -> tuple[bytes, bytes, Optional[bytes]]:
+    """``(b"W", key, value)`` or ``(b"R", key, None)``.  Fields are separated
+    by ASCII whitespace alone, so a request has one spelling."""
     parts = line.split()
     if not parts:
         raise ProtocolError("empty request")
     verb = parts[0]
-    if verb == "R" and len(parts) == 2:
+    if verb == b"R" and len(parts) == 2:
         return verb, unb64(parts[1]), None
-    if verb == "W" and len(parts) == 3:
+    if verb == b"W" and len(parts) == 3:
         return verb, unb64(parts[1]), unb64(parts[2])
-    raise ProtocolError(f"malformed request {line!r}")
+    raise ProtocolError(f"malformed request {_shown(line)}")
 
 
-def encode_hit(value: bytes) -> str:
-    return f"V {b64(value)}\n"
-
-
-def _b64_size(n: int) -> int:
-    """``len(b64(data))`` for ``n == len(data)``."""
-    return 4 * ((n + 2) // 3) if n else 1
-
-
-def write_size(key: bytes, value: bytes, got: bytes) -> int:
-    """``len(encode_request("W", key, value))`` plus the length of the reply
-    when the key holds ``got`` afterwards, worked out from the line format
-    without encoding: ``W``, two separators and a newline make 4 bytes plus
-    the two fields; the reply is ``A`` and a newline if ``got == value``,
-    else ``len(encode_hit(got))``, 3 bytes plus the field."""
-    size = 4 + _b64_size(len(key)) + _b64_size(len(value))
-    return size + 2 if got == value else size + 3 + _b64_size(len(got))
+def reply(held: Optional[bytes], offered: Optional[bytes] = None) -> bytes:
+    """The answer to a request whose key holds ``held`` afterwards: ``A`` if
+    that is the ``offered`` value, ``N`` if nothing, else ``V`` and ``held``."""
+    if held is None:
+        return b"N\n"
+    return b"A\n" if held == offered else b"V %s\n" % b64(held)
 
 
 class _Store:
@@ -159,15 +153,12 @@ def read_log(path: str) -> tuple[dict[bytes, bytes], Optional[int]]:
                 if not raw.endswith(b"\n"):
                     return data, offset
                 offset += len(raw)
-                try:
-                    line = raw.decode("ascii").strip()
-                except UnicodeDecodeError as exc:
-                    raise ProtocolError(f"log line is not ASCII: {raw!r}") from exc
+                line = raw.strip()
                 if not line:
                     continue
                 verb, key, value = parse_request(line)
-                if verb != "W" or value is None:
-                    raise ProtocolError(f"log holds a non-write line: {line!r}")
+                if verb != b"W":
+                    raise ProtocolError(f"log holds a non-write line: {_shown(line)}")
                 data.setdefault(key, value)
     except FileNotFoundError:
         pass
@@ -248,7 +239,7 @@ class PipeStore:
             return self.offered[1]
         if line.startswith(b"V ") and line.endswith(b"\n") and line.isascii():
             try:
-                return unb64(line[2:-1].decode("ascii"))
+                return unb64(line[2:-1])
             except ProtocolError as exc:
                 raise ProtocolError(
                     f"store process {self.child.pid} answered {line!r}: {exc}") from None
@@ -285,7 +276,7 @@ def open_store(backend: str, path: Optional[str] = None) -> _Store:
     raise ProtocolError(f"unknown backend {backend!r}")
 
 
-def serve(store: _Store, lines: Iterable[str], out: TextIO) -> None:
+def serve(store: _Store, lines: Iterable[bytes], out: BinaryIO) -> None:
     """Run the request loop until input ends.  Malformed lines get an
     ``E reason`` response instead of killing the server."""
     for line in lines:
@@ -294,14 +285,10 @@ def serve(store: _Store, lines: Iterable[str], out: TextIO) -> None:
             continue
         try:
             verb, key, value = parse_request(line)
-            if verb == "R":
-                got = store.read(key)
-                out.write("N\n" if got is None else encode_hit(got))
-            else:  # W: A when the key holds the offered bytes, equal or won
-                settled = store.write_read(key, value)
-                out.write("A\n" if settled == value else encode_hit(settled))
+            held = store.read(key) if verb == b"R" else store.write_read(key, value)
+            out.write(reply(held, value))
         except ProtocolError as exc:
-            out.write(f"E {exc}\n")
+            out.write(b"E %s\n" % str(exc).encode())
         out.flush()
 
 
@@ -319,7 +306,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, ValueError, ProtocolError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     try:
-        serve(store, sys.stdin, sys.stdout)
+        serve(store, sys.stdin.buffer, sys.stdout.buffer)
     finally:
         store.close()
     return 0

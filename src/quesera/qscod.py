@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Iterable, Optional
 
 from .chain import ChainError, History, Proposal
-from .kvstore import FileStore, MemoryStore, PipeStore, ProtocolError, write_size
+from .kvstore import FileStore, MemoryStore, PipeStore, ProtocolError, reply, write_line
 from .netsim import check_seed, configure, mix64
 from .qsc import QscState, check_one_chain, qsc_round
 from .tlcb import gather
@@ -66,10 +66,13 @@ _S_PRIORITY = 101
 WAIT_TIMEOUT = 60.0  # seconds a round may wait on store processes
 
 
+_SLOT_KEY = struct.Struct(">IB")  # written by slot_key, read by audit
+
+
 def slot_key(rnd: int, slot: int) -> bytes:
     """Big-endian ``(round, slot)``, so byte order of keys is the order in
     which a client uses them."""
-    return struct.pack(">IB", rnd, slot)
+    return _SLOT_KEY.pack(rnd, slot)
 
 
 def decode_slot3(data: bytes) -> tuple[EntrySet, EntrySet, History]:
@@ -88,11 +91,12 @@ def qscod_params(n: int) -> Thresholds:
 class CountingStore:
     """Store wrapper billing every operation at its line-protocol cost, so
     in-process measurements reflect what the wire would carry: the ``W``
-    request, then ``A`` if the key holds the offered value or ``V`` with the
-    value it holds instead, just as :func:`kvstore.serve` answers.  The cost
-    is sized from the line format (:func:`kvstore.write_size`), not
-    encoded.  Around a pipe store it forwards the send/receive split and
-    bills each write when its answer is received."""
+    request, then the store's reply, ``A`` if the key holds the offered
+    value or ``V`` with the value it holds instead.  The bill is the lines
+    themselves, :func:`kvstore.write_line` and :func:`kvstore.reply`, the
+    bytes a log, a pipe and :func:`kvstore.serve` carry.  Around a pipe
+    store it forwards the send/receive split and bills each write when its
+    answer is received."""
 
     def __init__(self, inner, tally: "ByteTally"):
         self.inner = inner
@@ -103,12 +107,13 @@ class CountingStore:
 
     def write_read(self, key: bytes, value: bytes) -> bytes:
         got = self.inner.write_read(key, value)
-        self.tally.add(write_size(key, value, got))
+        self.tally.add(len(write_line(key, value)) + len(reply(got, value)))
         return got
 
     def receive(self) -> bytes:
         got = self.inner.receive()
-        self.tally.add(write_size(*self.inner.offered, got))
+        key, value = self.inner.offered
+        self.tally.add(len(write_line(key, value)) + len(reply(got, value)))
         return got
 
 
@@ -432,7 +437,7 @@ def audit(stores, params: Thresholds, reports: Iterable[ClientReport]) -> list[s
         for key in snapshot:
             # a store may hold what no client wrote: a finding, not a crash
             try:
-                rnd, slot = struct.unpack(">IB", key)
+                rnd, slot = _SLOT_KEY.unpack(key)
             except struct.error:
                 rnd = slot = 0
             if rnd == 0 or not 1 <= slot <= 4:

@@ -42,9 +42,8 @@ _GROUP_HEAD = struct.Struct(f">{DIGEST_SIZE}sI")
 # piggybacked set rides on every frame its sender sends in a step (a tlcw
 # REQ, its n ACKs and its WIT), all within a few dozen distinct values, so a
 # small memo catches nearly all of it while its memory stays bounded.  One
-# payload-digest memo serves the set encoder, the set decoder's integrity
-# check and the simulator's trace recorder, so a payload is hashed once
-# however many sets carry it.
+# payload-digest memo serves the set encoders and the set decoders' integrity
+# checks, so a payload is hashed once however many sets carry it.
 DECODE_MEMO_SIZE = 64
 
 

@@ -13,7 +13,7 @@ import pytest
 from quesera import netsim, qscod
 from quesera.cli import main as sim_main
 from quesera.cli import parse_crash, validate_trace
-from quesera.kvstore import FileStore, MemoryStore, encode_request
+from quesera.kvstore import FileStore, MemoryStore, write_line
 from quesera.netsim import SimConfig, run
 
 
@@ -435,17 +435,17 @@ def test_a_killed_store_process_keeps_every_acknowledged_write(tmp_path):
     acked = {}
     child = subprocess.Popen(
         [sys.executable, "-m", "quesera.kvstore", "--backend", "file", "--path", str(log)],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE)
     try:
         for k in range(40):
             key, value = b"k%d" % k, b"v%d" % k * 30
-            child.stdin.write(encode_request("W", key, value))
+            child.stdin.write(write_line(key, value))
             child.stdin.flush()
-            assert child.stdout.readline() == "A\n"
+            assert child.stdout.readline() == b"A\n"
             acked[key] = value
         # well under a pipe's buffer, so the flush returns at once
         for k in range(200):
-            child.stdin.write(encode_request("W", b"q%d" % k, b"x%d" % k * 20))
+            child.stdin.write(write_line(b"q%d" % k, b"x%d" % k * 20))
         child.stdin.flush()
         child.send_signal(signal.SIGKILL)
         assert child.wait(timeout=30) == -signal.SIGKILL

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import base64
 import io
+import os
 import subprocess
 import sys
 import threading
@@ -18,13 +20,26 @@ from quesera.kvstore import (
     PipeStore,
     ProtocolError,
     b64,
-    encode_request,
     open_store,
     parse_request,
+    read_line,
     serve,
     unb64,
     write_line,
 )
+
+
+def field(data: bytes) -> bytes:
+    """A protocol field, encoded here apart from :func:`b64`."""
+    return base64.b64encode(data) if data else b"-"
+
+
+def w(key: bytes, value: bytes) -> bytes:
+    return b"W %s %s\n" % (field(key), field(value))
+
+
+def r(key: bytes) -> bytes:
+    return b"R %s\n" % field(key)
 
 
 @pytest.fixture(params=["memory", "file"])
@@ -47,12 +62,10 @@ def test_first_write_settles_the_key(store):
     # so the server answers A whenever the key holds the offered bytes: a
     # fresh write, a repeat of it, and an equal write to a key another
     # client settled; a write of other bytes gets the value held
-    out = io.StringIO()
-    serve(store, [encode_request("W", b"s", b"v"), encode_request("W", b"s", b"v"),
-                  encode_request("W", b"k", b"first"), encode_request("W", b"s", b"other"),
-                  encode_request("R", b"s")], out)
-    assert out.getvalue().splitlines() == [
-        "A", "A", "A", f"V {b64(b'v')}", f"V {b64(b'v')}"]
+    out = io.BytesIO()
+    serve(store, [w(b"s", b"v"), w(b"s", b"v"), w(b"k", b"first"), w(b"s", b"other"),
+                  r(b"s")], out)
+    assert out.getvalue().splitlines() == [b"A", b"A", b"A", b"V dg==", b"V dg=="]
 
 
 def test_a_write_that_stands_returns_the_offered_object(store):
@@ -67,7 +80,7 @@ def test_a_write_that_stands_returns_the_offered_object(store):
 def test_empty_bytes_are_legal_keys_and_values(store):
     assert store.write_read(b"", b"") == b""
     assert store.read(b"") == b""
-    assert b64(b"") == "-" and unb64("-") == b""
+    assert b64(b"") == b"-" and unb64(b"-") == b""
 
 
 def test_racing_writers_settle_on_one_value(store):
@@ -105,9 +118,9 @@ def test_file_store_survives_restart(tmp_path):
     again.close()
 
     # the log itself speaks the wire protocol: one W line per settled key
-    with open(path, encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         lines = [ln.split()[0] for ln in fh if ln.strip()]
-    assert lines == ["W", "W"]
+    assert lines == [b"W", b"W"]
 
 
 def test_file_store_drops_a_torn_final_line(tmp_path):
@@ -128,12 +141,14 @@ def test_file_store_drops_a_torn_final_line(tmp_path):
     reopened = FileStore(str(path))
     assert reopened.snapshot() == {b"a": b"1", b"b": b"2", b"k2": b"value-three"}
     reopened.close()
-    assert path.read_bytes() == whole + encode_request("W", b"k2", b"value-three").encode()
+    assert path.read_bytes() == whole + w(b"k2", b"value-three")
 
-    # a complete line that does not parse is damage, not a torn append
+    # a complete line that does not parse is damage, not a torn append;
+    # fields are separated by ASCII whitespace alone
     for damage, error in ((b"W azI dmFsdWUtdH\n", "bad base64"),
                           (b"W YR== dmFs\n", "non-canonical base64"),
-                          (b"W \xff\xfe dmFs\n", "not ASCII")):
+                          (b"W \xff\xfe dmFs\n", r"bad base64 field '\\xff\\xfe'"),
+                          (b"W\x1ca2V5\x1fdmFs\n", "malformed request")):
         path.write_bytes(whole + damage)
         with pytest.raises(ProtocolError, match=error):
             FileStore(str(path))
@@ -157,64 +172,82 @@ def test_file_store_appends_whole_lines_through_short_writes(tmp_path):
         assert store.write_read(key, value) == value
     assert store.write_read(b"a", b"again") == b"1"
     store.close()
-    assert path.read_bytes() == b"".join(
-        encode_request("W", key, value).encode() for key, value in writes.items())
+    assert path.read_bytes() == b"".join(w(key, value) for key, value in writes.items())
     again = FileStore(str(path))
     assert again.snapshot() == writes
     again.close()
 
 
-@given(st.text(max_size=80))
-@example("R YR==")  # nonzero padding bits: 'a' spelled a second way
-@example("W a2V5 dmFs\u00e9")
-@example("W \u00ff\u00fe dmFs")
+@given(st.binary(max_size=80))
+@example(b"R YR==")  # nonzero padding bits: 'a' spelled a second way
+@example(b"W a2V5 dmFs\xc3\xa9")
+@example(b"W \xff\xfe dmFs")
+@example(b"W\x1ca2V5\x1fdmFs")  # not whitespace in bytes: one field
 def test_parse_request_fails_only_with_protocol_error(line):
     try:
-        got = parse_request(line)
+        verb, key, value = parse_request(line)
     except ProtocolError:
         return
     # whatever parses is canonical: it re-encodes to the same fields
-    assert encode_request(*got).split() == line.split()
+    again = read_line(key) if verb == b"R" else write_line(key, value)
+    assert again.split() == line.split()
 
 
 @given(st.binary(max_size=64), st.binary(max_size=64))
 def test_request_lines_round_trip(key, value):
-    assert parse_request(encode_request("W", key, value)) == ("W", key, value)
-    assert parse_request(encode_request("R", key)) == ("R", key, None)
+    assert parse_request(write_line(key, value)) == (b"W", key, value)
+    assert parse_request(read_line(key)) == (b"R", key, None)
 
 
 @given(st.binary(max_size=64), st.binary(max_size=64))
 @example(b"", b"")
 def test_write_line_is_the_w_request(key, value):
-    line = write_line(key, value)
-    assert line == encode_request("W", key, value).encode("ascii")
-    assert parse_request(line.decode("ascii")) == ("W", key, value)
+    assert write_line(key, value) == w(key, value)
+    assert read_line(key) == r(key)
     assert write_line.cache_info().maxsize == WRITE_MEMO_SIZE
 
 
 def test_serve_speaks_the_protocol():
     feed = [
-        encode_request("R", b"k"),
-        encode_request("W", b"k", b"v1"),
-        encode_request("W", b"k", b"v2"),
-        encode_request("W", b"k", b"v3"),
-        encode_request("R", b"k"),
-        "W onlyonefield\n",
-        "WR azI dmFs\n",  # no write-read verb: W answers A or the value held
-        "HELLO\n",
-        "W %s %s\n" % ("ab@!", "zz"),  # junk base64
-        "\n",
+        r(b"k"),
+        w(b"k", b"v1"),
+        w(b"k", b"v2"),
+        w(b"k", b"v3"),
+        r(b"k"),
+        w(b"", b""),
+        w(b"", b"x"),  # the empty value is held: V and its field, -
+        b"W onlyonefield\n",
+        b"WR azI dmFs\n",  # no write-read verb: W answers A or the value held
+        b"HELLO\n",
+        b"W ab@! zz\n",  # junk base64
+        b"W \xff\xfe dmFs\n",  # not ASCII
+        b"W\x1ca2V5\x1cdmFs\n",  # not whitespace in bytes
+        b"\n",
     ]
-    out = io.StringIO()
+    out = io.BytesIO()
     serve(MemoryStore(), feed, out)
-    v1 = b64(b"v1")
+    v1 = field(b"v1")
     assert out.getvalue().splitlines() == [
-        "N", "A", f"V {v1}", f"V {v1}", f"V {v1}",
-        "E malformed request 'W onlyonefield'",
-        "E malformed request 'WR azI dmFs'",
-        "E malformed request 'HELLO'",
-        "E bad base64 field 'ab@!'",
+        b"N", b"A", b"V " + v1, b"V " + v1, b"V " + v1, b"A", b"V -",
+        b"E malformed request 'W onlyonefield'",
+        b"E malformed request 'WR azI dmFs'",
+        b"E malformed request 'HELLO'",
+        b"E bad base64 field 'ab@!'",
+        b"E bad base64 field '\\xff\\xfe'",
+        b"E malformed request 'W\\x1ca2V5\\x1cdmFs'",
     ]
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "utf-8"])
+def test_store_server_survives_strict_io_encodings(encoding):
+    """The server reads bytes: a non-ASCII line gets ``E`` and the next one
+    is served, whatever the I/O encoding."""
+    env = dict(os.environ, PYTHONIOENCODING=encoding)
+    got = subprocess.run([sys.executable, "-m", "quesera.kvstore"], env=env,
+                         input=b"W \xff\xfe dmFs\nW a2V5 dmFs\n", capture_output=True,
+                         timeout=60)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout == b"E bad base64 field '\\xff\\xfe'\nA\n"
 
 
 def test_open_store_rejects_nonsense():
@@ -222,8 +255,6 @@ def test_open_store_rejects_nonsense():
         open_store("redis")
     with pytest.raises(ProtocolError, match="needs --path"):
         open_store("file")
-    with pytest.raises(ProtocolError, match="needs a value"):
-        encode_request("W", b"k")
 
 
 def test_pipe_store_speaks_the_protocol_and_counts_its_bytes(tmp_path):
@@ -236,9 +267,8 @@ def test_pipe_store_speaks_the_protocol_and_counts_its_bytes(tmp_path):
         assert store.write_read(b"k", b"first") == b"first"
         store.send(b"k", b"second")
         assert store.receive() == b"first"
-        requests = encode_request("W", b"k", b"first") + encode_request("W", b"k", b"second")
-        assert store.sent == len(requests)
-        assert store.received == len("A\n" + f"V {b64(b'first')}\n")
+        assert store.sent == len(w(b"k", b"first") + w(b"k", b"second"))
+        assert store.received == len(b"A\n" + b"V " + field(b"first") + b"\n")
         with open(log, "ab") as fh:
             fh.write(b"W a2V5")  # an append still being written
         assert store.snapshot() == {b"k": b"first"}

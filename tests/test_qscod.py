@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import hashlib
 import io
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from quesera import qscod
 from quesera.chain import GENESIS, Proposal
-from quesera.kvstore import FileStore, MemoryStore, PipeStore, encode_request, serve
+from quesera.kvstore import FileStore, MemoryStore, PipeStore, serve
 from quesera.qscod import (
     Client,
     CountingStore,
@@ -762,8 +763,9 @@ def test_counting_store_bills_protocol_bytes(writes):
     store = CountingStore(MemoryStore(), tally)
     for key, value in writes:
         store.write_read(key, value)
-    requests = [encode_request("W", key, value) for key, value in writes]
-    replies = io.StringIO()
+    requests = [b"W %s %s\n" % (base64.b64encode(key) or b"-", base64.b64encode(value) or b"-")
+                for key, value in writes]
+    replies = io.BytesIO()
     serve(MemoryStore(), requests, replies)
     assert tally.ops == len(writes)
     assert tally.total == sum(map(len, requests)) + len(replies.getvalue())

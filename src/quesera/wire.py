@@ -10,8 +10,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
+import threading
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .chain import DIGEST_SIZE, ChainError, History, Proposal, decode_proposal
 
@@ -37,18 +38,56 @@ _ENTRY_HEAD = struct.Struct(f">I{DIGEST_SIZE}sI")
 # after the payload a u32 sender count and the senders.
 _GROUP_HEAD = struct.Struct(f">{DIGEST_SIZE}sI")
 
-# Entries kept by each memo below.  A gossiped payload is decoded by every
-# receiver of its step and by every later lookup in the same round, and a
-# piggybacked set rides on every frame its sender sends in a step (a tlcw
+# Entries kept by each memo below.  A gossiped set or history is read by
+# every receiver of its step and again by later lookups in the same round, and
+# a piggybacked set rides on every frame its sender sends in a step (a tlcw
 # REQ, its n ACKs and its WIT), all within a few dozen distinct values, so a
-# small memo catches nearly all of it while its memory stays bounded.  One
-# payload-digest memo serves the set encoders and the set decoders' integrity
-# checks, so a payload is hashed once however many sets carry it.
+# small memo catches nearly all of it while its memory stays bounded.  The
+# receive-set, grouped-set and history codecs each keep a memo from bytes to
+# the value they decode to, and each encoder stores the value it just
+# encoded, so the process never parses back bytes it built: a receiver's
+# lookup hits.  A miss runs the full verifying decoder, a failed decode is
+# never stored, and a damaged copy of stored bytes is another key, so it
+# misses and fails as before.  One payload-digest memo serves the set
+# encoders and the set decoders' integrity checks, so a payload is hashed
+# once however many sets carry it.
 DECODE_MEMO_SIZE = 64
 
 
 class WireError(Exception):
     """Undecodable or integrity-violating frame."""
+
+
+class DecodeMemo(dict):
+    """At most :data:`DECODE_MEMO_SIZE` bytes -> decoded value entries, the
+    oldest evicted first.  ``memo[data]`` is the lookup, and takes no lock: a
+    dict read is atomic.  A miss runs ``decode``, the uncached verifying
+    decoder, and stores only what it returns.  :meth:`put` holds a lock, so
+    threads sharing the memo insert and evict safely.  A codec's lookup is
+    the memo's bound ``__getitem__``, which stays in C on a hit."""
+
+    __slots__ = ("decode", "_lock")
+
+    def __init__(self, decode: Callable[[bytes], object]):
+        super().__init__()
+        self.decode = decode
+        self._lock = threading.Lock()
+
+    def __missing__(self, data: bytes) -> object:
+        value = self.decode(data)
+        self.put(data, value)
+        return value
+
+    def put(self, data: bytes, value: object) -> None:
+        """Remember that ``data`` decodes to ``value``."""
+        lock = self._lock
+        lock.acquire()  # cheaper than a with block, on every encode
+        try:
+            self[data] = value
+            if len(self) > DECODE_MEMO_SIZE:
+                del self[next(iter(self))]
+        finally:
+            lock.release()
 
 
 def _pack_bytes(b: bytes) -> bytes:
@@ -75,12 +114,19 @@ def payload_digest(payload: bytes) -> bytes:
 def encode_entry_set(entries: Iterable[Entry]) -> bytes:
     """Receive-set encoding: count, then (sender u32, payload digest, payload)
     triples sorted by (sender, payload)."""
-    items = sorted(set(entries))
-    parts = [struct.pack(">I", len(items))]
-    for sender, payload in items:
+    if type(entries) is not frozenset:
+        entries = frozenset(entries)
+    parts = [struct.pack(">I", len(entries))]
+    exact = True  # decoding builds bytes payloads, never another bytes-like
+    for sender, payload in sorted(entries):
         parts.append(_ENTRY_HEAD.pack(sender, payload_digest(payload), len(payload)))
         parts.append(payload)
-    return b"".join(parts)
+        if type(payload) is not bytes:
+            exact = False
+    data = b"".join(parts)
+    if exact:
+        entry_set_memo.put(data, entries)
+    return data
 
 
 def decode_entry_set(data: bytes, off: int = 0) -> tuple[EntrySet, int]:
@@ -113,14 +159,16 @@ def decode_entry_set(data: bytes, off: int = 0) -> tuple[EntrySet, int]:
     return frozenset(out), off
 
 
-@functools.lru_cache(maxsize=DECODE_MEMO_SIZE)
-def entry_set_bytes(data: bytes) -> EntrySet:
-    """Decode a whole buffer as one receive set.  Memoized: the result is an
-    immutable function of the bytes, and a failed decode raises every time."""
+def _entry_set(data: bytes) -> EntrySet:
+    """Decode a whole buffer as one receive set."""
     entries, off = decode_entry_set(data)
     if off != len(data):
         raise WireError("trailing bytes after set")
     return entries
+
+
+entry_set_memo = DecodeMemo(_entry_set)
+entry_set_bytes = entry_set_memo.__getitem__
 
 
 def encode_grouped_set(entries: Iterable[Entry]) -> bytes:
@@ -128,6 +176,8 @@ def encode_grouped_set(entries: Iterable[Entry]) -> bytes:
     then per distinct payload in ascending byte order its digest, the
     length-prefixed payload, and its u32 sender count and ascending u32
     senders.  Each payload is written once however many senders hold it."""
+    if type(entries) is not frozenset:
+        entries = frozenset(entries)
     groups: dict[bytes, set[int]] = {}
     for sender, payload in entries:
         groups.setdefault(payload, set()).add(sender)
@@ -137,16 +187,18 @@ def encode_grouped_set(entries: Iterable[Entry]) -> bytes:
         parts.append(_GROUP_HEAD.pack(payload_digest(payload), len(payload)))
         parts.append(payload)
         parts.append(struct.pack(f">I{len(senders)}I", len(senders), *senders))
-    return b"".join(parts)
+    data = b"".join(parts)
+    if all(type(p) is bytes for p in groups):  # as for encode_entry_set
+        grouped_set_memo.put(data, entries)
+    return data
 
 
-@functools.lru_cache(maxsize=DECODE_MEMO_SIZE)
-def grouped_set_bytes(data: bytes) -> EntrySet:
+def _grouped_set(data: bytes) -> EntrySet:
     """Decode a whole buffer as one :func:`encode_grouped_set` set, to the
     same value :func:`entry_set_bytes` gives its entry-set encoding.  Groups
     come in strictly ascending payload order, each with one or more strictly
     ascending senders, so each set has one encoding, and every payload must
-    match its recorded digest.  Memoized like :func:`entry_set_bytes`."""
+    match its recorded digest."""
     end = len(data)
     if end < 4:
         raise WireError("truncated set count")
@@ -183,6 +235,10 @@ def grouped_set_bytes(data: bytes) -> EntrySet:
     if off != end:
         raise WireError("trailing bytes after set")
     return frozenset(out)
+
+
+grouped_set_memo = DecodeMemo(_grouped_set)
+grouped_set_bytes = grouped_set_memo.__getitem__
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,9 +332,15 @@ def decode_step_message(data: bytes) -> StepMessage:
 def encode_history(history: History) -> bytes:
     """History payload: u32 chain length, then the head proposal (absent for
     the empty history)."""
-    if history.head is None:
-        return struct.pack(">I", 0)
-    return struct.pack(">I", history.length) + history.head.encode()
+    head = history.head
+    if head is None:
+        data = struct.pack(">I", 0)
+    else:
+        data = struct.pack(">I", history.length) + head.encode()
+        if type(head.message) is not bytes or type(head.prev) is not bytes:
+            return data  # a bytes-like, which decoding would copy: store nothing
+    history_memo.put(data, history)
+    return data
 
 
 def decode_history(data: bytes, off: int = 0) -> tuple[History, int]:
@@ -301,14 +363,16 @@ def decode_history(data: bytes, off: int = 0) -> tuple[History, int]:
     return History(head=head, length=length), end
 
 
-@functools.lru_cache(maxsize=DECODE_MEMO_SIZE)
-def history_bytes(data: bytes) -> History:
-    """Decode a whole buffer as one history payload.  Memoized like
-    :func:`entry_set_bytes`."""
+def _history(data: bytes) -> History:
+    """Decode a whole buffer as one history payload."""
     history, off = decode_history(data)
     if off != len(data):
         raise WireError("trailing bytes after history")
     return history
+
+
+history_memo = DecodeMemo(_history)
+history_bytes = history_memo.__getitem__
 
 
 def histories_of(entries: Iterable[Entry]) -> list[History]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from quesera import netsim
+from quesera import netsim, wire
 from quesera.netsim import (
     _ADV_PERIOD,
     _BLOCK,
@@ -31,6 +31,7 @@ from quesera.netsim import (
 )
 from quesera.tlcr import ConfigError, TransportIntegrityError
 from quesera.tsb import validate_delivery, validate_fifo, validate_layer
+from quesera.wire import WireError, entry_set_memo, history_memo
 
 
 def test_mix64_is_frozen():
@@ -302,6 +303,53 @@ def test_a_broken_frame_fails_its_delivery(monkeypatch, layer, piggyback, broken
     monkeypatch.setattr(Simulator, "xmit", tamper)
     with pytest.raises(TransportIntegrityError, match=error):
         run(SimConfig(layer=layer, n=3, f=1, seed=1, rounds=2, delay="fixed"))
+
+
+def test_a_damaged_gossip_payload_fails_at_its_receiver(monkeypatch):
+    """A qsc-tlcb gossip step (every second r-lane step) carries a receive
+    set its sender has just encoded, and so stored in the set memo.  Node
+    0's gossip payload, its last byte flipped in flight, is another key: its
+    receivers decode it and find the digest broken."""
+    xmit = Simulator.xmit
+    stored = []
+
+    def tamper(sim, sender, dest, msg, size):
+        if sender == 0 and msg.step % 2 == 0:
+            stored.append(msg.payload in entry_set_memo)
+            payload = msg.payload[:-1] + bytes([msg.payload[-1] ^ 1])
+            msg = replace(msg, payload=payload)
+        xmit(sim, sender, dest, msg, size)
+
+    monkeypatch.setattr(Simulator, "xmit", tamper)
+    with pytest.raises(WireError, match="set entry digest mismatch"):
+        run(SimConfig(layer="qsc-tlcb", n=3, f=1, seed=1, rounds=2))
+    assert stored and all(stored)
+
+
+def test_a_fault_free_gossip_run_parses_back_nothing(monkeypatch):
+    """Every gossiped set and history is decoded from bytes its sender
+    encoded in the same process, so the encoders' memo entries serve every
+    receiver: the set and history decoders never run, whatever the hash
+    seed."""
+    calls = []
+
+    def counted(name):
+        decode = getattr(wire, name)
+
+        def call(*args):
+            calls.append(name)
+            return decode(*args)
+        return call
+
+    for name in ("decode_entry_set", "decode_history"):
+        monkeypatch.setattr(wire, name, counted(name))
+    for memo in (entry_set_memo, history_memo):
+        memo.clear()
+    for seed in range(1, 5):
+        res = run(SimConfig(layer="qsc-tlcb", n=7, f=2, seed=seed, rounds=20,
+                            trace_level="light"))
+        assert res.metrics.commits > 0
+    assert calls == []
 
 
 def test_survivors_run_a_long_race_past_a_dead_founder():

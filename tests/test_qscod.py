@@ -42,8 +42,9 @@ from quesera.wire import (
     encode_entry_set,
     encode_grouped_set,
     encode_history,
-    grouped_set_bytes,
+    grouped_set_memo,
     history_bytes,
+    history_memo,
 )
 
 
@@ -544,21 +545,29 @@ def test_audit_replays_without_encoding_offers(monkeypatch):
     assert len(calls) == 2
 
 
-def test_audit_decodes_each_distinct_slot_value_once_per_pass():
+def test_audit_decodes_each_distinct_slot_value_once_per_pass(monkeypatch):
     """Every column holds a copy of each slot value, and the round logs one
     more.  The audit replays each round's logs right after decoding its
     store values, so the decode memos serve the other copies, and each
-    distinct value is decoded once; the memos count each decode as a
-    miss."""
+    distinct value is decoded once: each miss of an emptied memo is one
+    decode."""
     params, stores, (report,), _ = race([[b"m%d" % k for k in range(200)]], 200)
     # slots 1 and 3 hold histories, slots 2 and 4 grouped sets: one codec each
     distinct = {(key[-1] % 2, value)
                 for store in stores for key, value in store.snapshot().items()}
-    decoders = (history_bytes, grouped_set_bytes)
-    for decoder in decoders:
-        decoder.cache_clear()
+    misses = []
+
+    def counted(decode):
+        def miss(data):
+            misses.append(data)
+            return decode(data)
+        return miss
+
+    for memo in (history_memo, grouped_set_memo):
+        memo.clear()
+        monkeypatch.setattr(memo, "decode", counted(memo.decode))
     assert audit(stores, params, [report]) == []
-    assert sum(d.cache_info().misses for d in decoders) == len(distinct)
+    assert len(misses) == len(distinct)
 
 
 def test_audit_rejects_tampered_logs():
@@ -748,7 +757,7 @@ def test_decode_slot3_fails_only_with_wire_error_and_stays_bounded(data):
             history_bytes(data)
     else:
         assert got == (frozenset(), frozenset(), history_bytes(data))
-    assert history_bytes.cache_info().currsize <= DECODE_MEMO_SIZE
+    assert len(history_memo) <= DECODE_MEMO_SIZE
 
 
 @given(st.lists(st.tuples(

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import sys
+import threading
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quesera.chain import GENESIS, GENESIS_DIGEST, History, Proposal
+from quesera.chain import GENESIS, GENESIS_DIGEST, MAX_PRIORITY, MAX_PROPOSER, History, Proposal
 from quesera.wire import (
     ACK,
     DECODE_MEMO_SIZE,
@@ -26,10 +28,13 @@ from quesera.wire import (
     encode_history,
     encode_step_message,
     entry_set_bytes,
+    entry_set_memo,
     frame_size,
     grouped_set_bytes,
+    grouped_set_memo,
     histories_of,
     history_bytes,
+    history_memo,
     payload_digest,
 )
 
@@ -332,18 +337,121 @@ def test_decoders_accept_only_canonical_bytes(data):
         assert encode(value) == data
 
 
+MEMOS = ((entry_set_memo, entry_set_bytes), (grouped_set_memo, grouped_set_bytes),
+         (history_memo, history_bytes))
+
+
 @given(damaged)
 def test_memoized_decoders_verify_every_miss_and_stay_bounded(data):
-    for cached in (entry_set_bytes, grouped_set_bytes, history_bytes):
+    for memo, cached in MEMOS:
         try:
-            fresh = cached.__wrapped__(data)
+            fresh = memo.decode(data)
         except WireError:
             for _ in range(2):  # a failure is never remembered
                 with pytest.raises(WireError):
                     cached(data)
+                assert data not in memo
         else:
             got = cached(data)
             assert got == fresh and got is cached(data)
             if isinstance(fresh, History):  # History equality is by digest only
                 assert (got.head, got.length) == (fresh.head, fresh.length)
-        assert cached.cache_info().currsize <= DECODE_MEMO_SIZE
+        assert len(memo) <= DECODE_MEMO_SIZE
+
+
+entry_lists = st.lists(st.tuples(st.integers(0, 2**32 - 1), st.binary(max_size=8)), max_size=6)
+histories = st.one_of(st.just(GENESIS), st.builds(
+    History,
+    head=st.builds(Proposal, proposer=st.integers(0, MAX_PROPOSER), message=st.binary(max_size=40),
+                   priority=st.integers(0, MAX_PRIORITY), prev=st.binary(min_size=32, max_size=32)),
+    length=st.integers(1, 2**32 - 1)))
+CODECS = {
+    "entry-set": (encode_entry_set, entry_set_memo, entry_lists),
+    "grouped-set": (encode_grouped_set, grouped_set_memo, entry_lists),
+    "history": (encode_history, history_memo, histories),
+}
+
+
+def _same_decoding(got, want):
+    assert got == want
+    if isinstance(want, History):  # History equality is by digest only
+        assert (got.head, got.length) == (want.head, want.length)
+
+
+@pytest.mark.parametrize("codec", CODECS)
+@given(data=st.data())
+def test_each_encoder_stores_what_decoding_its_bytes_gives(codec, data):
+    """The memo's value for freshly encoded bytes is what the uncached
+    decoder reads from them; a copy with one byte flipped is another key,
+    which decodes, or fails, exactly as the uncached decoder does."""
+    encode, memo, values = CODECS[codec]
+    blob = encode(data.draw(values))
+    assert blob in memo
+    _same_decoding(memo.get(blob), memo.decode(blob))
+    bad = _flip(blob, data.draw(st.integers(0, len(blob) - 1)), data.draw(st.integers(1, 255)))
+    try:
+        want = memo.decode(bad)
+    except WireError as exc:
+        with pytest.raises(WireError) as got:
+            memo[bad]
+        assert str(got.value) == str(exc)
+        assert bad not in memo
+    else:
+        _same_decoding(memo[bad], want)
+
+
+def test_encoders_store_no_other_bytes_like():
+    """A value holding a bytes-like other than bytes encodes as before, but
+    is not stored: decoding builds bytes, and a bytearray could change
+    under the memo, as the message here does."""
+    message = bytearray(b"mutable")
+    h = GENESIS.extend(Proposal(proposer=1, message=message, priority=3, prev=GENESIS_DIGEST))
+    blob = encode_history(h)
+    assert blob not in history_memo
+    message[0] ^= 1
+    assert history_bytes(blob).head.message == b"mutable"
+    view = memoryview(b"view")  # hashable, and its owner may release it
+    for encode, memo in ((encode_entry_set, entry_set_memo), (encode_grouped_set, grouped_set_memo)):
+        blob = encode([(0, view), (1, view)])
+        assert blob not in memo
+        assert memo[blob] == {(0, b"view"), (1, b"view")}
+
+
+def test_threads_share_the_memos_safely():
+    """Four threads encode and read back their own histories and grouped
+    sets, 3 x DECODE_MEMO_SIZE of each, and each also reads the others'
+    latest, while evictions race their inserts."""
+    latest: list[bytes] = [encode_history(GENESIS)] * 4
+    errors: list[BaseException] = []
+
+    def work(t: int) -> None:
+        try:
+            for k in range(3 * DECODE_MEMO_SIZE):
+                m = b"%d/%d" % (t, k)
+                h = GENESIS.extend(Proposal(proposer=t, message=m, priority=k, prev=GENESIS_DIGEST))
+                entries = frozenset({(t, m), (t + 4, m), (k, b"")})
+                for encode, memo, value in ((encode_history, history_memo, h),
+                                            (encode_grouped_set, grouped_set_memo, entries)):
+                    blob = encode(value)
+                    _same_decoding(memo[blob], value)
+                    _same_decoding(memo.decode(blob), value)
+                latest[t] = encode_history(h)
+                other = latest[(t + 1) % 4]
+                _same_decoding(history_bytes(other), history_memo.decode(other))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(history_memo) <= DECODE_MEMO_SIZE
+    assert len(grouped_set_memo) <= DECODE_MEMO_SIZE

@@ -32,7 +32,8 @@ slot is written to every store column and its first t_r answers go into
 the round, so slots 2 and 4 gossip exactly t_r columns.  In-process stores
 answer on the spot; store processes (:class:`kvstore.PipeStore`) answer
 across pipes, one write in flight each, so a hung or dead store holds only
-its own column, and a round proceeds on any t_r.
+its own column, and a round proceeds on any t_r.  The client bills each
+slot once, after its column loop, at the bytes the line protocol carries.
 
 A lost proposal is proposed again in the next round, as a node proposes in
 every round of the paper's QSC: the lottery, not the client, decides who
@@ -50,7 +51,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Generator, Iterable, Optional
+from typing import Generator, Iterable, NamedTuple, Optional
 
 from .chain import ChainError, History, Proposal
 from .kvstore import FileStore, MemoryStore, PipeStore, ProtocolError, reply, write_line
@@ -88,45 +89,34 @@ def qscod_params(n: int) -> Thresholds:
     return configure("qsc-tlcb", n, n // 3)
 
 
-class CountingStore:
-    """Store wrapper billing every operation at its line-protocol cost, so
-    in-process measurements reflect what the wire would carry: the ``W``
-    request, then the store's reply, ``A`` if the key holds the offered
-    value or ``V`` with the value it holds instead.  The bill is the lines
-    themselves, :func:`kvstore.write_line` and :func:`kvstore.reply`, the
-    bytes a log, a pipe and :func:`kvstore.serve` carry.  Around a pipe
-    store it forwards the send/receive split and bills each write when its
-    answer is received."""
+class CountingStore(NamedTuple):
+    """A store column billed to ``tally``: :class:`WaitCache` writes to
+    ``inner`` and bills each answered write to ``tally`` (:func:`_bill`)."""
 
-    def __init__(self, inner, tally: "ByteTally"):
-        self.inner = inner
-        self.tally = tally
-
-    def __getattr__(self, name: str):  # a pipe store's piped, send and fileno
-        return getattr(self.inner, name)
-
-    def write_read(self, key: bytes, value: bytes) -> bytes:
-        got = self.inner.write_read(key, value)
-        self.tally.add(len(write_line(key, value)) + len(reply(got, value)))
-        return got
-
-    def receive(self) -> bytes:
-        got = self.inner.receive()
-        key, value = self.inner.offered
-        self.tally.add(len(write_line(key, value)) + len(reply(got, value)))
-        return got
+    inner: object
+    tally: "ByteTally"
 
 
 class ByteTally:
+    """Protocol bytes billed, and the writes they pay for."""
+
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.total = 0
-        self.ops = 0
+        self.total = self.ops = 0
 
-    def add(self, k: int) -> None:
+    def add(self, total: int, ops: int = 1) -> None:
         with self._lock:
-            self.total += k
-            self.ops += 1
+            self.total += total
+            self.ops += ops
+
+
+def _bill(key: bytes, value: bytes, answers) -> int:
+    """Bytes of writing ``value`` to ``key`` once per answer: each a ``W``
+    line and a reply, :func:`kvstore.write_line` and :func:`kvstore.reply`."""
+    line, won, total = len(write_line(key, value)), len(reply(value, value)), 0
+    for got in answers:  # the offered value's reply, ``A``, is encoded once
+        total += line + (won if got is value else len(reply(got, value)))
+    return total
 
 
 class WaitCache:
@@ -137,13 +127,16 @@ class WaitCache:
     pipes are waited on until the slot has its columns.  A pipe column has
     one write in flight, registered with the selector, and queues the rest:
     its store sees them in submit order, and a stopped store process never
-    fills its pipe.  Answers for other keys, or beyond ``need``, are dropped."""
+    fills its pipe.  Answers for other keys, or beyond ``need``, are dropped.
+    Answered writes are billed to their column's tally, if it has one: a
+    slot's in-process columns once per tally, a pipe's writes as answered."""
 
     def __init__(self, stores, need: int) -> None:
         self._need = need
         self.columns = [_Driver(i, s) for i, s in enumerate(stores)]
         self._inline = [c for c in self.columns if not getattr(c.store, "piped", False)]
         self._pipes = [c for c in self.columns if c not in self._inline]
+        self._unbilled = {c.tally: [] for c in self._inline if c.tally is not None}
         self._key, self._cols = b"", {}  # the slot being collected, its columns
         if self._pipes:
             import selectors
@@ -172,6 +165,11 @@ class WaitCache:
                 got = c.run(key, value)
                 if got is not None and len(cols) < need:
                     cols[c.column] = got
+                if got is not None and c.tally is not None:
+                    self._unbilled[c.tally].append(got)
+            for tally, answers in self._unbilled.items():
+                tally.add(_bill(key, value, answers), len(answers))
+                answers.clear()
             self._collect(deadline)
             if len(cols) < need:
                 raise TimeoutError(f"{len(cols)}/{need} columns answered for {key.hex()}")
@@ -202,12 +200,14 @@ class WaitCache:
 
     def _receive(self, c: "_Driver") -> None:
         self._selector.unregister(c.store)
-        key, _ = c.commands.popleft()
+        key, value = c.commands.popleft()
         try:
             got = c.store.receive()
         except Exception as exc:
             c.failed(exc)
         else:
+            if c.tally is not None:
+                c.tally.add(_bill(key, value, (got,)))
             if key == self._key and len(self._cols) < self._need:
                 self._cols[c.column] = got
         self._send(c)
@@ -222,12 +222,12 @@ class WaitCache:
 
 
 class _Driver:
-    """One store column: its store, its failed operations, counted and the
-    last one kept, and, for a pipe column, the FIFO of its writes."""
+    """One store column: its bare store and the tally billing it, or None;
+    its failed operations, counted and the last one kept; a pipe's write FIFO."""
 
     def __init__(self, column: int, store):
         self.column = column
-        self.store = store
+        self.store, self.tally = store if isinstance(store, CountingStore) else (store, None)
         self.commands: deque[tuple[bytes, bytes]] = deque()
         self.errors = 0
         self.last_error: Optional[Exception] = None

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import base64
+import copy
 import dataclasses
 import hashlib
 import io
+import pickle
 import select
 import signal
 import sys
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from quesera import qscod
 from quesera.chain import GENESIS, Proposal
-from quesera.kvstore import FileStore, MemoryStore, PipeStore, serve
+from quesera.kvstore import FileStore, MemoryStore, PipeStore, serve, write_line
 from quesera.qscod import (
     Client,
     CountingStore,
@@ -466,7 +468,7 @@ def test_a_killed_store_process_is_a_dead_column(pipe_stores):
 
 def test_pipe_bytes_are_the_bill(pipe_stores):
     """A lone client on five store processes: the bytes counted on their
-    pipes, both ways, are exactly what :class:`CountingStore` bills."""
+    pipes, both ways, are exactly what the client bills."""
     raw = [pipe_stores() for _ in range(5)]
     done, problems, dead, short, tally = run_workload(raw, qscod_params(5), 1, 20, 40, seed=3)
     assert (problems, dead, short) == ([], [], [])
@@ -760,24 +762,111 @@ def test_decode_slot3_fails_only_with_wire_error_and_stays_bounded(data):
     assert len(history_memo) <= DECODE_MEMO_SIZE
 
 
+def one_write(slot, value):
+    """A round of one slot, which offers ``value`` and returns the columns
+    the slot collected."""
+    cols = yield slot, lambda: value
+    return cols
+
+
 @given(st.lists(st.tuples(
-    st.sampled_from([b"", b"key", b"k2"]),
+    st.sampled_from([(1, 1), (1, 2), (2, 4)]),
     st.one_of(st.sampled_from([b"", b"value", b"other" * 9]), st.binary(max_size=40)))))
-@example([(b"key", b"value"), (b"key", b"value"), (b"key", b"other"), (b"", b"")])
+@example([((1, 1), b"value"), ((1, 1), b"value"), ((1, 1), b"other"), ((2, 4), b"")])
 def test_counting_store_bills_protocol_bytes(writes):
     """Each write is billed as its W request line plus the reply line the
     store server sends for the same writes: ``A`` while the key holds the
     offered value, ``V`` and the value it holds when it does not."""
     tally = ByteTally()
-    store = CountingStore(MemoryStore(), tally)
-    for key, value in writes:
-        store.write_read(key, value)
-    requests = [b"W %s %s\n" % (base64.b64encode(key) or b"-", base64.b64encode(value) or b"-")
-                for key, value in writes]
+    cache = qscod.WaitCache([CountingStore(MemoryStore(), tally)], 1)
+    for (rnd, slot), value in writes:
+        cache.wait(rnd, one_write(slot, value))
+    requests = [b"W %s %s\n" % (base64.b64encode(slot_key(*at)), base64.b64encode(value) or b"-")
+                for at, value in writes]
     replies = io.BytesIO()
     serve(MemoryStore(), requests, replies)
     assert tally.ops == len(writes)
     assert tally.total == sum(map(len, requests)) + len(replies.getvalue())
+
+
+def test_a_counting_store_is_a_plain_record():
+    """A billed column holds its store and its tally and forwards nothing:
+    it copies and pickles, and an attribute it lacks raises AttributeError."""
+    store = CountingStore(MemoryStore(), ByteTally())
+    copied = copy.copy(store)
+    assert (copied.inner, copied.tally) == (store.inner, store.tally)
+    assert pickle.loads(pickle.dumps(CountingStore(b"inner", b"tally"))) == (b"inner", b"tally")
+    with pytest.raises(AttributeError):
+        store.write_read
+
+
+def lone_client_bill(tallies, seed=3):
+    """A lone client's 20 messages on five memory stores, column ``i``
+    billed to ``tallies[i]``; returns its rounds."""
+    stores = [CountingStore(MemoryStore(), tally) for tally in tallies]
+    client = Client(0, stores, qscod_params(5), seed)
+    try:
+        report = client.run([b"m%d" % k for k in range(20)], 40)
+    finally:
+        client.close()
+    assert len(report.delivered) == 20
+    return report.rounds
+
+
+def test_columns_on_two_tallies_split_the_bill_exactly():
+    """Columns 0-2 billed to one tally and 3-4 to another: each tally is
+    billed its own columns' writes, and together they make the one-tally
+    bill of the same run."""
+    one = ByteTally()
+    rounds = lone_client_bill([one] * 5)
+    a, b = ByteTally(), ByteTally()
+    assert lone_client_bill([a] * 3 + [b] * 2) == rounds
+    assert (a.ops, b.ops) == (3 * 4 * rounds, 2 * 4 * rounds)
+    assert a.total + b.total == one.total
+    assert one.ops == 5 * 4 * rounds
+
+
+def test_a_raising_column_bills_none_of_its_failed_writes():
+    """A store that raises on every gossip write: the round proceeds on the
+    other four columns, and the column is billed its won writes alone."""
+
+    class NoGossip(MemoryStore):
+        def write_read(self, key, value):
+            if key[-1] in (2, 4):
+                raise OSError("no gossip")
+            return super().write_read(key, value)
+
+    tally, flaky = ByteTally(), ByteTally()
+    stores = [CountingStore(MemoryStore(), tally) for _ in range(4)]
+    stores.append(CountingStore(NoGossip(), flaky))
+    client = Client(0, stores, qscod_params(5), seed=3)
+    try:
+        report = client.run([b"m%d" % k for k in range(20)], 40)
+    finally:
+        client.close()
+    assert len(report.delivered) == 20
+    assert client.cache.columns[4].errors == 2 * report.rounds
+    assert tally.ops == 4 * 4 * report.rounds
+    assert flaky.ops == 2 * report.rounds
+    held = stores[4].inner.snapshot()
+    assert len(held) == flaky.ops
+    assert flaky.total == sum(len(write_line(key, value)) + 2 for key, value in held.items())
+
+
+def test_contending_clients_bill_every_write():
+    """Three clients race on three memory stores billed to one tally, their
+    threads switching as often as the interpreter lets them: every write
+    each client makes is billed once, so no slot's bill is lost."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        done, problems, dead, short, tally = run_workload(
+            [MemoryStore() for _ in range(3)], qscod_params(3), 3, 5, 400, seed=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (problems, dead) == ([], [])
+    assert len(done) == 3
+    assert tally.ops == 4 * 3 * sum(r.rounds for r in done)
 
 
 def test_lone_client_bill_is_its_logs_plus_one_ack_per_write(tmp_path):

@@ -398,9 +398,9 @@ class _NodeCtx:
             self.armed = True
 
     def broadcast(self, msg: StepMessage) -> None:
-        size = frame_size(msg)
-        for dest in range(self.sim.n):
-            self.sim.xmit(self.node, dest, msg, size)
+        size, sim, node = frame_size(msg), self.sim, self.node
+        for dest in range(sim.n):
+            sim.xmit(node, dest, msg, size)
         if self.armed:
             raise NodeCrashed("after")
 
@@ -464,11 +464,10 @@ class Simulator:
         self._full = cfg.trace_level == "full"
         self.now = 0
         self.order = 0
-        self.unicasts = 0
         self.bytes = 0
         # the calendar: arrival times, each with its (sender, dest, seq, msg)s
         self._heap: list[int] = []
-        self._slots: defaultdict[int, list] = defaultdict(list)
+        self._slots: dict[int, list] = {}
         # per channel, indexed sender * n + dest: unicasts sent, last arrival
         self._chan_seq = [0] * (cfg.n * cfg.n)
         self._chan_last = [0] * (cfg.n * cfg.n)
@@ -496,7 +495,15 @@ class Simulator:
 
     # -- transport --
 
+    @property
+    def unicasts(self) -> int:
+        """Unicasts sent so far: the per-channel sequence counters' sum."""
+        return sum(self._chan_seq)
+
     def xmit(self, sender: int, dest: int, msg: StepMessage, size: int) -> None:
+        """Queue one unicast of ``msg`` (``size`` bytes on the wire) for its
+        arrival.  The frame object itself is queued, shared with every other
+        receiver of its broadcast, so no one may change it once sent."""
         chan = sender * self.n + dest
         chan_seq, chan_last = self._chan_seq, self._chan_last
         seq = chan_seq[chan] = chan_seq[chan] + 1
@@ -504,10 +511,11 @@ class Simulator:
         if arrival <= chan_last[chan]:
             arrival = chan_last[chan] + 1  # FIFO: never overtake
         chan_last[chan] = arrival
-        self.unicasts += 1
-        if arrival not in self._slots:
+        slot = self._slots.get(arrival)
+        if slot is None:
+            slot = self._slots[arrival] = []
             heappush(self._heap, arrival)
-        self._slots[arrival].append((sender, dest, seq, msg))
+        slot.append((sender, dest, seq, msg))
         self.bytes += size
         if self._full:
             self.order += 1

@@ -63,4 +63,4 @@ class Tlcb:
         first = yield from self.inner.broadcast(m)
         second = yield from self.inner.broadcast(encode_entry_set(first.r))
         r, b = gather(first.r, [entry_set_bytes(p) for _, p in second.r], self.t_s)
-        return TsbResult(r=r, b=b)
+        return TsbResult(r, b)

@@ -33,4 +33,4 @@ class Tlcf:
         first = yield from self.witness.broadcast(m)
         second = yield from self.gossip.broadcast(encode_entry_set(first.r))
         r = frozenset(first.r).union(*[entry_set_bytes(p) for _, p in second.r])
-        return TsbResult(r=r, b=first.b)
+        return TsbResult(r, first.b)

@@ -110,18 +110,10 @@ class Tlcr(StepCollector):
         """One step: send ``m``, gather t_r same-step messages, return (R, {})."""
         self.step += 1
         self._cur = set()
-        yield from self._run_step(
-            StepMessage(
-                layer=self.tag,
-                kind=PLAIN,
-                sender=self.node,
-                step=self.step,
-                payload=m,
-                prior_r=self._prev,
-            )
-        )
+        msg = StepMessage(self.tag, PLAIN, self.node, self.step, m, self._prev)
+        yield from self._run_step(msg)
         self._prev = frozenset(self._cur)
-        return TsbResult(r=self._prev, b=frozenset())
+        return TsbResult(self._prev, frozenset())
 
     def have(self) -> int:
         return len(self._cur)

@@ -54,18 +54,11 @@ class Tlcw(StepCollector):
         yield from self._run_step(self._msg(REQ, m))
         self._prev_r = frozenset(self._cur_r)
         self._prev_b = frozenset(self._cur_b)
-        return TsbResult(r=self._prev_r, b=self._prev_b)
+        return TsbResult(self._prev_r, self._prev_b)
 
     def _msg(self, kind: str, payload: bytes) -> StepMessage:
-        return StepMessage(
-            layer=self.tag,
-            kind=kind,
-            sender=self.node,
-            step=self.step,
-            payload=payload,
-            prior_r=self._prev_r,
-            prior_b=self._prev_b,
-        )
+        return StepMessage(self.tag, kind, self.node, self.step, payload,
+                           self._prev_r, self._prev_b)
 
     def have(self) -> int:
         return len(self._cur_b)

@@ -43,10 +43,11 @@ class Thresholds:
     t_s: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TsbResult:
     """What one broadcast call returned: receive set R and broadcast set B,
-    both sets of (sender, payload) pairs."""
+    both sets of (sender, payload) pairs.  A plain slots record, built
+    positionally; its sets are frozen, and no caller changes it."""
 
     r: frozenset[tuple[int, bytes]]
     b: frozenset[tuple[int, bytes]]

@@ -241,7 +241,7 @@ grouped_set_memo = DecodeMemo(_grouped_set)
 grouped_set_bytes = grouped_set_memo.__getitem__
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StepMessage:
     """One frame of a threshold-clock layer.
 
@@ -249,6 +249,10 @@ class StepMessage:
     node's FIFO channels without confusing each other's steps.  ``prior_r``
     and ``prior_b`` piggyback the sender's just-completed receive/broadcast
     sets for viral catch-up; layers that do not need them send None.
+
+    A plain slots record, built positionally: the simulator hands one frame
+    object to every receiver of a broadcast, and nothing changes it after it
+    is sent (tests/test_netsim.py pins this).
     """
 
     layer: str

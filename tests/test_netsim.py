@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import example, given
@@ -386,6 +386,59 @@ def test_gossip_stack_cost_is_four_broadcasts_per_round():
         assert res.metrics.unicasts == 4 * n * n * rounds
         assert res.metrics.rounds == rounds
         assert res.metrics.bytes == sum(sz for *_, sz in res.trace.xmits)
+
+
+@pytest.mark.parametrize("layer", netsim.LAYERS)
+@pytest.mark.parametrize("delay", sorted(netsim.DELAY_POLICIES))
+def test_unicasts_and_bytes_are_what_the_trace_transmits(layer, delay):
+    """``unicasts`` is derived from the per-channel sequence counters and
+    ``bytes`` summed per hop; both agree with the full trace's xmits on every
+    stack under every delay policy."""
+    res = run(SimConfig(layer=layer, n=4, f=1, seed=6, rounds=3, delay=delay))
+    assert res.metrics.unicasts == len(res.trace.xmits) > 0
+    assert res.metrics.bytes == sum(size for *_, size in res.trace.xmits)
+
+
+def _sent_frames(monkeypatch, cfg):
+    """Run ``cfg`` keeping every frame sent with a snapshot of its fields;
+    return the frames no longer equal to their snapshot after the run."""
+    xmit, kept = Simulator.xmit, []
+
+    def keep(sim, sender, dest, msg, size):
+        kept.append((msg, astuple(msg)))
+        xmit(sim, sender, dest, msg, size)
+
+    monkeypatch.setattr(Simulator, "xmit", keep)
+    run(cfg)
+    assert kept
+    return [msg for msg, snapshot in kept if astuple(msg) != snapshot]
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(layer="qsc-tlcb", n=4, f=1, seed=3, rounds=4, delay="random"),
+    SimConfig(layer="qsc-tlcf", n=5, f=2, seed=4, rounds=4, delay="adversarial",
+              crashes=((1, 5, "after"),)),
+    SimConfig(layer="tlcw", n=4, f=1, seed=2, rounds=4, delay="fixed"),
+], ids=["qsc-tlcb-random", "qsc-tlcf-adversarial-crash", "tlcw-fixed"])
+def test_frames_are_never_changed_after_send(monkeypatch, cfg):
+    """A frame is a plain record, and one object goes to every receiver of
+    its broadcast: no layer may change it once it is on the wire."""
+    assert _sent_frames(monkeypatch, cfg) == []
+
+
+def test_a_frame_changed_after_send_is_caught(monkeypatch):
+    """The check above sees a payload set on a frame after its broadcast."""
+    broadcast = netsim._NodeCtx.broadcast
+
+    def rewrite(ctx, msg):
+        broadcast(ctx, msg)
+        if ctx.node == 0 and msg.step == 2:
+            msg.payload = b"changed"
+
+    monkeypatch.setattr(netsim._NodeCtx, "broadcast", rewrite)
+    changed = _sent_frames(monkeypatch, SimConfig(layer="tlcr", n=3, seed=1, rounds=3,
+                                                  delay="fixed"))
+    assert len(changed) == 3 and {msg.payload for msg in changed} == {b"changed"}
 
 
 # One consensus run per delay policy, and the sha256 of its (node, round,

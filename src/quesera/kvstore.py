@@ -171,7 +171,9 @@ class FileStore(_Store):
     Opening replays the log, so a store survives restarts; the log is valid
     input for the protocol server, which makes debugging a matter of cat.
     A final line without its newline is an append torn by a crash, whose
-    write never returned: opening cuts it off.  Any complete line that does
+    write never returned: opening cuts it off.  An append that raises (a
+    full disk, say) is cut off the same way before the error goes on, at
+    the log's length, which the store keeps.  Any complete line that does
     not parse still raises.  The log is unbuffered, so each append reaches
     the file in one write call (more only if the write comes back short);
     the line is :func:`write_line`'s, shared by every store offered the write.
@@ -184,12 +186,18 @@ class FileStore(_Store):
         if torn_at is not None:
             os.truncate(path, torn_at)
         self._fh = open(path, "ab", buffering=0)
+        self._size = os.fstat(self._fh.fileno()).st_size  # bytes in the log, all whole lines
 
     def _commit(self, key: bytes, value: bytes) -> None:
         line = write_line(key, value)
-        done = self._fh.write(line)
-        while done < len(line):  # a short write: append the rest
-            done += self._fh.write(line[done:])
+        try:
+            done = self._fh.write(line)
+            while done < len(line):  # a short write: append the rest
+                done += self._fh.write(line[done:])
+        except OSError:
+            os.ftruncate(self._fh.fileno(), self._size)
+            raise
+        self._size += done
         self._data[key] = value
 
     def close(self) -> None:

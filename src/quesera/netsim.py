@@ -22,13 +22,14 @@ the validators check eventual delivery.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 import struct
 from collections import defaultdict, deque
 from dataclasses import asdict, dataclass
 from heapq import heappop, heappush
 from types import SimpleNamespace
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .qsc import DeliveryRecord, QscState, run_qsc_node
 from .tlcb import Tlcb, spread_fault_budget
@@ -76,7 +77,7 @@ _IOTA = sum(j << 128 * j for j in range(_BLOCK))  # j in lane j
 _M64_LANES = _M64 * _LANES
 _LOW_LANES = struct.Struct("<" + "Q8x" * _BLOCK)  # each lane's low 64 bits
 _LOW6_LANES, _BIT6_LANES = 63 * _LANES, 64 * _LANES
-_ADV_PERIOD = _BLOCK  # channel sequence numbers per adversarial victim window
+_ADV_PERIOD = _BLOCK  # hops per adversarial victim window
 _FAST = (1,) * _ADV_PERIOD  # a window's delays on a channel no victim is on
 _JITTER_LANES, _CRAWL_LANES = (_SCALE - 1) * _LANES, _SCALE * 40 * _LANES  # _SCALE: 2**k
 # a hop's random delay before its tail, by the lowest zero bit of its draw
@@ -117,7 +118,7 @@ class FixedDelay:
     def __init__(self, seed: int, n: int):  # the policies' common signature
         pass
 
-    def delay(self, sender: int, dest: int, index: int) -> int:
+    def delay(self, sender: int, dest: int) -> int:
         return _SCALE
 
 
@@ -125,16 +126,15 @@ class RandomDelay:
     """Geometric-ish per-hop delays with a sparse heavy tail, so most traffic
     is quick but any channel occasionally lags several steps behind.
 
-    Each channel holds one block of _BLOCK delays: the hop after its end draws
-    the next, any other index is drawn on its own.  First blocks are cut to
+    Each channel streams its delays for hops 1, 2, 3, ... a block of _BLOCK
+    at a time, each block drawn where the last ended.  First blocks are cut to
     ``1 + chan % _BLOCK`` hops, so channels in lockstep refill in turn."""
 
     def __init__(self, seed: int, n: int):
         self.n = n
         self._delay_keys = _channel_keys(seed, _S_DELAY, n)
         self._tail_keys = _channel_keys(seed, _S_TAIL, n)
-        self._start = [1] * (n * n)  # per channel: the hop index of block[0]
-        self._blocks = [self._draw(chan, 1)[: 1 + chan % _BLOCK] for chan in range(n * n)]
+        self._hops = [self._stream(chan) for chan in range(n * n)]
 
     def _draw(self, chan: int, start: int) -> list[int]:
         u = _fold_block(self._delay_keys[chan], start) & _M64_LANES
@@ -150,14 +150,14 @@ class RandomDelay:
             delays[at >> 7] += _SCALE * (8 + rest % 56)
         return delays
 
-    def delay(self, sender: int, dest: int, index: int) -> int:
-        chan = sender * self.n + dest
-        block = self._blocks[chan]
-        k = index - self._start[chan]
-        if k == len(block):  # the next hop: its block replaces this one
-            self._start[chan], k = index, 0
-            block = self._blocks[chan] = self._draw(chan, index)
-        return block[k] if 0 <= k < len(block) else self._draw(chan, index)[0]
+    def _stream(self, chan: int) -> Iterator[int]:
+        start, size = 1, 1 + chan % _BLOCK
+        while True:
+            yield from self._draw(chan, start)[:size]
+            start, size = start + size, _BLOCK
+
+    def delay(self, sender: int, dest: int) -> int:
+        return next(self._hops[sender * self.n + dest])
 
 
 class AdversarialDelay:
@@ -165,34 +165,32 @@ class AdversarialDelay:
     has all its channels crawl (both directions) while everyone else is fast.
     Content-oblivious, but about as nasty as a delay-only adversary gets --
     quorums keep reshaping and laggards must rejoin virally.  Each channel
-    holds one window's delays: the next window replaces it, any other index
-    is drawn on its own."""
+    streams its delays for hops 1, 2, 3, ... a window of _ADV_PERIOD at a
+    time; a window's victims are drawn once for every channel."""
 
     def __init__(self, seed: int, n: int):
         self.seed = seed
         self.n = n
         self.victims = max(1, n // 3)
-        self._jitter_keys = _channel_keys(seed, _S_DELAY, n)
         self._victim_set = functools.cache(self._draw_victims)  # one draw a window
-        self._window, self._blocks = [-1] * (n * n), [()] * (n * n)  # held, per channel
+        self._hops = [self._stream(*divmod(chan, n), jitter_key)
+                      for chan, jitter_key in enumerate(_channel_keys(seed, _S_DELAY, n))]
 
     def _draw_victims(self, window: int) -> frozenset[int]:
         return frozenset(
             mix64(self.seed, _S_ADV, window, k) % self.n for k in range(self.victims)
         )
 
-    def delay(self, sender: int, dest: int, index: int) -> int:
-        chan = sender * self.n + dest
-        window, k = divmod(index, _ADV_PERIOD)
-        if window == self._window[chan]:
-            return self._blocks[chan][k]
-        victims, block = self._victim_set(window), _FAST
-        if sender in victims or dest in victims:  # _SCALE * 40 plus a lane's low bits
-            jitter = _fold_block(self._jitter_keys[chan], window * _ADV_PERIOD) & _JITTER_LANES
-            block = _LOW_LANES.unpack((jitter + _CRAWL_LANES).to_bytes(16 * _BLOCK, "little"))
-        if window == self._window[chan] + 1:  # the next window: it replaces this one
-            self._window[chan], self._blocks[chan] = window, block
-        return block[k]
+    def _stream(self, sender: int, dest: int, jitter_key: int) -> Iterator[int]:
+        for window in itertools.count():
+            victims, block = self._victim_set(window), _FAST
+            if sender in victims or dest in victims:  # _SCALE * 40 plus a lane's low bits
+                jitter = _fold_block(jitter_key, window * _ADV_PERIOD) & _JITTER_LANES
+                block = _LOW_LANES.unpack((jitter + _CRAWL_LANES).to_bytes(16 * _BLOCK, "little"))
+            yield from block[1:] if window == 0 else block  # hop 0 is never sent
+
+    def delay(self, sender: int, dest: int) -> int:
+        return next(self._hops[sender * self.n + dest])
 
 
 DELAY_POLICIES = {"fixed": FixedDelay, "random": RandomDelay, "adversarial": AdversarialDelay}
@@ -507,7 +505,7 @@ class Simulator:
         chan = sender * self.n + dest
         chan_seq, chan_last = self._chan_seq, self._chan_last
         seq = chan_seq[chan] = chan_seq[chan] + 1
-        arrival = self.now + self.policy.delay(sender, dest, seq)
+        arrival = self.now + self.policy.delay(sender, dest)
         if arrival <= chan_last[chan]:
             arrival = chan_last[chan] + 1  # FIFO: never overtake
         chan_last[chan] = arrival

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import errno
 import io
 import os
 import subprocess
@@ -175,6 +176,38 @@ def test_file_store_appends_whole_lines_through_short_writes(tmp_path):
     assert path.read_bytes() == b"".join(w(key, value) for key, value in writes.items())
     again = FileStore(str(path))
     assert again.snapshot() == writes
+    again.close()
+
+
+def test_file_store_cuts_a_failed_append_back_off_its_log(tmp_path):
+    """A disk that fills halfway through an append leaves half a line in the
+    log: the store cuts it off before the write raises, so the next append
+    starts a line of its own and the log still opens."""
+    path = tmp_path / "wal"
+    store = FileStore(str(path))
+    store.write_read(b"a", b"1")
+    log = store._fh
+
+    class Full:  # a log that takes half a line, then runs out of space
+        def write(self, data):
+            log.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def fileno(self):
+            return log.fileno()
+
+    store._fh = Full()
+    with pytest.raises(OSError) as failed:
+        store.write_read(b"b", b"2")
+    assert failed.value.errno == errno.ENOSPC
+    store._fh = log
+    assert path.read_bytes() == w(b"a", b"1")
+    assert store.write_read(b"c", b"3") == b"3"
+    assert store.write_read(b"b", b"4") == b"4"  # the failed write never stood
+    store.close()
+    assert path.read_bytes() == w(b"a", b"1") + w(b"c", b"3") + w(b"b", b"4")
+    again = FileStore(str(path))
+    assert again.snapshot() == {b"a": b"1", b"c": b"3", b"b": b"4"}
     again.close()
 
 

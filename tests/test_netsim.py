@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from dataclasses import astuple, replace
 
@@ -15,6 +16,7 @@ from quesera.netsim import (
     _ADV_PERIOD,
     _BLOCK,
     _M64,
+    _S_ADV,
     _S_DELAY,
     _S_TAIL,
     AdversarialDelay,
@@ -51,12 +53,11 @@ def test_mix64_is_frozen():
 
 def test_delay_policies():
     fx = FixedDelay(seed=7, n=4)
-    assert {fx.delay(a, b, i) for a in range(4) for b in range(4)
-            for i in range(5)} == {4}
+    assert {fx.delay(a, b) for a in range(4) for b in range(4) for _ in range(5)} == {4}
 
-    rd = RandomDelay(seed=7, n=4)
-    draws = [rd.delay(0, 1, i) for i in range(300)]
-    assert draws == [rd.delay(0, 1, i) for i in range(300)]  # replayable
+    rd, again = RandomDelay(seed=7, n=4), RandomDelay(seed=7, n=4)
+    draws = [rd.delay(0, 1) for _ in range(300)]
+    assert draws == [again.delay(0, 1) for _ in range(300)]  # one seed, one stream
     assert min(draws) >= 1
     assert len(set(draws)) > 3  # actually varies
 
@@ -67,12 +68,14 @@ def test_delay_policies():
     victim = min(window0)
     spared = next(x for x in range(6) if x not in window0)
     other = next(x for x in range(6) if x not in window0 | {spared})
-    assert ad.delay(victim, spared, 3) >= 4 * 40  # either endpoint suffices
-    assert ad.delay(spared, victim, 3) >= 4 * 40
-    assert ad.delay(spared, other, 3) == 1
+    hop3 = {chan: [ad.delay(*chan) for _ in range(3)][-1]  # after hops 1 and 2
+            for chan in ((victim, spared), (spared, victim), (spared, other))}
+    assert hop3[victim, spared] >= 4 * 40  # either endpoint suffices
+    assert hop3[spared, victim] >= 4 * 40
+    assert hop3[spared, other] == 1
 
 
-def reference_random_delay(seed, scale, sender, dest, index):
+def reference_random_delay(seed, scale, n, sender, dest, index):
     u = mix64(seed, _S_DELAY, sender, dest, index)
     run = 0
     while u & 1:
@@ -84,29 +87,38 @@ def reference_random_delay(seed, scale, sender, dest, index):
     return d
 
 
-def reference_adversarial_delay(policy, seed, scale, sender, dest, index):
-    victims = policy._victim_set(index // _ADV_PERIOD)
+def reference_adversarial_delay(seed, scale, n, sender, dest, index):
+    window = index // _ADV_PERIOD
+    victims = {mix64(seed, _S_ADV, window, k) % n for k in range(max(1, n // 3))}
     if sender in victims or dest in victims:
         return scale * 40 + mix64(seed, _S_DELAY, sender, dest, index) % scale
     return 1
 
 
-@given(
-    seed=st.integers(0, 2**64 - 1),
-    n=st.integers(1, 12),
-    draws=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), st.integers(0, 10**6)),
-                   min_size=1, max_size=40),
-)
+REFERENCES = {RandomDelay: reference_random_delay, AdversarialDelay: reference_adversarial_delay}
+
+
+def hop_order_draws(seed, n, hops):
+    """(sender, dest, hop) of every channel of n nodes, drawn hop by hop up to
+    ``hops`` as the simulator does, in a seeded interleaving of the channels."""
+    rng = random.Random(seed)
+    drawn = [0] * (n * n)
+    live = list(range(n * n))
+    while live:
+        chan = rng.choice(live)
+        hop = drawn[chan] = drawn[chan] + 1
+        if hop == hops:
+            live.remove(chan)
+        yield (*divmod(chan, n), hop)
+
+
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 12), draws=st.integers(1, 120))
 def test_per_channel_keys_give_the_unfolded_delays(seed, n, draws):
-    rd = RandomDelay(seed, n)
-    ad = AdversarialDelay(seed, n)
-    scale = 4  # every policy's delay step
-    for sender, dest, index in draws:
-        sender, dest = sender % n, dest % n
-        assert rd.delay(sender, dest, index) == reference_random_delay(
-            seed, scale, sender, dest, index)
-        assert ad.delay(sender, dest, index) == reference_adversarial_delay(
-            ad, seed, scale, sender, dest, index)
+    policies = {policy: policy(seed, n) for policy in REFERENCES}
+    for sender, dest, hop in itertools.islice(hop_order_draws(seed, n, 2 * _BLOCK), draws):
+        for policy, reference in REFERENCES.items():
+            assert policies[policy].delay(sender, dest) == reference(
+                seed, 4, n, sender, dest, hop)  # 4: every policy's delay step
 
 
 @given(key=st.integers(0, _M64), start=st.integers(0, 2**64 - _BLOCK))
@@ -118,47 +130,15 @@ def test_a_block_of_folds_is_the_scalar_folds(key, start):
         _fold(key, start + j) for j in range(_BLOCK)]
 
 
-def in_turn_draws(seed, n, hops):
-    """(sender, dest, index) of every channel of n nodes, drawn hop by hop
-    up to ``hops`` as the simulator does, in a seeded interleaving of the
-    channels, with out-of-turn draws mixed in."""
-    rng = random.Random(seed)
-    drawn = [0] * (n * n)
-    live = list(range(n * n))
-    while live:
-        chan = rng.choice(live)
-        if rng.random() < 0.1:  # out of turn
-            index = rng.randrange(10**6)
-        else:
-            index = drawn[chan] = drawn[chan] + 1
-            if index == hops:
-                live.remove(chan)
-        yield (*divmod(chan, n), index)
-
-
 @pytest.mark.parametrize("seed", [7, 2**64 - 1])
-def test_in_turn_draws_cross_blocks_and_keep_one_per_channel(seed):
-    """Every channel of an n = 7 policy, drawn in turn across 5 block
-    boundaries, gives the unfolded delays; and the policy never holds more
-    than one block per channel."""
-    n = 7
-    rd = RandomDelay(seed, n)
-    for sender, dest, index in in_turn_draws(seed, n, 5 * _BLOCK + 1):
-        assert rd.delay(sender, dest, index) == reference_random_delay(
-            seed, 4, sender, dest, index)
-        assert len(rd._blocks) == n * n and len(rd._blocks[sender * n + dest]) <= _BLOCK
-
-
-@pytest.mark.parametrize("seed", [7, 2**64 - 1])
-def test_adversarial_in_turn_draws_cross_windows_and_keep_one_per_channel(seed):
-    """The same for the adversarial policy, across 5 victim-window
-    boundaries: one held window per channel."""
-    n = 7
-    ad = AdversarialDelay(seed, n)
-    for sender, dest, index in in_turn_draws(seed, n, 5 * _ADV_PERIOD + 1):
-        assert ad.delay(sender, dest, index) == reference_adversarial_delay(
-            ad, seed, 4, sender, dest, index)
-        assert len(ad._blocks) == n * n and len(ad._blocks[sender * n + dest]) <= _ADV_PERIOD
+@pytest.mark.parametrize("policy", list(REFERENCES), ids=["random", "adversarial"])
+def test_hop_streams_cross_five_boundaries_on_every_channel(policy, seed):
+    """Every channel of an n = 7 policy, drawn in hop order past 5 block (or
+    victim-window) boundaries, gives the unfolded delays."""
+    n, reference = 7, REFERENCES[policy]
+    drawn = policy(seed, n)
+    for sender, dest, hop in hop_order_draws(seed, n, 5 * max(_BLOCK, _ADV_PERIOD) + 1):
+        assert drawn.delay(sender, dest) == reference(seed, 4, n, sender, dest, hop)
 
 
 def test_threshold_defaults():
@@ -397,6 +377,23 @@ def test_unicasts_and_bytes_are_what_the_trace_transmits(layer, delay):
     res = run(SimConfig(layer=layer, n=4, f=1, seed=6, rounds=3, delay=delay))
     assert res.metrics.unicasts == len(res.trace.xmits) > 0
     assert res.metrics.bytes == sum(size for *_, size in res.trace.xmits)
+
+
+@pytest.mark.parametrize("layer", netsim.LAYERS)
+@pytest.mark.parametrize("delay", sorted(netsim.DELAY_POLICIES))
+def test_each_unicast_draws_one_delay_in_send_order(monkeypatch, layer, delay):
+    """A policy streams each channel's hops in order, so the simulator must
+    ask it once per unicast, when the unicast is sent."""
+    policy, calls = netsim.DELAY_POLICIES[delay], []
+    draw = policy.delay
+
+    def logged(self, sender, dest):
+        calls.append((sender, dest))
+        return draw(self, sender, dest)
+
+    monkeypatch.setattr(policy, "delay", logged)
+    trace = run(SimConfig(layer=layer, n=4, f=1, seed=6, rounds=3, delay=delay)).trace
+    assert calls == [(s, d) for _, s, d, _, _ in trace.xmits]
 
 
 def _sent_frames(monkeypatch, cfg):

@@ -223,6 +223,7 @@ class PipeStore:
 
         self.path = path
         read_log(path)  # a log the child would refuse fails here, by name
+        open(path, "ab").close()  # and so does one it could not open
         self.sent = self.received = 0
         self.offered = (b"", b"")  # the write in flight
         self.child = subprocess.Popen(

@@ -103,17 +103,16 @@ class Tlcr(StepCollector):
 
     def __init__(self, ctx, node: int, th: Thresholds):
         super().__init__(ctx, node, th.t_r)
-        self._prev: frozenset[tuple[int, bytes]] = frozenset()
-        self._cur: set[tuple[int, bytes]] = set()
+        self._prev = TsbResult(frozenset(), frozenset())
 
     def broadcast(self, m: bytes):
         """One step: send ``m``, gather t_r same-step messages, return (R, {})."""
         self.step += 1
-        self._cur = set()
-        msg = StepMessage(self.tag, PLAIN, self.node, self.step, m, self._prev)
+        self._cur: set[tuple[int, bytes]] = set()
+        msg = StepMessage(self.tag, PLAIN, self.node, self.step, m, self._prev.r)
         yield from self._run_step(msg)
-        self._prev = frozenset(self._cur)
-        return TsbResult(self._prev, frozenset())
+        self._prev = TsbResult(frozenset(self._cur), frozenset())
+        return self._prev
 
     def have(self) -> int:
         return len(self._cur)

@@ -36,29 +36,21 @@ class Tlcw(StepCollector):
     def __init__(self, ctx, node: int, th: Thresholds):
         super().__init__(ctx, node, th.t_b)
         self.t_s = th.t_s
-        self._prev_r: frozenset[tuple[int, bytes]] = frozenset()
-        self._prev_b: frozenset[tuple[int, bytes]] = frozenset()
-        self._start(b"")
+        self._prev = TsbResult(frozenset(), frozenset())
 
-    def _start(self, m: bytes) -> None:
-        """Fresh per-step state for a step broadcasting ``m``."""
+    def broadcast(self, m: bytes):
+        self.step += 1
         self._m = m
         self._cur_r: set[tuple[int, bytes]] = set()
         self._cur_b: set[tuple[int, bytes]] = set()
         self._acks: set[int] = set()
-        self._wit_sent = False
-
-    def broadcast(self, m: bytes):
-        self.step += 1
-        self._start(m)
         yield from self._run_step(self._msg(REQ, m))
-        self._prev_r = frozenset(self._cur_r)
-        self._prev_b = frozenset(self._cur_b)
-        return TsbResult(self._prev_r, self._prev_b)
+        self._prev = TsbResult(frozenset(self._cur_r), frozenset(self._cur_b))
+        return self._prev
 
     def _msg(self, kind: str, payload: bytes) -> StepMessage:
-        return StepMessage(self.tag, kind, self.node, self.step, payload,
-                           self._prev_r, self._prev_b)
+        prev = self._prev
+        return StepMessage(self.tag, kind, self.node, self.step, payload, prev.r, prev.b)
 
     def have(self) -> int:
         return len(self._cur_b)
@@ -68,10 +60,9 @@ class Tlcw(StepCollector):
             self._cur_r.add((msg.sender, msg.payload))
             self.ctx.unicast(msg.sender, self._msg(ACK, msg.payload))
         elif msg.kind == ACK:
-            if msg.payload == self._m:
+            if msg.payload == self._m and msg.sender not in self._acks:
                 self._acks.add(msg.sender)
-                if len(self._acks) == self.t_s and not self._wit_sent:
-                    self._wit_sent = True
+                if len(self._acks) == self.t_s:
                     self.ctx.broadcast(self._msg(WIT, self._m))
         elif msg.kind == WIT:
             self._cur_b.add((msg.sender, msg.payload))

@@ -29,7 +29,7 @@ def test_crash_spec_parsing():
             parse_crash(bad)
 
 
-def test_run_prints_metrics_validates_and_dumps_the_trace(capsys, tmp_path):
+def test_run_prints_metrics_validates_and_dumps_the_trace(capsys, tmp_path, monkeypatch):
     out_file = tmp_path / "trace.txt"
     code = sim_main(["run", "--layer", "qsc-tlcf", "--n", "3", "--f", "1",
                      "--rounds", "3", "--seed", "6", "--validate",
@@ -45,8 +45,14 @@ def test_run_prints_metrics_validates_and_dumps_the_trace(capsys, tmp_path):
     assert text.startswith("0,0,run:n=3:")
     assert ",crash:after,-" in text
 
+    # each finding of the panel is printed under its verdict
+    monkeypatch.setattr("quesera.cli.validate_trace", lambda trace, consensus: ["forged"])
+    code = sim_main(["run", "--layer", "tlcr", "--n", "3", "--rounds", "2", "--validate"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["validate=FAIL", "violation: forged"]
 
-def test_sweep_aggregates_node_rounds(capsys):
+
+def test_sweep_aggregates_node_rounds(capsys, monkeypatch):
     code = sim_main(["sweep", "--layer", "qsc-tlcb", "--n", "3", "--f", "1",
                      "--rounds", "5", "--seeds", "3", "--seed", "2", "--validate"])
     assert code == 0
@@ -58,6 +64,15 @@ def test_sweep_aggregates_node_rounds(capsys):
     assert aggregate["validate"] == "ok"
     commits = sum(int(parse_metrics(l)["commits"]) for l in per_seed)
     assert aggregate["rate"] == f"{commits / 45:.4f}"
+
+    # each seed's findings are printed after its metrics line
+    monkeypatch.setattr("quesera.cli.validate_trace", lambda trace, consensus: ["forged"])
+    code = sim_main(["sweep", "--layer", "tlcr", "--n", "3", "--rounds", "2",
+                     "--seeds", "2", "--seed", "5", "--validate"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert (lines[1], lines[3]) == ("violation: seed=5 forged", "violation: seed=6 forged")
+    assert lines[-1].endswith(" validate=FAIL")
 
 
 def test_qscod_tools_fail_when_a_client_raises(capsys, monkeypatch):
@@ -352,6 +367,23 @@ def test_qscod_refuses_a_damaged_log(capsys, tmp_path, monkeypatch):
             assert all(store.closed for store in opened)
             if backend == "process":
                 assert all(store.child.returncode is not None for store in opened)
+
+
+@pytest.mark.parametrize("backend", ["file", "process"])
+def test_qscod_refuses_a_log_it_cannot_open(capsys, tmp_path, monkeypatch, backend):
+    """A log in a missing directory exits 2 naming it, on either backend,
+    and no store process starts."""
+    def no_process(*args, **kwargs):
+        raise AssertionError("a store process was started")
+
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    with pytest.raises(SystemExit) as exit_:
+        qscod.main(["--stores", "3", "--clients", "1", "--messages", "2", "--backend", backend,
+                    "--path-template", str(tmp_path / "nodir" / "p{i}.log")])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qscod: error: [Errno 2] No such file or directory")
+    assert err.endswith("p0.log'\n")
 
 
 def test_qscod_audits_a_log_holding_a_foreign_key(tmp_path):

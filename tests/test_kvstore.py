@@ -123,6 +123,13 @@ def test_file_store_survives_restart(tmp_path):
         lines = [ln.split()[0] for ln in fh if ln.strip()]
     assert lines == [b"W", b"W"]
 
+    # a blank line between appends is skipped on replay
+    with open(path, "ab") as fh:
+        fh.write(b"\n")
+    again = FileStore(path)
+    assert again.snapshot() == {b"a": b"1", b"b": b""}
+    again.close()
+
 
 def test_file_store_drops_a_torn_final_line(tmp_path):
     path = tmp_path / "wal"
@@ -309,6 +316,13 @@ def test_pipe_store_speaks_the_protocol_and_counts_its_bytes(tmp_path):
     finally:
         store.close()
     assert store.child.returncode == 0
+
+
+def test_pipe_store_refuses_a_log_it_cannot_open(tmp_path):
+    """A log the child could not open fails in the parent, before a store
+    process starts on it."""
+    with pytest.raises(FileNotFoundError):
+        PipeStore(str(tmp_path / "missing" / "p.log"))
 
 
 def stub_refusal(tmp_path, reply):

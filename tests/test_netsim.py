@@ -164,6 +164,9 @@ def test_config_validation():
         SimConfig(layer="tlcr", crashes=((5, 1, "before"),), **ok)
     with pytest.raises(ConfigError, match="bad crash spec"):
         SimConfig(layer="tlcr", crashes=((1, 1, "during"),), **ok)
+    for n, rounds in ((0, 1), (3, -1)):
+        with pytest.raises(ConfigError, match="n must be >= 1, rounds >= 0"):
+            SimConfig(layer="tlcr", n=n, seed=0, rounds=rounds)
     for seed in (-1, 2**64):
         with pytest.raises(ConfigError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}"):
             SimConfig(layer="tlcr", n=3, seed=seed, rounds=1)

@@ -215,6 +215,11 @@ def test_consistency_catches_equal_length_forks_and_broken_prefixes():
     commit(trace, 2, 3, c3)  # longer commit off the committed chain
     assert any("is not a prefix" in v for v in check_consistency(trace))
 
+    trace, (_, a2, _) = build_clean()
+    commit(trace, 1, 3, ext(a2, 1, 60))  # its head was never recorded
+    assert check_consistency(trace) == [
+        "commit at length 3 has an unresolvable ancestry"]
+
 
 def test_agreement_catches_divergent_adoption():
     trace, _ = build_clean()
@@ -237,6 +242,12 @@ def test_preservation_catches_drops_and_desynced_lengths():
     adopt(trace, 1, 4, a1)  # length 1 in round 4
     assert any("lock step" in v for v in check_preservation(trace))
 
+    trace, (_, _, a3) = build_clean()
+    ghost = ext(a3, 1, 70)  # never recorded
+    adopt(trace, 1, 4, ghost)
+    assert check_preservation(trace) == [
+        f"node 1 adopted unknown digest {ghost.digest.hex()[:16]}"]
+
 
 def test_validity_requires_a_two_step_old_head():
     trace, (_, a2, _) = build_clean()
@@ -247,3 +258,15 @@ def test_validity_requires_a_two_step_old_head():
     trace, (a1, a2, _) = build_clean()
     commit(trace, 1, 1, a1, step=2)
     assert check_validity(trace) == []
+
+    trace, (_, _, a3) = build_clean()
+    ghost = ext(a3, 1, 70)  # never recorded
+    commit(trace, 1, 4, ghost)
+    assert check_validity(trace) == [
+        f"node 1 delivered unknown digest {ghost.digest.hex()[:16]}"]
+
+    trace, (_, a2, _) = build_clean()
+    trace.proposals[a2.digest] = ProposalInfo(
+        prev=a2.head.prev, created_step=2, length=3)  # recorded one too long
+    assert check_validity(trace) == [
+        "node 0 round 2: delivery length 2 disagrees with proposal length 3"]

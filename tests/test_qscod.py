@@ -57,6 +57,8 @@ def test_params_defaults_and_admission():
     assert (p.t_r, p.t_s, p.t_b, p.f) == (4, 3, 2, 2)
     with pytest.raises(ConfigError, match="t_r [+] t_s > n"):
         configure("qsc-tlcb", 6, 2, t_s=2)  # columns could miss each other's winners
+    with pytest.raises(ValueError, match="one store per column expected"):
+        Client(0, [MemoryStore(), MemoryStore()], qscod_params(3), 1)
 
 
 def play(state, layer, message, priority, answer):
@@ -591,6 +593,14 @@ def test_audit_rejects_tampered_logs():
     doctored = dataclasses.replace(
         report, log=[report.log[0], dataclasses.replace(report.log[1], views=views)])
     assert any("disagrees with store" in v for v in audit(stores, params, [doctored]))
+
+    # a slot that went on with fewer than t_r columns
+    views = dict(report.log[1].views)
+    views[1] = dict(list(views[1].items())[:params.t_r - 1])
+    doctored = dataclasses.replace(
+        report, log=[report.log[0], dataclasses.replace(report.log[1], views=views)])
+    assert (f"client 0 round {report.log[1].round}: slot 1 proceeded on "
+            f"{params.t_r - 1} columns") in audit(stores, params, [doctored])
 
     # columns outside 0..n-1 hold nothing, not even the proposal every real
     # column holds for the lone client

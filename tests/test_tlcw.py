@@ -30,7 +30,8 @@ def test_configure_names_violations():
 
 def test_step_choreography():
     """n=3, t_b=2, t_s=2, node 0: acks everything current (self included),
-    announces once at exactly t_s acks, ignores vouches for other payloads."""
+    announces once, on the t_s-th distinct acker, ignores vouches for other
+    payloads."""
     m = b"mine"
     ctx = ScriptedCtx([
         wmsg(REQ, 0, 1, m),            # own req looped back -> self-ack
@@ -38,6 +39,7 @@ def test_step_choreography():
         wmsg(REQ, 1, 1, b"theirs"),    # acked, lands in R
         wmsg(ACK, 2, 1, b"theirs"),    # vouch for someone else: not ours
         wmsg(ACK, 1, 1, m),            # 2 of 2 -> wit goes out now
+        wmsg(ACK, 1, 1, m),            # a repeat from a counted acker: no 2nd wit
         wmsg(ACK, 2, 1, m),            # a third ack must not re-announce
         wmsg(WIT, 0, 1, m),
         wmsg(WIT, 1, 1, b"theirs"),    # t_b=2 announcements: step done

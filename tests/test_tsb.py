@@ -84,6 +84,15 @@ def test_lockstep_catches_gaps_and_silent_stops():
     t.crashes[1] = (1, "after")  # ...a recorded crash excuses it
     assert panel(t) == []
 
+    t = two_node_trace()
+    t.sends.append((5, "x", 1, 0, d(b"m0")))  # node 0 sends step 1 again
+    assert panel(t) == ["node 0 sent twice at x step 1"]
+
+    t = two_node_trace()
+    t.sends.append((5, "x", 3, 1, d(b"m1")))  # node 1 skips step 2
+    t.crashes[1] = (3, "after")
+    assert panel(t) == ["node 1 x send steps not consecutive: [1, 3]..."]
+
 
 def test_thresholds_catch_thin_sets():
     t = two_node_trace()
@@ -205,6 +214,11 @@ def test_transport_checks():
     t.dlvrs = [(4, 0, 1, 1), (5, 0, 1, 2), (6, 0, 1, 3), (7, 2, 0, 1)]
     assert validate_fifo(t) == ["channel 2->0: no such channel among 2 nodes"]
     assert validate_delivery(t) == ["channel 2->0: no such channel among 2 nodes"]
+
+    # ...and an xmit naming one
+    t.xmits.append((8, 0, 5, 1, 10))
+    t.dlvrs = [(4, 0, 1, 1), (5, 0, 1, 2), (6, 0, 1, 3)]
+    assert validate_delivery(t) == ["channel 0->5: no such channel among 2 nodes"]
 
 
 def test_serialization_is_stable():

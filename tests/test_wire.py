@@ -63,6 +63,8 @@ def test_entry_set_edges_and_corruption():
         entry_set_bytes(encode_entry_set([(1, b"x")]) + b"tail")
     with pytest.raises(WireError):
         decode_entry_set(b"\x00\x00\x00\x05", 0)  # claims entries it lacks
+    with pytest.raises(WireError, match="truncated length prefix"):
+        decode_entry_set(b"\x00\x00\x00\x01" + bytes(36), 0)  # sender and digest only
 
 
 @given(
@@ -189,6 +191,11 @@ def test_step_message_rejects_garbage():
     good = encode_step_message(StepMessage("r", PLAIN, 0, 1, b"m"))
     with pytest.raises(WireError):
         decode_step_message(good + b"x")
+    # a payload cut short: in its length prefix, then in its bytes
+    with pytest.raises(WireError, match="truncated length prefix"):
+        decode_step_message(good[:12])
+    with pytest.raises(WireError, match="truncated byte field"):
+        decode_step_message(good[:-1])
     with pytest.raises(WireError):
         encode_step_message(StepMessage("rr", PLAIN, 0, 1, b"m"))
     # one encoding per value: no unknown flag bits, set entries strictly ascending
